@@ -68,7 +68,6 @@ from .optimize import (
     OptimizerConfig,
     TrainReport,
     train_dro,
-    train_dro_cv,
     train_dro_stochastic,
     train_log_trick,
     train_poem,

@@ -42,7 +42,7 @@ from .intervals import (
     hoeffding_interval,
     write_coverage_csv,
 )
-from .optimize import OptimizerConfig, train_dro, train_dro_cv, train_log_trick, train_poem
+from .optimize import OptimizerConfig, train_dro, train_log_trick, train_poem
 from .policies import LinearPolicy, greedy_risk, load_policy, save_policy, true_risk
 
 _BUNDLED_SYNTHETIC = "bundled:synthetic"
@@ -200,7 +200,7 @@ def _run_algorithm(algo, mode, variant, train_log, val_log, policy0, delta, lamb
         return best[1]
     kind = DivergenceKind.from_name(algo.split("-", 1)[1])
     if variant == "cv":
-        policy, _ = train_dro_cv(train_log, kind, delta, policy0, opt_config)
+        policy, _ = train_dro(train_log, kind, delta, policy0, opt_config, rho="mean")
     elif variant == "logtrick":
         policy, _ = train_log_trick(train_log, kind, delta, policy0, opt_config)
     else:

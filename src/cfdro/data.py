@@ -42,6 +42,9 @@ from .policies import (
     LabeledDataset,
     LinearPolicy,
     Multiclass,
+    _space_from_dict,
+    _space_to_dict,
+    _with_bias,
     action_bitvectors,
 )
 
@@ -223,10 +226,6 @@ class LoggingPolicyConfig:
             raise ValueError("invalid logging-policy configuration")
 
 
-def _with_bias(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
-
-
 def train_logging_policy(
     dataset: LabeledDataset, config: LoggingPolicyConfig = LoggingPolicyConfig()
 ) -> LinearPolicy:
@@ -354,17 +353,15 @@ _LOG_VERSION = 1
 def write_bandit_log(log: BanditLog, path) -> None:
     """Serialize a bandit log as JSON lines: one metadata header, then one record per line."""
     if isinstance(log.action_space, Multiclass):
-        space = {"kind": "multiclass", "size": log.action_space.n_actions}
         encode = lambda a: int(a)  # noqa: E731 - tiny per-record closure
     else:
-        space = {"kind": "factorized", "size": log.action_space.n_labels}
         encode = lambda a: [int(b) for b in a]  # noqa: E731
     header = {
         "format": _LOG_FORMAT,
         "version": _LOG_VERSION,
         "n": log.n,
         "feature_dim": log.feature_dim,
-        "action_space": space,
+        "action_space": _space_to_dict(log.action_space),
         "cost_scale": {"scale": log.cost_scale.scale, "offset": log.cost_scale.offset},
     }
     with Path(path).open("w", encoding="utf-8") as fh:
@@ -390,37 +387,36 @@ def read_bandit_log(path) -> BanditLog:
             raise ValueError("missing or malformed log header") from exc
         if header.get("format") != _LOG_FORMAT or header.get("version") != _LOG_VERSION:
             raise ValueError("not a recognized bandit-log file")
-        space_meta = header["action_space"]
-        if space_meta["kind"] == "multiclass":
-            space: ActionSpace = Multiclass(int(space_meta["size"]))
-        elif space_meta["kind"] == "factorized":
-            space = FactorizedLabels(int(space_meta["size"]))
-        else:
-            raise ValueError(f"unknown action space kind {space_meta['kind']!r}")
-        dim = int(header["feature_dim"])
-        n = int(header["n"])
+        try:
+            space = _space_from_dict(header["action_space"])
+            dim, n = int(header["feature_dim"]), int(header["n"])
+            scale = CostScale(**header["cost_scale"])
+        except KeyError as exc:
+            raise ValueError(f"line 1: missing key {exc.args[0]!r}") from exc
         feats, actions, props, raws, scaleds = [], [], [], [], []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             record = json.loads(line)
-            vec = record["features"]
+            try:
+                vec, action, prop = record["features"], record["action"], record["propensity"]
+                raw, scaled = record["cost_raw"], record["cost_scaled"]
+            except KeyError as exc:
+                raise ValueError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
             if len(vec) != dim:
                 raise ValueError(f"line {lineno}: feature dimension mismatch")
-            if record["propensity"] <= 0:
+            if prop <= 0:
                 raise ValueError(f"line {lineno}: nonpositive propensity")
-            action = record["action"]
             if isinstance(space, FactorizedLabels):
                 if len(action) != space.n_labels:
                     raise ValueError(f"line {lineno}: action length mismatch")
             feats.append(vec)
             actions.append(action)
-            props.append(record["propensity"])
-            raws.append(record["cost_raw"])
-            scaleds.append(record["cost_scaled"])
+            props.append(prop)
+            raws.append(raw)
+            scaleds.append(scaled)
     if len(feats) != n:
         raise ValueError(f"header announces {n} records but file has {len(feats)}")
-    scale = CostScale(**header["cost_scale"])
     return BanditLog(
         features=np.asarray(feats, dtype=float),
         actions=np.asarray(actions),

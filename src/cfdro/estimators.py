@@ -90,6 +90,8 @@ class BanditLog:
         scaled = np.asarray(self.costs, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite")
         n = feats.shape[0]
         if isinstance(self.action_space, Multiclass):
             acts = np.asarray(self.actions, dtype=int)
@@ -104,6 +106,8 @@ class BanditLog:
         for name, arr in (("propensities", props), ("costs_raw", raw), ("costs", scaled)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape (n,)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(props <= 0) or np.any(props > 1.0 + 1e-9):
             raise ValueError("propensities must lie in (0, 1]")
         if np.any(scaled < -1.0 - 1e-9) or np.any(scaled > 1e-9):

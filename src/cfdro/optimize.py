@@ -1,20 +1,17 @@
 """Policy optimization: batch, stochastic and majorize-minimize trainers.
 
-All trainers minimize some counterfactual objective over the parameters of
-a log-linear policy.  The robust trainers work on the joint dual program:
-the objective ``g(theta, beta, gamma)`` is minimized over the policy
-parameters and both dual variables at once, with the ambiguity radius
-calibrated internally from the requested confidence level (no tunable
-radius is exposed).  Batch mode uses a quasi-Newton method over
-``(theta, beta, log-parametrized gamma)``; stochastic mode runs projected,
-clipped mini-batch SGD on unbiased per-sample gradients of the same
-objective.  The majorize-minimize trainer replaces the weight ratio with
-its log tangent at an anchor, yielding a fully convex inner problem and a
-monotone outer loop.
-
-Reports carry the full iteration trajectory (objective, gradient norm,
-dual variables, elapsed seconds) and can be serialized to CSV or JSON
-lines.
+The robust trainers minimize the joint dual objective ``g(theta, beta,
+gamma)`` over the policy parameters and both dual variables at once, at a
+radius calibrated from the requested confidence level (no tunable radius
+is exposed), on the weighted costs ``(c - rho) w + rho`` (``rho=0`` is
+plain reweighting).  The majorize-minimize trainer replaces the weight
+ratio with its log tangent at an anchor, yielding a fully convex inner
+problem and a monotone outer loop.  Every trainer runs on one of two
+shared solvers: batch mode is one L-BFGS-B scaffold whose trajectory reuses the
+evaluations L-BFGS-B already made, and stochastic mode is one projected,
+clipped mini-batch SGD loop over ``[theta, (beta, gamma)]`` to which each
+trainer supplies its per-step gradient.  Reports carry the iteration
+trajectory and can be serialized to CSV or JSON lines.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -42,7 +39,6 @@ __all__ = [
     "TrainReport",
     "write_report",
     "train_dro",
-    "train_dro_cv",
     "train_poem",
     "train_dro_stochastic",
     "train_log_trick",
@@ -53,11 +49,10 @@ __all__ = [
 class OptimizerConfig:
     """Knobs shared by all trainers.
 
-    ``max_iters`` counts quasi-Newton iterations in batch mode and SGD
-    steps in stochastic mode.  ``gamma_min`` keeps the dual scale variable
-    away from its nonsmooth boundary during joint optimization.
-    ``resolve_every`` optionally interleaves an exact re-solve of the dual
-    pair every that many batch iterations (off by default).
+    ``max_iters`` counts L-BFGS-B iterations in batch mode and SGD steps in
+    stochastic mode; ``tolerance`` applies to L-BFGS-B, the other step and
+    batch settings to the SGD loop.  ``gamma_min`` keeps the dual scale
+    variable away from its nonsmooth boundary during joint optimization.
     """
 
     mode: str = "batch"
@@ -70,7 +65,6 @@ class OptimizerConfig:
     seed: int = 0
     gamma_min: float = 1e-8
     eval_every: int = 100
-    resolve_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("batch", "stochastic"):
@@ -81,8 +75,6 @@ class OptimizerConfig:
             raise ValueError("tolerances and steps must be positive")
         if self.gradient_clip_norm <= 0 or self.gamma_min <= 0:
             raise ValueError("gradient_clip_norm and gamma_min must be positive")
-        if self.resolve_every is not None and self.resolve_every < 1:
-            raise ValueError("resolve_every must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -127,68 +119,48 @@ def write_report(report: TrainReport, path) -> None:
 # shared machinery
 # ----------------------------------------------------------------------
 
-# builder(policy, idx) -> (z, coef) with dz_i/dtheta = coef_i * grad log pi(a_i | x_i)
-_Builder = Callable[[LinearPolicy, Optional[np.ndarray]], "tuple[np.ndarray, np.ndarray]"]
+# A builder is a pair (rows, build): ``rows`` holds per-record arrays, the
+# features and actions first, and ``build(policy, *rows)`` returns (z, coef)
+# with dz_i/dtheta = coef_i * grad log pi(a_i | x_i).  A mini-batch slices
+# every array in ``rows`` with the same indices.
 
 
-def _plain_builder(log: BanditLog) -> _Builder:
-    log_p0 = np.log(log.propensities)
+def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
+    """Builder of the weighted costs ``(c - rho) w + rho``; ``rho`` may be ``"mean"``."""
+    if isinstance(rho, str):
+        if rho != "mean":
+            raise ValueError("rho must be a number or 'mean'")
+        rho = estimate_rho(log)
+    rho = float(rho)
 
-    def build(policy: LinearPolicy, idx: Optional[np.ndarray] = None):
-        if idx is None:
-            feats, acts, costs, lp0 = log.features, log.actions, log.costs, log_p0
-        else:
-            feats, acts, costs, lp0 = (
-                log.features[idx], log.actions[idx], log.costs[idx], log_p0[idx],
-            )
-        w = np.exp(policy.log_prob(feats, acts) - lp0)
-        z = w * costs
-        return z, z
-
-    return build
-
-
-def _cv_builder(log: BanditLog, rho: float) -> _Builder:
-    log_p0 = np.log(log.propensities)
-
-    def build(policy: LinearPolicy, idx: Optional[np.ndarray] = None):
-        if idx is None:
-            feats, acts, costs, lp0 = log.features, log.actions, log.costs, log_p0
-        else:
-            feats, acts, costs, lp0 = (
-                log.features[idx], log.actions[idx], log.costs[idx], log_p0[idx],
-            )
-        w = np.exp(policy.log_prob(feats, acts) - lp0)
-        coef = (costs - rho) * w
+    def build(policy: LinearPolicy, feats, acts, log_p0, centered):
+        coef = centered * np.exp(policy.log_prob(feats, acts) - log_p0)
         return coef + rho, coef
 
-    return build
+    return (log.features, log.actions, np.log(log.propensities), log.costs - rho), build
 
 
-def _log_trick_builder(log: BanditLog, anchor: LinearPolicy) -> _Builder:
+def _log_trick_costs(log: BanditLog, anchor: LinearPolicy):
+    """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))``."""
     anchor_lp = anchor.log_prob(log.features, log.actions)
     if np.any(np.isneginf(anchor_lp)):
         raise ValueError("anchor policy must have positive probability on logged actions")
-    w0 = np.exp(anchor_lp - np.log(log.propensities))
-    w0c = w0 * log.costs
+    w0c = np.exp(anchor_lp - np.log(log.propensities)) * log.costs
 
-    def build(policy: LinearPolicy, idx: Optional[np.ndarray] = None):
-        if idx is None:
-            feats, acts, lp_a, coef = log.features, log.actions, anchor_lp, w0c
-        else:
-            feats, acts, lp_a, coef = (
-                log.features[idx], log.actions[idx], anchor_lp[idx], w0c[idx],
-            )
+    def build(policy: LinearPolicy, feats, acts, lp_a, coef):
         log_ratio = np.maximum(policy.log_prob(feats, acts) - lp_a, -1e12)
         return coef * (1.0 + log_ratio), coef
 
-    return build
+    return (log.features, log.actions, anchor_lp, w0c), build
 
 
-def _slice_log(log: BanditLog, idx: Optional[np.ndarray]):
-    if idx is None:
-        return log.features, log.actions
-    return log.features[idx], log.actions[idx]
+def _with_theta(policy: LinearPolicy, theta_flat: np.ndarray) -> LinearPolicy:
+    return replace(policy, theta=theta_flat.reshape(policy.theta.shape))
+
+
+def _exact_dual(policy, rows, build, kind, epsilon) -> DualPoint:
+    z, _ = build(policy, *rows)
+    return robust_risk_dual(z, kind, epsilon)
 
 
 _PENALTY_BASE = 1e8
@@ -231,21 +203,90 @@ def _robust_value_grads(
     return value, d1, g_beta, g_gamma
 
 
-def _robust_batch_minimize(
-    log: BanditLog,
-    kind: DivergenceKind,
-    epsilon: float,
-    policy_init: LinearPolicy,
-    config: OptimizerConfig,
-    builder: _Builder,
-):
-    """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
-    theta_shape = policy_init.theta.shape
-    n = log.n
-    start = time.perf_counter()
+def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig, record):
+    """L-BFGS-B on ``fun`` (value and gradient); returns ``(x, iterations, converged, trajectory)``.
 
-    def make_policy(theta_flat: np.ndarray) -> LinearPolicy:
-        return replace(policy_init, theta=theta_flat.reshape(theta_shape))
+    ``record(iteration, x, value, grad)`` builds each trajectory entry from the
+    evaluation L-BFGS-B already made at that iterate; ``fun`` is called again
+    only if the iterate is not the last point evaluated.
+    """
+    trajectory: "list[IterationRecord]" = []
+    last: list = [None, None, None]  # x, value, gradient of the latest evaluation
+
+    def note(x: np.ndarray) -> None:
+        value, grad = last[1:] if np.array_equal(x, last[0]) else fun(x)
+        trajectory.append(record(len(trajectory), x, value, grad))
+
+    def evaluate(x: np.ndarray):
+        value, grad = fun(x)
+        last[:] = [x.copy(), value, grad]
+        if not trajectory:  # L-BFGS-B evaluates x0 first
+            note(x0)
+        return value, grad
+
+    res = sp_optimize.minimize(
+        evaluate,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=note,
+        options={"maxiter": config.max_iters, "ftol": config.tolerance, "gtol": 1e-9},
+    )
+    return res.x, res.nit, res.status == 0, trajectory
+
+
+def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, duals: bool, start):
+    """Projected, clipped mini-batch SGD on ``w = [theta, (beta, gamma)]``; returns (theta, report).
+
+    ``gradient(t, w, batch)`` is the step-``t`` gradient on the sliced
+    ``rows``, or ``None`` to skip the step (it may adjust ``w`` in place).
+    ``objective(w)`` is the full-log value recorded every ``eval_every``
+    steps and at the end.  With ``duals`` ``gamma = w[-1]`` is kept at or
+    above ``gamma_min``.
+    """
+    n = len(rows[0])
+    batch_size = min(config.batch_size, n)
+    rng = np.random.default_rng(config.seed)
+    trajectory: "list[IterationRecord]" = []
+    last_norm = 0.0
+
+    def record(t: int) -> float:
+        value = objective(w)
+        beta, gamma = (float(w[-2]), float(w[-1])) if duals else (math.nan, math.nan)
+        trajectory.append(
+            IterationRecord(t, value, last_norm, beta, gamma, time.perf_counter() - start)
+        )
+        return value
+
+    for t in range(config.max_iters):
+        if t % config.eval_every == 0:
+            record(t)
+        idx = np.arange(n) if batch_size == n else rng.integers(0, n, size=batch_size)
+        grad = gradient(t, w, [a[idx] for a in rows])
+        if grad is None:
+            continue
+        norm = float(np.linalg.norm(grad))
+        last_norm = norm
+        if norm > config.gradient_clip_norm:
+            grad *= config.gradient_clip_norm / norm
+        w -= config.step_size / math.sqrt(1.0 + t / config.step_decay) * grad
+        if duals:
+            w[-1] = max(float(w[-1]), config.gamma_min)
+
+    final_value = record(config.max_iters)
+    dual = DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=final_value) if duals else None
+    report = TrainReport(
+        final_value=final_value, iterations=config.max_iters, wall_time=time.perf_counter() - start,
+        trajectory=trajectory, dual=dual, converged=math.isfinite(final_value),
+    )
+    return (w[:-2] if duals else w), report
+
+
+def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, build):
+    """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
+    feats, acts = rows[0], rows[1]
+    n = len(feats)
+    start = time.perf_counter()
 
     def unpack(w: np.ndarray):
         beta = float(w[-2])
@@ -253,109 +294,49 @@ def _robust_batch_minimize(
         gamma = config.gamma_min + math.exp(psi)
         return w[:-2], beta, psi, gamma
 
+    def pack(theta_flat: np.ndarray, point: DualPoint) -> np.ndarray:
+        gamma = max(point.gamma, config.gamma_min * 2.0)
+        return np.concatenate([theta_flat, [point.beta, math.log(gamma - config.gamma_min)]])
+
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
-        policy = make_policy(theta_flat)
-        z, coef = builder(policy, None)
+        policy = _with_theta(policy_init, theta_flat)
+        z, coef = build(policy, *rows)
         state = _robust_value_grads(kind, epsilon, z, beta, gamma)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
             cap = _domain_cap(kind) or 1.0
             imax = int(np.argmax(z))
             viol = (float(z[imax]) - beta) - cap * gamma
-            g = np.zeros_like(w)
             g_theta = policy.weighted_grad_log_prob_sum(
-                *_slice_log(log, None), np.where(np.arange(n) == imax, coef, 0.0)
+                feats, acts, np.where(np.arange(n) == imax, coef, 0.0)
             )
-            g[:-2] = _PENALTY_SLOPE * g_theta.ravel()
-            g[-2] = -_PENALTY_SLOPE
-            g[-1] = -_PENALTY_SLOPE * cap * math.exp(psi)
+            g_duals = [-_PENALTY_SLOPE, -_PENALTY_SLOPE * cap * math.exp(psi)]
+            g = np.concatenate([_PENALTY_SLOPE * g_theta.ravel(), g_duals])
             return _PENALTY_BASE + _PENALTY_SLOPE * viol, g
         value, d1, g_beta, g_gamma = state
-        g_theta = policy.weighted_grad_log_prob_sum(*_slice_log(log, None), d1 * coef) / n
-        g = np.empty_like(w)
-        g[:-2] = g_theta.ravel()
-        g[-2] = g_beta
-        g[-1] = g_gamma * math.exp(psi)
-        return value, g
+        g_theta = policy.weighted_grad_log_prob_sum(feats, acts, d1 * coef) / n
+        return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma * math.exp(psi)]])
+
+    def record(iteration: int, w: np.ndarray, value: float, grad: np.ndarray) -> IterationRecord:
+        _, beta, _, gamma = unpack(w)
+        return IterationRecord(
+            iteration, value, float(np.linalg.norm(grad)), beta, gamma, time.perf_counter() - start
+        )
 
     # initialize the dual pair exactly at the starting policy, so a warm
     # start from a previous optimum is a fixed point of the joint solve
-    z0, _ = builder(policy_init, None)
-    point0 = robust_risk_dual(z0, kind, epsilon)
-    gamma0 = max(point0.gamma, config.gamma_min * 2.0)
-    w0 = np.concatenate(
-        [policy_init.theta.ravel(), [point0.beta, math.log(max(gamma0 - config.gamma_min, 1e-12))]]
+    point0 = _exact_dual(policy_init, rows, build, kind, epsilon)
+    w, iterations, converged, trajectory = _lbfgs(
+        fun, pack(policy_init.theta.ravel(), point0), config, record
     )
-
-    trajectory: "list[IterationRecord]" = []
-
-    def record(w: np.ndarray, iteration: int) -> None:
-        value, grad = fun(w)
-        _, beta, _, gamma = unpack(w)
-        trajectory.append(
-            IterationRecord(
-                iteration, value, float(np.linalg.norm(grad)), beta, gamma,
-                time.perf_counter() - start,
-            )
-        )
-
-    record(w0, 0)
-    iters_done = 0
-    converged = False
-    w = w0
-    segments = (
-        [config.max_iters]
-        if config.resolve_every is None
-        else [config.resolve_every] * max(1, config.max_iters // config.resolve_every)
-    )
-    for seg in segments:
-        counter = {"i": iters_done}
-
-        def callback(xk: np.ndarray) -> None:
-            counter["i"] += 1
-            record(xk, counter["i"])
-
-        res = sp_optimize.minimize(
-            fun,
-            w,
-            jac=True,
-            method="L-BFGS-B",
-            callback=callback,
-            options={"maxiter": seg, "ftol": config.tolerance, "gtol": 1e-9},
-        )
-        w = res.x
-        iters_done = counter["i"]
-        converged = bool(res.success) or res.status == 0
-        if config.resolve_every is not None:
-            theta_flat, _, _, _ = unpack(w)
-            z_cur, _ = builder(make_policy(theta_flat), None)
-            pt = robust_risk_dual(z_cur, kind, epsilon)
-            gamma_r = max(pt.gamma, config.gamma_min * 2.0)
-            w = np.concatenate(
-                [theta_flat, [pt.beta, math.log(max(gamma_r - config.gamma_min, 1e-12))]]
-            )
-        if res.status == 0 and config.resolve_every is None:
-            break
-
-    theta_flat, _, _, _ = unpack(w)
-    policy = make_policy(theta_flat)
-    z_final, _ = builder(policy, None)
-    final_point = robust_risk_dual(z_final, kind, epsilon)
-    record(
-        np.concatenate(
-            [theta_flat, [final_point.beta,
-                          math.log(max(final_point.gamma, config.gamma_min * 2.0) - config.gamma_min)]]
-        ),
-        iters_done,
-    )
+    policy = _with_theta(policy_init, w[:-2])
+    final_point = _exact_dual(policy, rows, build, kind, epsilon)
+    w_final = pack(w[:-2], final_point)
+    trajectory.append(record(iterations, w_final, *fun(w_final)))
     report = TrainReport(
-        final_value=final_point.value,
-        iterations=iters_done,
-        wall_time=time.perf_counter() - start,
-        trajectory=trajectory,
-        dual=final_point,
-        converged=converged,
+        final_value=final_point.value, iterations=iterations, wall_time=time.perf_counter() - start,
+        trajectory=trajectory, dual=final_point, converged=converged,
     )
     return policy, report
 
@@ -371,46 +352,75 @@ def train_dro(
     delta: float,
     policy_init: LinearPolicy,
     config: OptimizerConfig = OptimizerConfig(),
+    rho: "float | str" = 0.0,
 ):
-    """Minimize the robust reweighted risk at the radius calibrated from ``delta``.
+    """Minimize the robust risk of the weighted costs at the radius calibrated from ``delta``.
 
     No radius hyper-parameter is exposed: the ambiguity size is always
-    ``calibrated_radius(kind, delta, n)``.  ``config.mode`` selects the
-    batch quasi-Newton path or the stochastic one.
+    ``calibrated_radius(kind, delta, n)``.  The weighted costs are
+    ``(c - rho) w + rho``: ``rho=0`` is plain reweighting, any other number
+    is a control-variate center and ``"mean"`` centers at the logged costs'
+    empirical mean.  ``config.mode`` selects the batch quasi-Newton path or
+    :func:`train_dro_stochastic`.
     """
     if config.mode == "stochastic":
-        return train_dro_stochastic(log, kind, delta, policy_init, config)
+        return train_dro_stochastic(log, kind, delta, policy_init, config, rho)
+    rows, build = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
-    return _robust_batch_minimize(log, kind, eps, policy_init, config, _plain_builder(log))
+    return _robust_batch(kind, eps, policy_init, config, rows, build)
 
 
-def train_dro_cv(
+def train_dro_stochastic(
     log: BanditLog,
     kind: DivergenceKind,
     delta: float,
     policy_init: LinearPolicy,
     config: OptimizerConfig = OptimizerConfig(),
-    rho: "float | str" = "mean",
+    rho: "float | str" = 0.0,
 ):
-    """Robust trainer over control-variate weighted costs ``(c - rho) w + rho``.
+    """Stochastic counterpart of :func:`train_dro` (same ``rho``): SGD on per-sample dual terms.
 
-    ``rho`` may be a number, ``"mean"`` (the logged costs' empirical mean)
-    or ``"zero"`` (recovering :func:`train_dro` exactly).
+    Each record contributes ``beta + gamma eps + (gamma phi)*(z_i - beta)``,
+    so a uniform mini-batch average is an unbiased estimate of the full
+    objective and its gradient.  A batch that violates the conjugate domain
+    triggers a doubling of ``gamma``; one hundred consecutive violations
+    abort the run.
     """
-    if isinstance(rho, str):
-        if rho == "mean":
-            rho_value = estimate_rho(log)
-        elif rho == "zero":
-            rho_value = 0.0
-        else:
-            raise ValueError("rho must be a number, 'mean' or 'zero'")
-    else:
-        rho_value = float(rho)
+    start = time.perf_counter()
+    rows, build = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
-    builder = _plain_builder(log) if rho_value == 0.0 else _cv_builder(log, rho_value)
-    if config.mode == "stochastic":
-        return _stochastic_minimize(log, kind, eps, policy_init, config, builder)
-    return _robust_batch_minimize(log, kind, eps, policy_init, config, builder)
+    point0 = _exact_dual(policy_init, rows, build, kind, eps)
+    w0 = np.concatenate(
+        [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, config.gamma_min)]]
+    )
+    inflations = 0
+
+    def gradient(t: int, w: np.ndarray, batch):
+        nonlocal inflations
+        policy = _with_theta(policy_init, w[:-2])
+        z, coef = build(policy, *batch)
+        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]))
+        if state is None:
+            w[-1] *= 2.0
+            inflations += 1
+            if inflations > 100:
+                raise SolverError(
+                    "mini-batch objective stayed outside the conjugate domain",
+                    best=DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=math.inf),
+                )
+            return None
+        inflations = 0
+        _, d1, g_beta, g_gamma = state
+        g_theta = policy.weighted_grad_log_prob_sum(batch[0], batch[1], d1 * coef) / len(z)
+        return np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
+
+    def objective(w: np.ndarray) -> float:
+        z, _ = build(_with_theta(policy_init, w[:-2]), *rows)
+        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]))
+        return math.inf if state is None else state[0]
+
+    theta, report = _sgd(rows, w0, config, gradient, objective, duals=True, start=start)
+    return _with_theta(policy_init, theta), report
 
 
 def train_poem(
@@ -423,251 +433,69 @@ def train_poem(
 
     The objective is not convex in the policy parameters; the returned
     policy is a best-effort local minimum from the given initialization.
-    In stochastic mode the square root and the squared-mean coupling are
-    re-majorized from a full pass at every nominal epoch, so the whole log
-    must stay in memory; the inner steps then use per-record gradients.
+    In stochastic mode each nominal epoch takes one full pass to freeze the
+    current mean ``m0`` and variance ``v0``; the concave square root and the
+    ``-n mean^2`` term are replaced by their tangents there, leaving a
+    per-record decomposable upper bound ``z_i + c (n/(n-1)) (z_i^2 - 2 m0 z_i)``
+    with ``c = lam / (2 sqrt(n v0))``.  The whole log must therefore stay in
+    memory; the inner steps use per-record gradients.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     n = log.n
     if n < 2:
         raise ValueError("the penalized objective needs at least 2 records")
-    if config.mode == "stochastic":
-        return _poem_stochastic(log, lam, policy_init, config)
-    theta_shape = policy_init.theta.shape
-    builder = _plain_builder(log)
     start = time.perf_counter()
+    rows, build = _weighted_costs(log)
+    theta0 = policy_init.theta.ravel().copy()
+
+    if config.mode == "stochastic":
+        steps_per_epoch = -(-n // min(config.batch_size, n))
+        m0 = scale = 0.0
+
+        def gradient(t: int, theta: np.ndarray, batch):
+            nonlocal m0, scale
+            if t % steps_per_epoch == 0:  # re-majorize from a full pass
+                z_full, _ = build(_with_theta(policy_init, theta), *rows)
+                m0 = float(z_full.mean())
+                v0 = float(z_full.var(ddof=1))
+                scale = 0.0 if lam == 0.0 else lam / (2.0 * math.sqrt(n * max(v0, 1e-12)))
+            policy = _with_theta(policy_init, theta)
+            z, coef = build(policy, *batch)
+            mult = 1.0 + scale * (n / (n - 1)) * (2.0 * z - 2.0 * m0)
+            grad = policy.weighted_grad_log_prob_sum(batch[0], batch[1], mult * coef)
+            return (grad / len(z)).ravel()
+
+        def objective(theta: np.ndarray) -> float:
+            z, _ = build(_with_theta(policy_init, theta), *rows)
+            return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
+
+        theta, report = _sgd(rows, theta0, config, gradient, objective, duals=False, start=start)
+        return _with_theta(policy_init, theta), report
 
     def fun(theta_flat: np.ndarray):
-        policy = replace(policy_init, theta=theta_flat.reshape(theta_shape))
-        z, coef = builder(policy, None)
+        policy = _with_theta(policy_init, theta_flat)
+        z, coef = build(policy, *rows)
         mean = float(z.mean())
-        grad_mean = policy.weighted_grad_log_prob_sum(log.features, log.actions, coef) / n
+        grad = policy.weighted_grad_log_prob_sum(log.features, log.actions, coef) / n
         variance = float(z.var(ddof=1))
         value = mean + lam * math.sqrt(variance / n)
-        grad = grad_mean
         if lam > 0 and variance > 1e-18:
             dv_coef = 2.0 / (n - 1) * (z - mean) * coef
             grad_var = policy.weighted_grad_log_prob_sum(log.features, log.actions, dv_coef)
             grad = grad + grad_var * (lam / (2.0 * math.sqrt(variance / n) * n))
         return value, grad.ravel()
 
-    trajectory: "list[IterationRecord]" = []
+    def record(iteration: int, theta_flat, value: float, grad: np.ndarray) -> IterationRecord:
+        norm, elapsed = float(np.linalg.norm(grad)), time.perf_counter() - start
+        return IterationRecord(iteration, value, norm, math.nan, math.nan, elapsed)
 
-    def record(theta_flat: np.ndarray, iteration: int) -> None:
-        value, grad = fun(theta_flat)
-        trajectory.append(
-            IterationRecord(
-                iteration, value, float(np.linalg.norm(grad)), math.nan, math.nan,
-                time.perf_counter() - start,
-            )
-        )
-
-    w0 = policy_init.theta.ravel().copy()
-    record(w0, 0)
-    counter = {"i": 0}
-
-    def callback(xk: np.ndarray) -> None:
-        counter["i"] += 1
-        record(xk, counter["i"])
-
-    res = sp_optimize.minimize(
-        fun,
-        w0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": config.max_iters, "ftol": config.tolerance, "gtol": 1e-9},
-    )
-    policy = replace(policy_init, theta=res.x.reshape(theta_shape))
+    theta, iterations, converged, trajectory = _lbfgs(fun, theta0, config, record)
     report = TrainReport(
-        final_value=float(res.fun),
-        iterations=counter["i"],
-        wall_time=time.perf_counter() - start,
-        trajectory=trajectory,
-        dual=None,
-        converged=bool(res.success) or res.status == 0,
+        final_value=trajectory[-1].objective, iterations=iterations,
+        wall_time=time.perf_counter() - start, trajectory=trajectory, converged=converged,
     )
-    return policy, report
-
-
-def _poem_stochastic(
-    log: BanditLog,
-    lam: float,
-    policy_init: LinearPolicy,
-    config: OptimizerConfig,
-):
-    """Epoch-majorized stochastic descent on the variance-penalized objective.
-
-    Each epoch takes one full pass to freeze the current mean ``m0`` and
-    variance ``v0``; the concave square root and the ``-n mean^2`` term are
-    replaced by their tangents there, leaving a per-record decomposable
-    upper bound ``z_i + c (n/(n-1)) (z_i^2 - 2 m0 z_i)`` with
-    ``c = lam / (2 sqrt(n v0))``.
-    """
-    theta_shape = policy_init.theta.shape
-    n = log.n
-    batch_size = min(config.batch_size, n)
-    steps_per_epoch = max(1, -(-n // batch_size))
-    rng = np.random.default_rng(config.seed)
-    builder = _plain_builder(log)
-    start = time.perf_counter()
-
-    def make_policy(theta_flat: np.ndarray) -> LinearPolicy:
-        return replace(policy_init, theta=theta_flat.reshape(theta_shape))
-
-    def full_objective(theta_flat: np.ndarray) -> float:
-        z, _ = builder(make_policy(theta_flat), None)
-        return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
-
-    theta = policy_init.theta.ravel().copy()
-    trajectory: "list[IterationRecord]" = []
-    m0 = 0.0
-    scale = 0.0
-    last_norm = 0.0
-    for t in range(config.max_iters):
-        if t % steps_per_epoch == 0:  # re-majorize from a full pass
-            z_full, _ = builder(make_policy(theta), None)
-            m0 = float(z_full.mean())
-            v0 = float(z_full.var(ddof=1))
-            scale = 0.0 if lam == 0.0 else lam / (2.0 * math.sqrt(n * max(v0, 1e-12)))
-        if t % config.eval_every == 0:
-            trajectory.append(
-                IterationRecord(t, full_objective(theta), last_norm, math.nan, math.nan,
-                                time.perf_counter() - start)
-            )
-        idx = np.arange(n) if batch_size == n else rng.integers(0, n, size=batch_size)
-        policy = make_policy(theta)
-        z, coef = builder(policy, idx)
-        mult = 1.0 + scale * (n / (n - 1)) * (2.0 * z - 2.0 * m0)
-        feats, acts = _slice_log(log, idx)
-        grad = policy.weighted_grad_log_prob_sum(feats, acts, mult * coef) / idx.size
-        grad_flat = grad.ravel()
-        norm = float(np.linalg.norm(grad_flat))
-        last_norm = norm
-        if norm > config.gradient_clip_norm:
-            grad_flat = grad_flat * (config.gradient_clip_norm / norm)
-        step = config.step_size / math.sqrt(1.0 + t / config.step_decay)
-        theta -= step * grad_flat
-    final_value = full_objective(theta)
-    trajectory.append(
-        IterationRecord(config.max_iters, final_value, last_norm, math.nan, math.nan,
-                        time.perf_counter() - start)
-    )
-    report = TrainReport(
-        final_value=final_value,
-        iterations=config.max_iters,
-        wall_time=time.perf_counter() - start,
-        trajectory=trajectory,
-        dual=None,
-        converged=math.isfinite(final_value),
-    )
-    return make_policy(theta), report
-
-
-def _stochastic_minimize(
-    log: BanditLog,
-    kind: DivergenceKind,
-    epsilon: float,
-    policy_init: LinearPolicy,
-    config: OptimizerConfig,
-    builder: _Builder,
-):
-    """Projected, clipped mini-batch SGD on per-sample dual terms.
-
-    Each record contributes ``beta + gamma eps + (gamma phi)*(z_i - beta)``,
-    so a uniform mini-batch average is an unbiased estimate of the full
-    objective and its gradient.  A batch that violates the conjugate domain
-    triggers a doubling of ``gamma``; one hundred consecutive violations
-    abort the run.
-    """
-    theta_shape = policy_init.theta.shape
-    n = log.n
-    batch_size = min(config.batch_size, n)
-    rng = np.random.default_rng(config.seed)
-    start = time.perf_counter()
-
-    def make_policy(theta_flat: np.ndarray) -> LinearPolicy:
-        return replace(policy_init, theta=theta_flat.reshape(theta_shape))
-
-    z0, _ = builder(policy_init, None)
-    point0 = robust_risk_dual(z0, kind, epsilon)
-    theta = policy_init.theta.ravel().copy()
-    beta = point0.beta
-    gamma = max(point0.gamma, config.gamma_min)
-
-    trajectory: "list[IterationRecord]" = []
-
-    def full_objective(theta_flat, beta_v, gamma_v) -> float:
-        z, _ = builder(make_policy(theta_flat), None)
-        state = _robust_value_grads(kind, epsilon, z, beta_v, gamma_v)
-        return math.inf if state is None else state[0]
-
-    inflations = 0
-    last_norm = 0.0
-    for t in range(config.max_iters):
-        if t % config.eval_every == 0:
-            trajectory.append(
-                IterationRecord(
-                    t, full_objective(theta, beta, gamma), last_norm, beta, gamma,
-                    time.perf_counter() - start,
-                )
-            )
-        idx = np.arange(n) if batch_size == n else rng.integers(0, n, size=batch_size)
-        policy = make_policy(theta)
-        z, coef = builder(policy, idx)
-        state = _robust_value_grads(kind, epsilon, z, beta, gamma)
-        if state is None:
-            gamma *= 2.0
-            inflations += 1
-            if inflations > 100:
-                raise SolverError(
-                    "mini-batch objective stayed outside the conjugate domain",
-                    best=DualPoint(beta=beta, gamma=gamma, value=math.inf),
-                )
-            continue
-        inflations = 0
-        _, d1, g_beta, g_gamma = state
-        feats, acts = _slice_log(log, idx)
-        g_theta = policy.weighted_grad_log_prob_sum(feats, acts, d1 * coef) / idx.size
-        grad = np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
-        norm = float(np.linalg.norm(grad))
-        last_norm = norm
-        if norm > config.gradient_clip_norm:
-            grad *= config.gradient_clip_norm / norm
-        step = config.step_size / math.sqrt(1.0 + t / config.step_decay)
-        theta -= step * grad[:-2]
-        beta -= step * float(grad[-2])
-        gamma = max(gamma - step * float(grad[-1]), config.gamma_min)
-
-    final_value = full_objective(theta, beta, gamma)
-    trajectory.append(
-        IterationRecord(
-            config.max_iters, final_value, last_norm, beta, gamma, time.perf_counter() - start,
-        )
-    )
-    policy = make_policy(theta)
-    report = TrainReport(
-        final_value=final_value,
-        iterations=config.max_iters,
-        wall_time=time.perf_counter() - start,
-        trajectory=trajectory,
-        dual=DualPoint(beta=beta, gamma=gamma, value=final_value),
-        converged=math.isfinite(final_value),
-    )
-    return policy, report
-
-
-def train_dro_stochastic(
-    log: BanditLog,
-    kind: DivergenceKind,
-    delta: float,
-    policy_init: LinearPolicy,
-    config: OptimizerConfig = OptimizerConfig(),
-):
-    """Stochastic counterpart of :func:`train_dro`; see :func:`_stochastic_minimize`."""
-    eps = calibrated_radius(kind, delta, log.n)
-    return _stochastic_minimize(log, kind, eps, policy_init, config, _plain_builder(log))
+    return _with_theta(policy_init, theta), report
 
 
 def train_log_trick(
@@ -684,7 +512,7 @@ def train_log_trick(
     anchored at the current policy, then re-anchors.  The surrogate equals
     the true weighted costs at the anchor and dominates them elsewhere
     (costs are nonpositive), so the true robust risk is nonincreasing
-    across outer steps.
+    across outer steps.  The inner problems always run in batch mode.
     """
     if outer_iters < 1:
         raise ValueError("outer_iters must be positive")
@@ -694,30 +522,24 @@ def train_log_trick(
     start = time.perf_counter()
     anchor = policy_init
     trajectory: "list[IterationRecord]" = []
-    inner_config = replace(config, mode="batch")
+    rows, build = _weighted_costs(log)
 
-    def true_value(policy: LinearPolicy) -> DualPoint:
-        z, _ = _plain_builder(log)(policy, None)
-        return robust_risk_dual(z, kind, eps)
+    def note(outer: int, point: DualPoint) -> None:
+        elapsed = time.perf_counter() - start
+        record = IterationRecord(outer, point.value, math.nan, point.beta, point.gamma, elapsed)
+        trajectory.append(record)
 
-    current = true_value(anchor)
-    trajectory.append(
-        IterationRecord(0, current.value, math.nan, current.beta, current.gamma,
-                        time.perf_counter() - start)
-    )
+    current = _exact_dual(anchor, rows, build, kind, eps)
+    note(0, current)
     total_inner = 0
     reached_fixed_point = False
     for outer in range(1, outer_iters + 1):
-        builder = _log_trick_builder(log, anchor)
-        candidate, inner_report = _robust_batch_minimize(
-            log, kind, eps, anchor, inner_config, builder
+        candidate, inner_report = _robust_batch(
+            kind, eps, anchor, config, *_log_trick_costs(log, anchor)
         )
         total_inner += inner_report.iterations
-        cand_point = true_value(candidate)
-        trajectory.append(
-            IterationRecord(outer, cand_point.value, math.nan, cand_point.beta,
-                            cand_point.gamma, time.perf_counter() - start)
-        )
+        cand_point = _exact_dual(candidate, rows, build, kind, eps)
+        note(outer, cand_point)
         improved = cand_point.value <= current.value + 1e-12
         if improved:
             anchor = candidate
@@ -727,11 +549,7 @@ def train_log_trick(
             reached_fixed_point = True
             break
     report = TrainReport(
-        final_value=current.value,
-        iterations=total_inner,
-        wall_time=time.perf_counter() - start,
-        trajectory=trajectory,
-        dual=current,
-        converged=reached_fixed_point,
+        final_value=current.value, iterations=total_inner, wall_time=time.perf_counter() - start,
+        trajectory=trajectory, dual=current, converged=reached_fixed_point,
     )
     return anchor, report

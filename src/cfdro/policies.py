@@ -165,10 +165,6 @@ class LinearPolicy:
             out = np.sum(acts * log_expit(scores) + (1.0 - acts) * log_expit(-scores), axis=1)
         return float(out[0]) if single else out
 
-    def prob(self, x: np.ndarray, actions) -> np.ndarray:
-        out = np.exp(self.log_prob(x, actions))
-        return out
-
     def action_prob(self, x: np.ndarray, action) -> float:
         """Probability of one action in one context."""
         return float(np.exp(self.log_prob(x, action)))
@@ -222,12 +218,6 @@ class LinearPolicy:
             return (u[:, None] < cdf).argmax(axis=1)
         probs = self.label_probabilities(xs)
         return (rng.random(probs.shape) < probs).astype(np.int8)
-
-    def sample_action(self, x: np.ndarray, rng: np.random.Generator):
-        out = self.sample_actions(np.atleast_2d(np.asarray(x, dtype=float)), rng)
-        if isinstance(self.action_space, Multiclass):
-            return int(out[0])
-        return out[0]
 
     def greedy_actions(self, x: np.ndarray):
         """Highest-probability action per context; ties resolve to the lowest index."""
@@ -292,6 +282,8 @@ class LabeledDataset:
             raise ValueError("features and labels must have the same number of rows")
         if feats.shape[0] < 1:
             raise ValueError("dataset must contain at least one row")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite")
         if labels.size and (labels.min() < 0 or labels.max() > 1):
             raise ValueError("labels must be 0/1 bit-vectors")
         object.__setattr__(self, "features", feats)

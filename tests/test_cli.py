@@ -109,6 +109,17 @@ class TestEvaluate:
         ])
         assert code == 1
 
+    def test_record_with_a_missing_key_is_a_validation_error(self, tmp_path, capsys):
+        log_path, policy_path = make_constant_cost_artifacts(tmp_path)
+        lines = log_path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["propensity"]
+        lines[1] = json.dumps(record)
+        log_path.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        assert code == 1
+        assert "line 2: missing key 'propensity'" in capsys.readouterr().err
+
     def test_single_divergence_selection(self, tmp_path, capsys):
         log_path, policy_path = make_constant_cost_artifacts(tmp_path)
         code = main([

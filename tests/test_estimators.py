@@ -17,7 +17,7 @@ from cfdro.estimators import (
     ips_risk,
     log_trick_upper_bound,
 )
-from cfdro.policies import LinearPolicy, Multiclass
+from cfdro.policies import LabeledDataset, LinearPolicy, Multiclass
 
 
 def test_importance_weights_hand_example(two_record_log, two_record_policy):
@@ -271,3 +271,26 @@ def test_log_rejects_nonpositive_propensities():
             action_space=Multiclass(2),
             cost_scale=CostScale.identity(),
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field", ["features", "propensities", "costs_raw", "costs", "dataset features"]
+)
+def test_non_finite_values_are_rejected_by_name(field, bad):
+    if field == "dataset features":
+        with pytest.raises(ValueError, match="^features must be finite"):
+            LabeledDataset(np.array([[0.5], [bad]]), np.array([[0], [1]]))
+        return
+    fields = dict(
+        features=np.ones((2, 1)),
+        actions=np.array([0, 1]),
+        propensities=np.full(2, 0.5),
+        costs_raw=np.array([-1.0, 0.0]),
+        costs=np.array([-1.0, 0.0]),
+        action_space=Multiclass(2),
+        cost_scale=CostScale.identity(),
+    )
+    fields[field].flat[1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        BanditLog(**fields)

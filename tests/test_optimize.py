@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfdro import optimize
+from cfdro.data import collect_bandit_log, synthetic_multilabel_dataset, train_logging_policy
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import dual_gradient_policy, robust_risk_dual
 from cfdro.estimators import BanditLog, CostScale, importance_weights, ips_risk
@@ -13,8 +15,6 @@ from cfdro.intervals import calibrated_radius
 from cfdro.optimize import (
     OptimizerConfig,
     train_dro,
-    train_dro_cv,
-    train_dro_stochastic,
     train_log_trick,
     train_poem,
     write_report,
@@ -130,22 +130,16 @@ class TestBatchRobustTrainer:
         start = robust_of(init)
         runs = [
             train_dro(log, kind, 0.05, init)[0],
-            train_dro_cv(log, kind, 0.05, init, rho="mean")[0],
+            train_dro(log, kind, 0.05, init, rho="mean")[0],
             train_log_trick(log, kind, 0.05, init, outer_iters=5)[0],
             train_poem(log, 0.5, init)[0],
-            train_dro_stochastic(
+            train_dro(
                 log, kind, 0.05, init,
                 OptimizerConfig(mode="stochastic", max_iters=2000, step_size=0.2, seed=4),
             )[0],
         ]
         for policy in runs:
             assert robust_of(policy) <= start + 1e-8
-
-    def test_optional_stabilizing_resolves(self):
-        log = one_context_log()
-        config = OptimizerConfig(max_iters=200, resolve_every=50)
-        policy, report = train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), config)
-        assert prob_of_action0(policy) >= 0.99
 
 
 class TestPoem:
@@ -190,10 +184,10 @@ class TestStochasticTrainer:
     def test_full_batch_is_seed_independent(self):
         log = one_context_log()
         base = dict(mode="stochastic", max_iters=50, batch_size=log.n, step_size=0.1)
-        _, rep1 = train_dro_stochastic(
+        _, rep1 = train_dro(
             log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), OptimizerConfig(seed=1, **base)
         )
-        _, rep2 = train_dro_stochastic(
+        _, rep2 = train_dro(
             log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), OptimizerConfig(seed=99, **base)
         )
         t1 = [(r.objective, r.beta, r.gamma) for r in rep1.trajectory]
@@ -232,7 +226,7 @@ class TestStochasticTrainer:
         config = OptimizerConfig(
             mode="stochastic", max_iters=10_000, batch_size=8, step_size=0.2, seed=3
         )
-        _, report = train_dro_stochastic(
+        _, report = train_dro(
             log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), config
         )
         assert report.final_value <= batch_report.final_value + 0.01
@@ -285,8 +279,8 @@ class TestControlVariateTrainer:
         log = one_context_log()
         config = OptimizerConfig(seed=11)
         _, plain = train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), config)
-        _, centered = train_dro_cv(
-            log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), config, rho="zero"
+        _, centered = train_dro(
+            log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), config, rho=0
         )
         t1 = [(r.objective, r.beta, r.gamma) for r in plain.trajectory]
         t2 = [(r.objective, r.beta, r.gamma) for r in centered.trajectory]
@@ -298,7 +292,7 @@ class TestControlVariateTrainer:
         expected = robust_risk_dual(log.costs, DivergenceKind.CHI_SQUARE, eps).value
         # under the logging policy all weights are one, so the centered
         # costs (c - rho) w + rho collapse back to c for every rho
-        _, report = train_dro_cv(
+        _, report = train_dro(
             log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(),
             OptimizerConfig(max_iters=1), rho="mean",
         )
@@ -315,14 +309,14 @@ class TestControlVariateTrainer:
 
     def test_explicit_rho_value(self):
         log = one_context_log()
-        policy, _ = train_dro_cv(
+        policy, _ = train_dro(
             log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), rho=-0.5
         )
         assert prob_of_action0(policy) >= 0.99
 
     def test_bad_rho_mode_rejected(self):
         with pytest.raises(ValueError):
-            train_dro_cv(one_context_log(), DivergenceKind.KL, 0.05, fresh_policy(), rho="median")
+            train_dro(one_context_log(), DivergenceKind.KL, 0.05, fresh_policy(), rho="median")
 
 
 def test_report_serialization(tmp_path):
@@ -350,5 +344,38 @@ def test_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimizerConfig(gamma_min=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(resolve_every=0)
+
+
+@pytest.mark.parametrize("trainer", ["poem", "dro"])
+def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
+    # every log_prob call beyond the optimizer's own evaluations is fixed
+    # set-up or wrap-up work, so the surplus must not grow with the iterations
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)))
+    log = collect_bandit_log(dataset, policy0, 2, seed=4)
+    counts = {"log_prob": 0, "nfev": 0}
+    log_prob, minimize = LinearPolicy.log_prob, optimize.sp_optimize.minimize
+
+    def counted_log_prob(self, *args):
+        counts["log_prob"] += 1
+        return log_prob(self, *args)
+
+    def counted_minimize(*args, **kwargs):
+        result = minimize(*args, **kwargs)
+        counts["nfev"] += result.nfev
+        return result
+
+    monkeypatch.setattr(LinearPolicy, "log_prob", counted_log_prob)
+    monkeypatch.setattr(optimize.sp_optimize, "minimize", counted_minimize)
+    surplus = []
+    for max_iters in (5, 20):
+        counts.update(log_prob=0, nfev=0)
+        config = OptimizerConfig(max_iters=max_iters)
+        if trainer == "poem":
+            _, report = train_poem(log, 0.3, policy0, config)
+        else:
+            _, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+        assert report.iterations == max_iters
+        assert len(report.trajectory) >= max_iters + 1
+        surplus.append(counts["log_prob"] - counts["nfev"])
+    assert surplus[0] == surplus[1]
