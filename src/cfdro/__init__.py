@@ -26,8 +26,6 @@ from .divergences import (
     divergence_value,
     phi,
     phi_conjugate,
-    scaled_conjugate,
-    scaled_conjugate_grad,
 )
 from .dro import (
     DualPoint,
@@ -37,9 +35,7 @@ from .dro import (
     dual_gradient_policy,
     dual_objective,
     kl_reduced_dual,
-    kl_softmax_risk,
     optimistic_risk_dual,
-    primal_oracle,
     robust_risk_dual,
 )
 from .estimators import (

@@ -385,6 +385,8 @@ def read_bandit_log(path) -> BanditLog:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise ValueError("missing or malformed log header") from exc
+        if not isinstance(header, dict):
+            raise ValueError("line 1: the header is not a JSON object")
         if header.get("format") != _LOG_FORMAT or header.get("version") != _LOG_VERSION:
             raise ValueError("not a recognized bandit-log file")
         try:
@@ -398,6 +400,8 @@ def read_bandit_log(path) -> BanditLog:
             if not line.strip():
                 continue
             record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"line {lineno}: the record is not a JSON object")
             try:
                 vec, action, prop = record["features"], record["action"], record["propensity"]
                 raw, scaled = record["cost_raw"], record["cost_scaled"]

@@ -1,31 +1,45 @@
 """Convex divergence generators and their Fenchel conjugates.
 
-Four classical generators are supported, each a convex function ``phi`` on
-the nonnegative half-line with ``phi(1) = 0`` so that the induced divergence
-between discrete distributions vanishes exactly at equality:
+Each generator is a convex function ``phi`` on the nonnegative half-line
+with ``phi(1) = 0``, so that the induced divergence between discrete
+distributions vanishes exactly at equality.  All four supported generators
+belong to the Cressie-Read family ``f_k(t) = (t^k - k t + k - 1) / (k (k - 1))``
+(KL and Burg as its limits):
 
-================  =====================  ============================
-kind              phi(t)                 conjugate phi*(s)
-================  =====================  ============================
-chi-square        (t - 1)^2              s + s^2/4 for s >= -2, else -1
-Kullback-Leibler  t log t - t + 1        e^s - 1
-Burg entropy      -log t + t - 1         -log(1 - s) for s < 1
-Hellinger         (sqrt(t) - 1)^2        s / (1 - s) for s < 1
-================  =====================  ============================
+================  ============  =====================  ==============================
+kind              Cressie-Read  phi(t)                 conjugate phi*(s)
+================  ============  =====================  ==============================
+chi-square        2 f_2         (t - 1)^2              s + s^2/4 for s >= -2, else -1
+Kullback-Leibler  f_1           t log t - t + 1        e^s - 1
+Burg entropy      f_0           -log t + t - 1         -log(1 - s) for s < 1
+Hellinger         f_{1/2} / 2   (sqrt(t) - 1)^2        s / (1 - s) for s < 1
+================  ============  =====================  ==============================
+
+Every fact about a generator lives in one frozen record of the table
+``_GENERATORS``: ``phi`` on ``t > 0`` with its value at zero (``+inf`` for
+Burg), the conjugate, one function giving the conjugate's first and second
+derivatives from shared intermediates, the conjugate's domain bound and the
+trainers' overflow cap.  The public functions below, the dual solver and the
+trainers read that record and nothing else; the curvature ``phi''(1)`` is
+derived from it as ``1 / (phi*)''(0)``.  The record's formulas are written
+per kind rather than as one formula in ``k``, because KL and Burg are limits
+of it.  Adding a generator takes one enum member, one alias in
+:meth:`DivergenceKind.from_name` and one record.
 
 Conjugates are taken over t >= 0, which is the relevant domain when the
-argument of ``phi`` is a ratio of probability weights.  Outside their
-domain the conjugates return ``+inf`` (a barrier, never an exception) so
-that line searches in the dual solvers can treat the boundary naturally.
-
-The Hellinger conjugate is implemented on the open domain ``s < 1``; the
-value grows without bound as ``s -> 1``, so there is no finite extension
-to the closed endpoint.
+argument of ``phi`` is a ratio of probability weights.  At and beyond their
+domain bound the conjugate and its derivatives return ``+inf`` (a barrier,
+never an exception) so that line searches in the dual solvers can treat the
+boundary naturally.  The Burg and Hellinger conjugates grow without bound as
+``s -> 1``, so there is no finite extension to the closed endpoint.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,8 +49,6 @@ __all__ = [
     "phi_conjugate",
     "conjugate_derivative",
     "conjugate_second_derivative",
-    "scaled_conjugate",
-    "scaled_conjugate_grad",
     "divergence_value",
     "curvature_at_one",
 ]
@@ -67,26 +79,71 @@ class DivergenceKind(enum.Enum):
         return aliases[key]
 
 
-# Second derivative of phi at t = 1.  Controls the local quadratic shape of
-# the divergence ball around the uniform weighting, and hence how an
-# ambiguity radius translates into estimator variance units.
-_CURVATURE = {
-    DivergenceKind.CHI_SQUARE: 2.0,
-    DivergenceKind.KL: 1.0,
-    DivergenceKind.BURG: 1.0,
-    DivergenceKind.HELLINGER: 0.5,
+@dataclass(frozen=True)
+class _Generator:
+    """One generator's formulas and bounds.
+
+    ``derivatives(u, reduce)`` gives ``(reduce((phi*)'(u)), reduce((phi*)''(u)))`` inside the
+    domain: ``reduce`` is ``np.asarray`` for pointwise values and a mean in the dual solver, and
+    gets chi-square's second derivative as a boolean mask (half an indicator) to count it.
+    """
+
+    phi: Callable  # phi(t) for t > 0
+    phi_at_zero: float
+    conjugate: Callable  # phi*(s) for s < domain
+    derivatives: Callable
+    domain: float = math.inf  # phi* is finite exactly on s < domain, with a pole at a finite bound
+    cap: Optional[float] = None  # trainers treat u >= cap as outside the domain
+
+
+def _kl_derivatives(u, reduce):
+    m = reduce(np.exp(u))
+    return m, m
+
+
+def _burg_derivatives(u, reduce):
+    r = 1.0 / (1.0 - u)
+    return reduce(r), reduce(r * r)
+
+
+def _hellinger_derivatives(u, reduce):
+    r = 1.0 / (1.0 - u)
+    r2 = r * r
+    return reduce(r2), 2.0 * reduce(r2 * r)
+
+
+# the KL cap: beyond u = 500 the exponential conjugate overflows float64 anyway
+_GENERATORS = {
+    DivergenceKind.CHI_SQUARE: _Generator(
+        lambda t: (t - 1.0) ** 2, 1.0, lambda s: np.where(s >= -2.0, s + s * s / 4.0, -1.0),
+        lambda u, reduce: (reduce(np.maximum(1.0 + 0.5 * u, 0.0)), 0.5 * reduce(u > -2.0))),
+    DivergenceKind.KL: _Generator(
+        lambda t: t * np.log(t) - t + 1.0, 1.0, np.expm1, _kl_derivatives, cap=500.0),
+    DivergenceKind.BURG: _Generator(
+        lambda t: -np.log(t) + t - 1.0, math.inf, lambda s: -np.log1p(-s), _burg_derivatives,
+        domain=1.0, cap=1.0 - 1e-12),
+    DivergenceKind.HELLINGER: _Generator(
+        lambda t: (np.sqrt(t) - 1.0) ** 2, 1.0, lambda s: s / (1.0 - s), _hellinger_derivatives,
+        domain=1.0, cap=1.0 - 1e-12),
 }
 
 
+def _barrier(kind: DivergenceKind, s, value) -> "float | np.ndarray":
+    """``value(generator, s)``, which is ``+inf`` at and beyond the conjugate's domain bound."""
+    gen = _GENERATORS[kind]
+    arr = np.asarray(s, dtype=float)
+    if gen.domain < math.inf:
+        # the conjugate and its derivatives have a pole at a finite bound, so
+        # clamping there gives +inf at and beyond it
+        arr = np.minimum(arr, gen.domain)
+    with np.errstate(over="ignore", divide="ignore"):
+        out = value(gen, arr)
+    return float(out) if np.ndim(s) == 0 else out
+
+
 def curvature_at_one(kind: DivergenceKind) -> float:
-    """Return ``phi''(1)`` for the given generator."""
-    return _CURVATURE[kind]
-
-
-def _maybe_scalar(out: np.ndarray, like) -> "float | np.ndarray":
-    if np.ndim(like) == 0:
-        return float(out)
-    return out
+    """Return ``phi''(1) = 1 / (phi*)''(0)``, which maps an ambiguity radius to variance units."""
+    return 1.0 / conjugate_second_derivative(kind, 0.0)
 
 
 def phi(kind: DivergenceKind, t) -> "float | np.ndarray":
@@ -97,32 +154,20 @@ def phi(kind: DivergenceKind, t) -> "float | np.ndarray":
     kind:
         Which generator to evaluate.
     t:
-        Nonnegative scalar or array.  Burg entropy additionally requires
-        ``t > 0`` since ``-log t`` diverges at zero.
+        Nonnegative scalar or array.  ``phi(0)`` is the limit from the right,
+        which is ``+inf`` for Burg entropy.
 
     Raises
     ------
     ValueError
-        If ``t`` is outside the generator's domain.
+        If ``t`` is negative.
     """
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise ValueError("phi requires t >= 0")
-    if kind is DivergenceKind.CHI_SQUARE:
-        out = (arr - 1.0) ** 2
-    elif kind is DivergenceKind.KL:
-        # t log t -> 0 as t -> 0, so phi(0) = 1 by continuity.
-        safe = np.where(arr > 0, arr, 1.0)
-        out = np.where(arr > 0, arr * np.log(safe) - arr + 1.0, 1.0)
-    elif kind is DivergenceKind.BURG:
-        if np.any(arr == 0):
-            raise ValueError("Burg generator requires t > 0")
-        out = -np.log(arr) + arr - 1.0
-    elif kind is DivergenceKind.HELLINGER:
-        out = (np.sqrt(arr) - 1.0) ** 2
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unhandled kind {kind}")
-    return _maybe_scalar(out, t)
+    gen, zero = _GENERATORS[kind], arr == 0
+    out = np.where(zero, gen.phi_at_zero, gen.phi(np.where(zero, 1.0, arr)))
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def phi_conjugate(kind: DivergenceKind, s) -> "float | np.ndarray":
@@ -132,21 +177,7 @@ def phi_conjugate(kind: DivergenceKind, s) -> "float | np.ndarray":
     Hellinger) return ``+inf`` rather than raising, so callers can use the
     conjugate as a barrier.
     """
-    arr = np.asarray(s, dtype=float)
-    if kind is DivergenceKind.CHI_SQUARE:
-        out = np.where(arr >= -2.0, arr + arr * arr / 4.0, -1.0)
-    elif kind is DivergenceKind.KL:
-        with np.errstate(over="ignore"):
-            out = np.expm1(arr)
-    elif kind is DivergenceKind.BURG:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(arr < 1.0, -np.log1p(-np.minimum(arr, 1.0 - 1e-300)), np.inf)
-    elif kind is DivergenceKind.HELLINGER:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(arr < 1.0, arr / np.where(arr < 1.0, 1.0 - arr, 1.0), np.inf)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled kind {kind}")
-    return _maybe_scalar(out, s)
+    return _barrier(kind, s, lambda gen, u: gen.conjugate(u))
 
 
 def conjugate_derivative(kind: DivergenceKind, s) -> "float | np.ndarray":
@@ -156,85 +187,12 @@ def conjugate_derivative(kind: DivergenceKind, s) -> "float | np.ndarray":
     outside it.  For the chi-square generator the derivative is 0 on the
     flat branch ``s < -2``.
     """
-    arr = np.asarray(s, dtype=float)
-    if kind is DivergenceKind.CHI_SQUARE:
-        out = np.maximum(0.0, 1.0 + arr / 2.0)
-    elif kind is DivergenceKind.KL:
-        with np.errstate(over="ignore"):
-            out = np.exp(arr)
-    elif kind is DivergenceKind.BURG:
-        with np.errstate(divide="ignore"):
-            out = np.where(arr < 1.0, 1.0 / np.where(arr < 1.0, 1.0 - arr, 1.0), np.inf)
-    elif kind is DivergenceKind.HELLINGER:
-        with np.errstate(divide="ignore"):
-            denom = np.where(arr < 1.0, 1.0 - arr, 1.0)
-            out = np.where(arr < 1.0, 1.0 / (denom * denom), np.inf)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled kind {kind}")
-    return _maybe_scalar(out, s)
+    return _barrier(kind, s, lambda gen, u: gen.derivatives(u, np.asarray)[0])
 
 
 def conjugate_second_derivative(kind: DivergenceKind, s) -> "float | np.ndarray":
     """Second derivative of the conjugate where it is twice differentiable."""
-    arr = np.asarray(s, dtype=float)
-    if kind is DivergenceKind.CHI_SQUARE:
-        out = np.where(arr > -2.0, 0.5, 0.0)
-    elif kind is DivergenceKind.KL:
-        with np.errstate(over="ignore"):
-            out = np.exp(arr)
-    elif kind is DivergenceKind.BURG:
-        with np.errstate(divide="ignore"):
-            denom = np.where(arr < 1.0, 1.0 - arr, 1.0)
-            out = np.where(arr < 1.0, 1.0 / (denom * denom), np.inf)
-    elif kind is DivergenceKind.HELLINGER:
-        with np.errstate(divide="ignore"):
-            denom = np.where(arr < 1.0, 1.0 - arr, 1.0)
-            out = np.where(arr < 1.0, 2.0 / (denom * denom * denom), np.inf)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled kind {kind}")
-    return _maybe_scalar(out, s)
-
-
-def scaled_conjugate(kind: DivergenceKind, gamma: float, s) -> "float | np.ndarray":
-    """Evaluate the scaled conjugate ``(gamma phi)*(s) = gamma phi*(s / gamma)``.
-
-    At ``gamma = 0`` the convention is ``+inf`` for ``s > 0`` and ``0``
-    otherwise, which is the pointwise limit of the scaled conjugate from
-    above for every supported generator.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    arr = np.asarray(s, dtype=float)
-    if gamma == 0.0:
-        out = np.where(arr > 0, np.inf, 0.0)
-        return _maybe_scalar(out, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = gamma * np.asarray(phi_conjugate(kind, arr / gamma), dtype=float)
-    return _maybe_scalar(out, s)
-
-
-def scaled_conjugate_grad(kind: DivergenceKind, gamma: float, s: float) -> "tuple[float, float]":
-    """Analytic partials of ``gamma phi*(s / gamma)`` with respect to ``s`` and ``gamma``.
-
-    Requires ``gamma > 0`` and ``s / gamma`` strictly inside the conjugate's
-    domain; a boundary point raises so that callers can back off.
-
-    Returns
-    -------
-    (d_ds, d_dgamma):
-        ``d_ds = (phi*)'(u)`` and ``d_dgamma = phi*(u) - u (phi*)'(u)``
-        evaluated at ``u = s / gamma``.
-    """
-    if gamma <= 0:
-        raise ValueError("scaled_conjugate_grad requires gamma > 0")
-    u = s / gamma
-    if kind in (DivergenceKind.BURG, DivergenceKind.HELLINGER) and u >= 1.0:
-        raise ValueError("s / gamma is outside the conjugate domain")
-    d1 = float(conjugate_derivative(kind, u))
-    val = float(phi_conjugate(kind, u))
-    if not (np.isfinite(d1) and np.isfinite(val)):
-        raise ValueError("conjugate gradient is not finite at this point")
-    return d1, val - u * d1
+    return _barrier(kind, s, lambda gen, u: gen.derivatives(u, np.asarray)[1])
 
 
 def divergence_value(kind: DivergenceKind, q, p) -> float:
@@ -266,6 +224,4 @@ def divergence_value(kind: DivergenceKind, q, p) -> float:
         raise ValueError("q is not absolutely continuous w.r.t. p")
     mask = pa > 0
     t = qa[mask] / pa[mask]
-    if kind is DivergenceKind.BURG and np.any(t == 0.0):
-        return float("inf")
     return float(np.sum(pa[mask] * np.asarray(phi(kind, t), dtype=float)))

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .divergences import DivergenceKind, conjugate_derivative, phi_conjugate
+from .divergences import _GENERATORS, DivergenceKind, phi_conjugate
 from .estimators import BanditLog, WeightedCosts, importance_weights
 from .policies import LinearPolicy
 
@@ -40,9 +40,7 @@ __all__ = [
     "dual_objective",
     "robust_risk_dual",
     "optimistic_risk_dual",
-    "primal_oracle",
     "kl_reduced_dual",
-    "kl_softmax_risk",
     "dual_gradient",
     "dual_gradient_policy",
 ]
@@ -122,25 +120,17 @@ def dual_objective(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: 
     return float(total)
 
 
-def _mean_stats(zv: np.ndarray, kind: DivergenceKind, beta: float, gamma: float):
-    """Mean conjugate first/second derivatives at ``u = (z - beta) / gamma``.
+def _mean(x: np.ndarray) -> float:
+    if x.dtype == bool:  # chi-square's second derivative: count the mask
+        return np.count_nonzero(x) / x.size
+    # the same pairwise sum and division as ``x.mean()``, without its call overhead
+    return float(np.add.reduce(x)) / x.size
 
-    Fused per-kind fast path; callers wrap the Newton loop in a single
-    ``errstate`` so overflow in the exponential branch propagates as inf.
-    """
-    u = (zv - beta) / gamma
-    if kind is DivergenceKind.CHI_SQUARE:
-        d1 = np.maximum(1.0 + 0.5 * u, 0.0)
-        return float(d1.mean()), 0.5 * float(np.count_nonzero(u > -2.0)) / u.size
-    if kind is DivergenceKind.KL:
-        e = np.exp(u)
-        m = float(e.mean())
-        return m, m
-    r = 1.0 / (1.0 - u)
-    if kind is DivergenceKind.BURG:
-        return float(r.mean()), float((r * r).mean())
-    r2 = r * r
-    return float(r2.mean()), 2.0 * float((r2 * r).mean())
+
+def _mean_stats(zv: np.ndarray, kind: DivergenceKind, beta: float, gamma: float):
+    """Mean conjugate first/second derivatives at ``u = (z - beta) / gamma``."""
+    # callers wrap the Newton loop in one errstate, so exponential overflow propagates as inf
+    return _GENERATORS[kind].derivatives((zv - beta) / gamma, _mean)
 
 
 def _solve_beta(
@@ -159,9 +149,10 @@ def _solve_beta(
     zmax = float(zv.max())
     scale = max(1.0, float(np.max(np.abs(zv))))
     hi = zmax  # mean derivative <= (phi*)'(0) = 1 here
+    domain = _GENERATORS[kind].domain
     with np.errstate(over="ignore", divide="ignore"):
-        if kind in (DivergenceKind.BURG, DivergenceKind.HELLINGER):
-            lo = zmax - gamma * (1.0 - 1e-9)
+        if domain < math.inf:
+            lo = zmax - gamma * (domain - 1e-9)
         else:
             step = gamma + float(zv.std()) + 1e-3 * scale
             lo = zmax - step
@@ -407,115 +398,45 @@ def kl_reduced_dual(z, epsilon: float, gamma: float) -> float:
     return float(gamma * epsilon + zmax + gamma * math.log(float(np.mean(shifted))))
 
 
-def kl_softmax_risk(z, gamma: float) -> float:
-    """Softmax-tilted weighted cost ``sum_i softmax(z / gamma)_i z_i`` at temperature ``gamma``."""
-    zv = _as_values(z)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    shifted = np.exp((zv - float(zv.max())) / gamma)
-    w = shifted / shifted.sum()
-    return float(np.dot(w, zv))
-
-
-# ----------------------------------------------------------------------
-# brute-force primal oracle (test instrument for small n)
-# ----------------------------------------------------------------------
-
-_GRID_CACHE: dict = {}
-_DIV_CACHE: dict = {}
-_VALUES_CACHE: dict = {}
-_PREFIX_CACHE: dict = {}
-
-
-def _simplex_grid(n: int, resolution: float) -> np.ndarray:
-    steps = max(1, int(round(1.0 / resolution)))
-    key = (n, steps)
-    if key in _GRID_CACHE:
-        return _GRID_CACHE[key]
-    if n == 1:
-        grid = np.array([[1.0]])
-    elif n == 2:
-        q1 = np.linspace(0.0, 1.0, steps + 1)
-        grid = np.column_stack([q1, 1.0 - q1])
-    elif n == 3:
-        i, j = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
-        mask = i + j <= steps
-        i, j = i[mask], j[mask]
-        grid = np.column_stack([i, j, steps - i - j]) / steps
-    elif n == 4:
-        pts = []
-        for i in range(steps + 1):
-            for j in range(steps + 1 - i):
-                k = np.arange(steps + 1 - i - j)
-                pts.append(np.column_stack([np.full_like(k, i), np.full_like(k, j), k, steps - i - j - k]))
-        grid = np.vstack(pts) / steps
-    else:
-        raise ValueError("the simplex-grid oracle supports n <= 4 only")
-    _GRID_CACHE[key] = grid
-    return grid
-
-
-def _grid_divergences(kind: DivergenceKind, n: int, resolution: float):
-    steps = max(1, int(round(1.0 / resolution)))
-    key = (kind, n, steps)
-    if key in _DIV_CACHE:
-        return _DIV_CACHE[key]
-    grid = _simplex_grid(n, resolution)
-    t = n * grid
-    # direct formulas (kept independent of the conjugate machinery above)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind is DivergenceKind.CHI_SQUARE:
-            vals = (t - 1.0) ** 2
-        elif kind is DivergenceKind.KL:
-            safe = np.where(t > 0, t, 1.0)
-            vals = np.where(t > 0, t * np.log(safe) - t + 1.0, 1.0)
-        elif kind is DivergenceKind.BURG:
-            vals = np.where(t > 0, -np.log(np.where(t > 0, t, 1.0)) + t - 1.0, np.inf)
-        else:
-            vals = (np.sqrt(t) - 1.0) ** 2
-    d = vals.mean(axis=1)
-    # sort by divergence once so any radius becomes a prefix query
-    order = np.argsort(d, kind="stable")
-    out = (d[order], order)
-    _DIV_CACHE[key] = out
-    return out
-
-
-def primal_oracle(z, kind: DivergenceKind, epsilon: float, grid_resolution: float = 1e-4) -> float:
-    """Grid maximum of ``q . z`` over the feasible simplex slice; a lower bound on the true supremum.
-
-    Intended as an independent test oracle for ``n <= 4``.  The grid points
-    are sorted by divergence once and the objective's running maximum along
-    that order is cached per vector, so sweeping several radii or
-    generators over the same ``z`` costs one binary search each.
-    """
-    zv = _as_values(z)
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    n = zv.size
-    d_sorted, order = _grid_divergences(kind, n, grid_resolution)
-    steps = max(1, int(round(1.0 / grid_resolution)))
-    vkey = (n, steps, zv.tobytes())
-    if _VALUES_CACHE.get("key") == vkey:
-        values = _VALUES_CACHE["values"]
-    else:
-        values = _simplex_grid(n, grid_resolution) @ zv
-        _VALUES_CACHE["key"] = vkey
-        _VALUES_CACHE["values"] = values
-    pkey = (kind, vkey)
-    if _PREFIX_CACHE.get(kind, (None,))[0] == pkey:
-        prefix = _PREFIX_CACHE[kind][1]
-    else:
-        prefix = np.maximum.accumulate(values[order])
-        _PREFIX_CACHE[kind] = (pkey, prefix)
-    count = int(np.searchsorted(d_sorted, epsilon + 1e-12, side="right"))
-    # the uniform point has divergence 0, so the feasible set is never empty
-    return float(prefix[count - 1])
-
-
 # ----------------------------------------------------------------------
 # gradients
 # ----------------------------------------------------------------------
+
+
+def _robust_value_grads(kind: DivergenceKind, epsilon: float, z, beta: float, gamma: float, bound):
+    """Value and analytic partials of the dual objective at ``gamma > 0``.
+
+    Returns ``(value, d1, g_beta, g_gamma)`` where ``d1`` are the per-record
+    conjugate derivatives (the chain weights for the policy gradient), or
+    ``None`` when some ``u = (z - beta) / gamma`` reaches ``bound``: the
+    conjugate's domain for the exact gradient, the overflow cap (``None``
+    for no check) in the trainers.
+    """
+    gen = _GENERATORS[kind]
+    u = (z - beta) / gamma
+    if bound is not None and float(u.max(initial=-np.inf)) >= bound:
+        return None
+    with np.errstate(over="ignore"):
+        vals = gen.conjugate(u)
+        d1, _ = gen.derivatives(u, np.asarray)
+    value = beta + gamma * epsilon + gamma * float(vals.mean())
+    g_beta = 1.0 - float(d1.mean())
+    g_gamma = epsilon + float((vals - u * d1).mean())
+    return value, d1, g_beta, g_gamma
+
+
+def _exact_partials(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float):
+    """``(d1, g_beta, g_gamma)`` strictly inside the domain; raises ``ValueError`` elsewhere."""
+    zv = _as_values(z)
+    if gamma <= 0:
+        raise ValueError("dual_gradient requires gamma > 0")
+    state = _robust_value_grads(kind, epsilon, zv, beta, gamma, _GENERATORS[kind].domain)
+    if state is None:
+        raise ValueError("point is outside the conjugate domain")
+    value, d1, g_beta, g_gamma = state
+    if not (math.isfinite(value) and np.all(np.isfinite(d1))):
+        raise ValueError("gradient is not finite at this point")
+    return d1, g_beta, g_gamma
 
 
 def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float):
@@ -524,19 +445,7 @@ def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: f
     Requires ``gamma > 0`` and the conjugate arguments strictly inside
     their domain; a boundary point raises so the caller can back off.
     """
-    zv = _as_values(z)
-    if gamma <= 0:
-        raise ValueError("dual_gradient requires gamma > 0")
-    u = (zv - beta) / gamma
-    if kind in (DivergenceKind.BURG, DivergenceKind.HELLINGER) and float(u.max()) >= 1.0:
-        raise ValueError("point is outside the conjugate domain")
-    with np.errstate(over="ignore"):
-        d1 = np.asarray(conjugate_derivative(kind, u), dtype=float)
-        vals = np.asarray(phi_conjugate(kind, u), dtype=float)
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(vals))):
-        raise ValueError("gradient is not finite at this point")
-    g_beta = 1.0 - float(np.mean(d1))
-    g_gamma = epsilon + float(np.mean(vals - u * d1))
+    _, g_beta, g_gamma = _exact_partials(z, kind, epsilon, beta, gamma)
     return g_beta, g_gamma
 
 
@@ -555,9 +464,6 @@ def dual_gradient_policy(
     parameter gradient is ``mean_i (phi*)'(u_i) z_i grad log pi(a_i | x_i)``.
     """
     wc = weighted if weighted is not None else importance_weights(log, policy)
-    zv = wc.values
-    g_beta, g_gamma = dual_gradient(zv, kind, epsilon, beta, gamma)
-    u = (zv - beta) / gamma
-    d1 = np.asarray(conjugate_derivative(kind, u), dtype=float)
-    g_theta = policy.weighted_grad_log_prob_sum(log.features, log.actions, d1 * zv) / log.n
+    d1, g_beta, g_gamma = _exact_partials(wc.values, kind, epsilon, beta, gamma)
+    g_theta = policy.weighted_grad_log_prob_sum(log.features, log.actions, d1 * wc.values) / log.n
     return g_beta, g_gamma, g_theta

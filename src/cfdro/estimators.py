@@ -100,9 +100,12 @@ class BanditLog:
             if acts.size and (acts.min() < 0 or acts.max() >= self.action_space.n_actions):
                 raise ValueError("action id out of range")
         else:
-            acts = np.asarray(self.actions, dtype=np.int8)
-            if acts.shape != (n, self.action_space.n_labels):
+            bits = np.asarray(self.actions)
+            if bits.shape != (n, self.action_space.n_labels):
                 raise ValueError("factorized actions must be an (n, L) bit matrix")
+            if not np.all((bits == 0) | (bits == 1)):
+                raise ValueError("factorized actions must be 0/1 bits")
+            acts = np.asarray(bits, dtype=np.int8)
         for name, arr in (("propensities", props), ("costs_raw", raw), ("costs", scaled)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape (n,)")

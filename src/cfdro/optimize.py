@@ -27,8 +27,8 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .divergences import DivergenceKind, conjugate_derivative, phi_conjugate
-from .dro import DualPoint, SolverError, robust_risk_dual
+from .divergences import _GENERATORS, DivergenceKind
+from .dro import DualPoint, SolverError, _robust_value_grads, robust_risk_dual
 from .estimators import BanditLog, estimate_rho
 from .intervals import calibrated_radius
 from .policies import LinearPolicy
@@ -165,42 +165,6 @@ def _exact_dual(policy, rows, build, kind, epsilon) -> DualPoint:
 
 _PENALTY_BASE = 1e8
 _PENALTY_SLOPE = 1e4
-# beyond this the exponential conjugate overflows float64 anyway
-_KL_U_CAP = 500.0
-
-
-def _domain_cap(kind: DivergenceKind) -> Optional[float]:
-    if kind in (DivergenceKind.BURG, DivergenceKind.HELLINGER):
-        return 1.0 - 1e-12
-    if kind is DivergenceKind.KL:
-        return _KL_U_CAP
-    return None
-
-
-def _robust_value_grads(
-    kind: DivergenceKind,
-    epsilon: float,
-    z: np.ndarray,
-    beta: float,
-    gamma: float,
-):
-    """Value and analytic partials of the dual objective on one batch of weighted costs.
-
-    Returns ``(value, d1, g_beta, g_gamma)`` where ``d1`` are the per-record
-    conjugate derivatives (the chain weights for the policy gradient), or
-    ``None`` when the point violates the conjugate domain.
-    """
-    u = (z - beta) / gamma
-    cap = _domain_cap(kind)
-    if cap is not None and float(u.max(initial=-np.inf)) >= cap:
-        return None
-    with np.errstate(over="ignore"):
-        vals = np.asarray(phi_conjugate(kind, u), dtype=float)
-        d1 = np.asarray(conjugate_derivative(kind, u), dtype=float)
-    value = beta + gamma * epsilon + gamma * float(vals.mean())
-    g_beta = 1.0 - float(d1.mean())
-    g_gamma = epsilon + float((vals - u * d1).mean())
-    return value, d1, g_beta, g_gamma
 
 
 def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig, record):
@@ -286,6 +250,7 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
     feats, acts = rows[0], rows[1]
     n = len(feats)
+    cap = _GENERATORS[kind].cap
     start = time.perf_counter()
 
     def unpack(w: np.ndarray):
@@ -302,10 +267,9 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
         theta_flat, beta, psi, gamma = unpack(w)
         policy = _with_theta(policy_init, theta_flat)
         z, coef = build(policy, *rows)
-        state = _robust_value_grads(kind, epsilon, z, beta, gamma)
+        state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
-            cap = _domain_cap(kind) or 1.0
             imax = int(np.argmax(z))
             viol = (float(z[imax]) - beta) - cap * gamma
             g_theta = policy.weighted_grad_log_prob_sum(
@@ -389,6 +353,7 @@ def train_dro_stochastic(
     start = time.perf_counter()
     rows, build = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
+    cap = _GENERATORS[kind].cap
     point0 = _exact_dual(policy_init, rows, build, kind, eps)
     w0 = np.concatenate(
         [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, config.gamma_min)]]
@@ -399,7 +364,7 @@ def train_dro_stochastic(
         nonlocal inflations
         policy = _with_theta(policy_init, w[:-2])
         z, coef = build(policy, *batch)
-        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]))
+        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         if state is None:
             w[-1] *= 2.0
             inflations += 1
@@ -416,7 +381,7 @@ def train_dro_stochastic(
 
     def objective(w: np.ndarray) -> float:
         z, _ = build(_with_theta(policy_init, w[:-2]), *rows)
-        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]))
+        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         return math.inf if state is None else state[0]
 
     theta, report = _sgd(rows, w0, config, gradient, objective, duals=True, start=start)

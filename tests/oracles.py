@@ -1,0 +1,160 @@
+"""Reference implementations that the tests compare the library against.
+
+``primal_oracle`` maximizes over a simplex grid with its own direct
+generator formulas, independent of the library's generator table;
+``kl_softmax_risk`` is the softmax-tilted form of the KL robust risk; the
+scaled conjugate and its analytic partials check the dual's building block.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
+from cfdro.dro import _as_values
+
+
+def scaled_conjugate(kind: DivergenceKind, gamma: float, s) -> "float | np.ndarray":
+    """Evaluate the scaled conjugate ``(gamma phi)*(s) = gamma phi*(s / gamma)``.
+
+    At ``gamma = 0`` the convention is ``+inf`` for ``s > 0`` and ``0``
+    otherwise, which is the pointwise limit of the scaled conjugate from
+    above for every supported generator.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    arr = np.asarray(s, dtype=float)
+    if gamma == 0.0:
+        out = np.where(arr > 0, np.inf, 0.0)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = gamma * np.asarray(phi_conjugate(kind, arr / gamma), dtype=float)
+    return float(out) if np.ndim(s) == 0 else out
+
+
+def scaled_conjugate_grad(kind: DivergenceKind, gamma: float, s: float) -> "tuple[float, float]":
+    """Analytic partials of ``gamma phi*(s / gamma)`` with respect to ``s`` and ``gamma``.
+
+    Requires ``gamma > 0`` and ``s / gamma`` strictly inside the conjugate's
+    domain, where both conjugate terms are finite; otherwise it raises.
+
+    Returns
+    -------
+    (d_ds, d_dgamma):
+        ``d_ds = (phi*)'(u)`` and ``d_dgamma = phi*(u) - u (phi*)'(u)``
+        evaluated at ``u = s / gamma``.
+    """
+    if gamma <= 0:
+        raise ValueError("scaled_conjugate_grad requires gamma > 0")
+    u = s / gamma
+    d1 = float(conjugate_derivative(kind, u))
+    val = float(phi_conjugate(kind, u))
+    if not (np.isfinite(d1) and np.isfinite(val)):
+        raise ValueError("conjugate gradient is not finite at this point")
+    return d1, val - u * d1
+
+
+def kl_softmax_risk(z, gamma: float) -> float:
+    """Softmax-tilted weighted cost ``sum_i softmax(z / gamma)_i z_i`` at temperature ``gamma``."""
+    zv = _as_values(z)
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    shifted = np.exp((zv - float(zv.max())) / gamma)
+    w = shifted / shifted.sum()
+    return float(np.dot(w, zv))
+
+
+# ----------------------------------------------------------------------
+# brute-force primal oracle (small n)
+# ----------------------------------------------------------------------
+
+_GRID_CACHE: dict = {}
+_DIV_CACHE: dict = {}
+_VALUES_CACHE: dict = {}
+_PREFIX_CACHE: dict = {}
+
+
+def _simplex_grid(n: int, resolution: float) -> np.ndarray:
+    steps = max(1, int(round(1.0 / resolution)))
+    key = (n, steps)
+    if key in _GRID_CACHE:
+        return _GRID_CACHE[key]
+    if n == 1:
+        grid = np.array([[1.0]])
+    elif n == 2:
+        q1 = np.linspace(0.0, 1.0, steps + 1)
+        grid = np.column_stack([q1, 1.0 - q1])
+    elif n == 3:
+        i, j = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
+        mask = i + j <= steps
+        i, j = i[mask], j[mask]
+        grid = np.column_stack([i, j, steps - i - j]) / steps
+    elif n == 4:
+        pts = []
+        for i in range(steps + 1):
+            for j in range(steps + 1 - i):
+                k = np.arange(steps + 1 - i - j)
+                pts.append(np.column_stack([np.full_like(k, i), np.full_like(k, j), k, steps - i - j - k]))
+        grid = np.vstack(pts) / steps
+    else:
+        raise ValueError("the simplex-grid oracle supports n <= 4 only")
+    _GRID_CACHE[key] = grid
+    return grid
+
+
+def _grid_divergences(kind: DivergenceKind, n: int, resolution: float):
+    steps = max(1, int(round(1.0 / resolution)))
+    key = (kind, n, steps)
+    if key in _DIV_CACHE:
+        return _DIV_CACHE[key]
+    grid = _simplex_grid(n, resolution)
+    t = n * grid
+    # direct formulas (kept independent of the library's generator table)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind is DivergenceKind.CHI_SQUARE:
+            vals = (t - 1.0) ** 2
+        elif kind is DivergenceKind.KL:
+            safe = np.where(t > 0, t, 1.0)
+            vals = np.where(t > 0, t * np.log(safe) - t + 1.0, 1.0)
+        elif kind is DivergenceKind.BURG:
+            vals = np.where(t > 0, -np.log(np.where(t > 0, t, 1.0)) + t - 1.0, np.inf)
+        else:
+            vals = (np.sqrt(t) - 1.0) ** 2
+    d = vals.mean(axis=1)
+    # sort by divergence once so any radius becomes a prefix query
+    order = np.argsort(d, kind="stable")
+    out = (d[order], order)
+    _DIV_CACHE[key] = out
+    return out
+
+
+def primal_oracle(z, kind: DivergenceKind, epsilon: float, grid_resolution: float = 1e-4) -> float:
+    """Grid maximum of ``q . z`` over the feasible simplex slice; a lower bound on the true supremum.
+
+    Intended as an independent test oracle for ``n <= 4``.  The grid points
+    are sorted by divergence once and the objective's running maximum along
+    that order is cached per vector, so sweeping several radii or
+    generators over the same ``z`` costs one binary search each.
+    """
+    zv = _as_values(z)
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    n = zv.size
+    d_sorted, order = _grid_divergences(kind, n, grid_resolution)
+    steps = max(1, int(round(1.0 / grid_resolution)))
+    vkey = (n, steps, zv.tobytes())
+    if _VALUES_CACHE.get("key") == vkey:
+        values = _VALUES_CACHE["values"]
+    else:
+        values = _simplex_grid(n, grid_resolution) @ zv
+        _VALUES_CACHE["key"] = vkey
+        _VALUES_CACHE["values"] = values
+    pkey = (kind, vkey)
+    if _PREFIX_CACHE.get(kind, (None,))[0] == pkey:
+        prefix = _PREFIX_CACHE[kind][1]
+    else:
+        prefix = np.maximum.accumulate(values[order])
+        _PREFIX_CACHE[kind] = (pkey, prefix)
+    count = int(np.searchsorted(d_sorted, epsilon + 1e-12, side="right"))
+    # the uniform point has divergence 0, so the feasible set is never empty
+    return float(prefix[count - 1])

@@ -24,7 +24,6 @@ from cfdro.dro import (
     dual_gradient_policy,
     dual_objective,
     kl_reduced_dual,
-    primal_oracle,
     robust_risk_dual,
 )
 from cfdro.estimators import cv_risk, estimate_rho, importance_weights, ips_risk, log_trick_upper_bound
@@ -33,6 +32,7 @@ from cfdro.optimize import OptimizerConfig, train_dro, train_log_trick
 from cfdro.policies import action_bitvectors
 
 from conftest import DiscreteEnv, make_two_record_log, make_two_record_policy
+from oracles import primal_oracle
 
 ALL_KINDS = list(DivergenceKind)
 

@@ -120,6 +120,16 @@ class TestEvaluate:
         assert code == 1
         assert "line 2: missing key 'propensity'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,bad", [(0, "[1, 2]"), (1, "[0.5, 0]")])
+    def test_json_that_is_not_an_object_is_a_validation_error(self, tmp_path, capsys, line, bad):
+        log_path, policy_path = make_constant_cost_artifacts(tmp_path)
+        lines = log_path.read_text().splitlines()
+        lines[line] = bad
+        log_path.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        assert code == 1
+        assert f"line {line + 1}: the " in capsys.readouterr().err
+
     def test_single_divergence_selection(self, tmp_path, capsys):
         log_path, policy_path = make_constant_cost_artifacts(tmp_path)
         code = main([

@@ -8,13 +8,14 @@ import pytest
 from cfdro.divergences import (
     DivergenceKind,
     conjugate_derivative,
+    conjugate_second_derivative,
     curvature_at_one,
     divergence_value,
     phi,
     phi_conjugate,
-    scaled_conjugate,
-    scaled_conjugate_grad,
 )
+
+from oracles import scaled_conjugate, scaled_conjugate_grad
 
 ALL_KINDS = list(DivergenceKind)
 
@@ -47,8 +48,8 @@ def test_generator_is_coherent(kind):
 def test_generator_domain_errors():
     with pytest.raises(ValueError):
         phi(DivergenceKind.CHI_SQUARE, -0.5)
-    with pytest.raises(ValueError):
-        phi(DivergenceKind.BURG, 0.0)
+    # -log t diverges at zero: Burg's phi(0) is its limit, not an error
+    assert phi(DivergenceKind.BURG, 0.0) == math.inf
 
 
 @pytest.mark.parametrize(
@@ -201,6 +202,21 @@ def test_divergence_to_uniform_matches_generator_sum(kind):
         n = q.size
         direct = sum(phi(kind, n * qi) / n for qi in q)
         assert divergence_value(kind, q, np.full(n, 1.0 / n)) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_generator_record_is_consistent(kind):
+    # points inside every conjugate domain and away from the chi-square kink at -2
+    s = np.linspace(-1.5, 0.5, 21)
+    h = 1e-5
+    d1 = conjugate_derivative(kind, s)
+    d2 = conjugate_second_derivative(kind, s)
+    fd1 = (phi_conjugate(kind, s + h) - phi_conjugate(kind, s - h)) / (2 * h)
+    fd2 = (conjugate_derivative(kind, s + h) - conjugate_derivative(kind, s - h)) / (2 * h)
+    np.testing.assert_allclose(d1, fd1, rtol=1e-7, atol=1e-9)
+    np.testing.assert_allclose(d2, fd2, rtol=1e-6, atol=1e-8)
+    assert conjugate_derivative(kind, 0.0) == 1.0
+    assert curvature_at_one(kind) == 1.0 / conjugate_second_derivative(kind, 0.0)
 
 
 def test_curvature_values():

@@ -11,14 +11,13 @@ from cfdro.dro import (
     dual_gradient_policy,
     dual_objective,
     kl_reduced_dual,
-    kl_softmax_risk,
     optimistic_risk_dual,
-    primal_oracle,
     robust_risk_dual,
 )
 from cfdro.estimators import importance_weights
 
 from conftest import make_two_record_log, make_two_record_policy
+from oracles import kl_softmax_risk, primal_oracle
 
 ALL_KINDS = list(DivergenceKind)
 

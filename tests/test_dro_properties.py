@@ -1,0 +1,77 @@
+"""Metamorphic properties of the dual solver on generated cost vectors, for every divergence."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import optimize as sp_optimize
+
+from cfdro.divergences import DivergenceKind
+from cfdro.dro import kl_reduced_dual, optimistic_risk_dual, robust_risk_dual
+
+ALL_KINDS = list(DivergenceKind)
+
+properties = settings(derandomize=True, deadline=None, database=None, max_examples=20)
+costs = hnp.arrays(
+    np.float64, st.integers(1, 200), elements=st.floats(-2.0, 0.0, allow_subnormal=False)
+)
+radii = st.floats(1e-3, 1.0)
+
+
+def robust(z, kind, eps):
+    return robust_risk_dual(z, kind, eps).value
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(z=costs, eps=radii, c=st.floats(-5.0, 5.0))
+def test_translation_shifts_the_robust_risk(kind, z, eps, c):
+    assert robust(z + c, kind, eps) == pytest.approx(robust(z, kind, eps) + c, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(z=costs, eps=radii, a=st.floats(0.05, 20.0))
+def test_positive_scaling_scales_the_robust_risk(kind, z, eps, a):
+    assert robust(a * z, kind, eps) == pytest.approx(a * robust(z, kind, eps), abs=1e-6 * a)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(z=costs, eps=radii, seed=st.integers(0, 2**32 - 1))
+def test_record_order_does_not_matter(kind, z, eps, seed):
+    shuffled = np.random.default_rng(seed).permutation(z)
+    assert robust(shuffled, kind, eps) == pytest.approx(robust(z, kind, eps), abs=1e-7)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(z=costs, radii_pair=st.tuples(radii, radii))
+def test_monotone_in_the_radius(kind, z, radii_pair):
+    small, large = sorted(radii_pair)
+    assert robust(z, kind, small) <= robust(z, kind, large) + 1e-8
+    optimistic = [optimistic_risk_dual(z, kind, eps).value for eps in (small, large)]
+    assert optimistic[0] >= optimistic[1] - 1e-8
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(z=costs, eps=radii)
+def test_optimistic_mean_robust_sandwich(kind, z, eps):
+    mean = float(z.mean())
+    assert optimistic_risk_dual(z, kind, eps).value <= mean + 1e-9
+    assert mean <= robust(z, kind, eps) + 1e-9
+
+
+@properties
+@given(z=costs, eps=radii)
+def test_kl_matches_the_closed_form_reduced_dual(z, eps):
+    # minimizing over log(gamma) keeps the one-dimensional search well scaled
+    res = sp_optimize.minimize_scalar(
+        lambda t: kl_reduced_dual(z, eps, math.exp(t)),
+        bounds=(math.log(1e-10), math.log(1e4)), method="bounded", options={"xatol": 1e-10},
+    )
+    assert robust(z, DivergenceKind.KL, eps) == pytest.approx(res.fun, abs=1e-6)

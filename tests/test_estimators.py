@@ -17,7 +17,7 @@ from cfdro.estimators import (
     ips_risk,
     log_trick_upper_bound,
 )
-from cfdro.policies import LabeledDataset, LinearPolicy, Multiclass
+from cfdro.policies import FactorizedLabels, LabeledDataset, LinearPolicy, Multiclass
 
 
 def test_importance_weights_hand_example(two_record_log, two_record_policy):
@@ -294,3 +294,18 @@ def test_non_finite_values_are_rejected_by_name(field, bad):
     fields[field].flat[1] = bad
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         BanditLog(**fields)
+
+
+@pytest.mark.parametrize("actions", [[[2, 0]], np.array([[257, 0]], dtype=np.int64)])
+def test_factorized_action_bits_outside_zero_one_are_rejected_by_name(actions):
+    # an int8 cast alone would wrap 257 to 1
+    with pytest.raises(ValueError, match="^factorized actions must be 0/1 bits"):
+        BanditLog(
+            features=np.ones((1, 1)),
+            actions=actions,
+            propensities=np.array([0.25]),
+            costs_raw=np.array([-1.0]),
+            costs=np.array([-1.0]),
+            action_space=FactorizedLabels(2),
+            cost_scale=CostScale.identity(),
+        )
