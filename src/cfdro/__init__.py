@@ -58,6 +58,7 @@ from .intervals import (
     coverage_experiment,
     dro_interval,
     hoeffding_interval,
+    risk_intervals,
     write_coverage_csv,
 )
 from .optimize import (

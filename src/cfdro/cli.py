@@ -35,13 +35,7 @@ from .data import (
 from .divergences import DivergenceKind
 from .dro import SolverError
 from .estimators import ips_risk
-from .intervals import (
-    bernstein_interval,
-    coverage_experiment,
-    dro_interval,
-    hoeffding_interval,
-    write_coverage_csv,
-)
+from .intervals import coverage_experiment, risk_intervals, write_coverage_csv
 from .optimize import OptimizerConfig, train_dro, train_log_trick, train_poem
 from .policies import LinearPolicy, greedy_risk, load_policy, save_policy, true_risk
 
@@ -162,13 +156,11 @@ def cmd_evaluate(args) -> int:
     log = read_bandit_log(log_path)
     policy = load_policy(args.policy)
     kinds = _parse_divergences(args.divergence)
-    rows = []
-    for kind in kinds:
-        iv = dro_interval(log, policy, kind, args.delta)
-        rows.append([iv.method, kind.value, args.delta, iv.n, repr(iv.lower), repr(iv.upper), repr(iv.width)])
-    for fn in (hoeffding_interval, bernstein_interval):
-        iv = fn(log, policy, args.delta, weight_bound=args.weight_bound)
-        rows.append([iv.method, "", args.delta, iv.n, repr(iv.lower), repr(iv.upper), repr(iv.width)])
+    intervals = risk_intervals(log, policy, kinds, args.delta, args.weight_bound)
+    rows = [
+        [iv.method, kind, args.delta, iv.n, repr(iv.lower), repr(iv.upper), repr(iv.width)]
+        for iv, kind in zip(intervals, [k.value for k in kinds] + ["", ""])
+    ]
     header = ["method", "divergence", "delta", "n", "lower", "upper", "width"]
     if args.output == "-":
         writer = csv.writer(sys.stdout)

@@ -214,6 +214,9 @@ def divergence_value(kind: DivergenceKind, q, p) -> float:
     pa = np.asarray(p, dtype=float)
     if qa.shape != pa.shape or qa.ndim != 1:
         raise ValueError("q and p must be 1-D vectors of equal length")
+    for name, arr in (("q", qa), ("p", pa)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     if np.any(qa < -1e-12) or np.any(pa < -1e-12):
         raise ValueError("distributions must be nonnegative")
     if abs(qa.sum() - 1.0) > 1e-8 or abs(pa.sum() - 1.0) > 1e-8:

@@ -30,8 +30,8 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from .divergences import _GENERATORS, DivergenceKind, phi_conjugate
-from .estimators import BanditLog, WeightedCosts, importance_weights
-from .policies import LinearPolicy
+from .estimators import BanditLog, WeightedCosts, _check_policy_matches
+from .policies import LinearPolicy, _with_bias
 
 __all__ = [
     "DualPoint",
@@ -456,14 +456,16 @@ def dual_gradient_policy(
     epsilon: float,
     beta: float,
     gamma: float,
-    weighted: Optional[WeightedCosts] = None,
 ):
     """Full gradient ``(d/dbeta, d/dgamma, d/dtheta)`` of the dual objective.
 
     The policy enters through ``z_i = w_i c_i``, so by the chain rule the
     parameter gradient is ``mean_i (phi*)'(u_i) z_i grad log pi(a_i | x_i)``.
     """
-    wc = weighted if weighted is not None else importance_weights(log, policy)
-    d1, g_beta, g_gamma = _exact_partials(wc.values, kind, epsilon, beta, gamma)
-    g_theta = policy.weighted_grad_log_prob_sum(log.features, log.actions, d1 * wc.values) / log.n
+    _check_policy_matches(log, policy)
+    xb = _with_bias(log.features)
+    logp, resid = policy.log_prob_and_residual(xb, log.actions)
+    z = np.exp(logp - np.log(log.propensities)) * log.costs
+    d1, g_beta, g_gamma = _exact_partials(z, kind, epsilon, beta, gamma)
+    g_theta = policy.score_gradient(xb, resid, d1 * z) / log.n
     return g_beta, g_gamma, g_theta

@@ -94,7 +94,10 @@ class BanditLog:
             raise ValueError("features must be finite")
         n = feats.shape[0]
         if isinstance(self.action_space, Multiclass):
-            acts = np.asarray(self.actions, dtype=int)
+            ids = np.asarray(self.actions)
+            if ids.dtype.kind == "f" and not np.all(np.isfinite(ids) & (ids == np.round(ids))):
+                raise ValueError("actions must be integer ids")
+            acts = np.asarray(ids, dtype=int)
             if acts.shape != (n,):
                 raise ValueError("multiclass actions must be a length-n id vector")
             if acts.size and (acts.min() < 0 or acts.max() >= self.action_space.n_actions):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, curvature_at_one
 from .dro import DualSolverOptions, optimistic_risk_dual, robust_risk_dual
-from .estimators import BanditLog, importance_weights
+from .estimators import BanditLog, WeightedCosts, importance_weights
 from .policies import LinearPolicy
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "dro_interval",
     "hoeffding_interval",
     "bernstein_interval",
+    "risk_intervals",
     "CoverageRow",
     "coverage_experiment",
     "write_coverage_csv",
@@ -113,13 +114,17 @@ def dro_interval(
     options: Optional[DualSolverOptions] = None,
 ) -> RiskInterval:
     """Asymptotic interval ``[optimistic, robust]`` at the calibrated radius."""
-    if log.n < 2:
+    return _dro_bounds(importance_weights(log, policy, weight_clip), kind, delta, options)
+
+
+def _dro_bounds(z: WeightedCosts, kind: DivergenceKind, delta: float, options) -> RiskInterval:
+    n = len(z)
+    if n < 2:
         raise ValueError("the interval needs at least 2 records")
-    z = importance_weights(log, policy, weight_clip)
-    eps = calibrated_radius(kind, delta, log.n)
+    eps = calibrated_radius(kind, delta, n)
     lower = optimistic_risk_dual(z, kind, eps, options).value
     upper = robust_risk_dual(z, kind, eps, options).value
-    return RiskInterval(lower=lower, upper=upper, delta=delta, method=f"dro-{kind.value}", n=log.n)
+    return RiskInterval(lower=lower, upper=upper, delta=delta, method=f"dro-{kind.value}", n=n)
 
 
 def _resolve_weight_bound(z: np.ndarray, weight_bound: Optional[float]) -> float:
@@ -145,13 +150,16 @@ def hoeffding_interval(
     observed maximum is used (losing the finite-time guarantee but giving a
     serviceable default).
     """
+    return _hoeffding_bounds(importance_weights(log, policy, weight_clip).values, delta, weight_bound)
+
+
+def _hoeffding_bounds(z: np.ndarray, delta: float, weight_bound: Optional[float]) -> RiskInterval:
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    z = importance_weights(log, policy, weight_clip).values
     bound = _resolve_weight_bound(z, weight_bound)
     center = float(z.mean())
-    half = bound * math.sqrt(math.log(2.0 / delta) / (2.0 * log.n))
-    return RiskInterval(center - half, center + half, delta, "hoeffding", log.n)
+    half = bound * math.sqrt(math.log(2.0 / delta) / (2.0 * len(z)))
+    return RiskInterval(center - half, center + half, delta, "hoeffding", len(z))
 
 
 def bernstein_interval(
@@ -167,17 +175,35 @@ def bernstein_interval(
     with ``V`` the unbiased sample variance of the weighted costs and ``W``
     their range bound.
     """
+    return _bernstein_bounds(importance_weights(log, policy, weight_clip).values, delta, weight_bound)
+
+
+def _bernstein_bounds(z: np.ndarray, delta: float, weight_bound: Optional[float]) -> RiskInterval:
+    n = len(z)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if log.n < 2:
+    if n < 2:
         raise ValueError("the empirical-Bernstein interval needs at least 2 records")
-    z = importance_weights(log, policy, weight_clip).values
     bound = _resolve_weight_bound(z, weight_bound)
     center = float(z.mean())
     variance = float(z.var(ddof=1))
     loginv = math.log(2.0 / delta)
-    half = math.sqrt(2.0 * variance * loginv / log.n) + 7.0 * bound * loginv / (3.0 * (log.n - 1))
-    return RiskInterval(center - half, center + half, delta, "bernstein", log.n)
+    half = math.sqrt(2.0 * variance * loginv / n) + 7.0 * bound * loginv / (3.0 * (n - 1))
+    return RiskInterval(center - half, center + half, delta, "bernstein", n)
+
+
+def risk_intervals(
+    log: BanditLog,
+    policy: LinearPolicy,
+    kinds: Sequence[DivergenceKind],
+    delta: float,
+    weight_bound: Optional[float] = None,
+    options: Optional[DualSolverOptions] = None,
+) -> "list[RiskInterval]":
+    """The DRO interval of each kind, then Hoeffding and Bernstein, from one weights pass."""
+    z = importance_weights(log, policy)
+    intervals = [_dro_bounds(z, kind, delta, options) for kind in kinds]
+    return intervals + [fn(z.values, delta, weight_bound) for fn in (_hoeffding_bounds, _bernstein_bounds)]
 
 
 # ----------------------------------------------------------------------
@@ -246,18 +272,11 @@ def coverage_experiment(
             else:
                 log = collect_bandit_log(dataset, logging_policy, size, seed=child)
             truth = float(log.cost_scale.apply(raw_risk))
-            for kind in kinds:
-                iv = dro_interval(log, policy, kind, delta, options=solver_options)
+            intervals = risk_intervals(log, policy, kinds, delta, weight_bound, solver_options)
+            for iv, kind in zip(intervals, [k.value for k in kinds] + ["", ""]):
+                method = "dro" if kind else iv.method
                 rows.append(
-                    CoverageRow(
-                        "dro", kind.value, log.n, rep, iv.lower, iv.upper, truth,
-                        int(iv.contains(truth)),
-                    )
-                )
-            for name, fn in (("hoeffding", hoeffding_interval), ("bernstein", bernstein_interval)):
-                iv = fn(log, policy, delta, weight_bound=weight_bound)
-                rows.append(
-                    CoverageRow(name, "", log.n, rep, iv.lower, iv.upper, truth, int(iv.contains(truth)))
+                    CoverageRow(method, kind, log.n, rep, iv.lower, iv.upper, truth, int(iv.contains(truth)))
                 )
     return rows
 

@@ -31,7 +31,7 @@ from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _robust_value_grads, robust_risk_dual
 from .estimators import BanditLog, estimate_rho
 from .intervals import calibrated_radius
-from .policies import LinearPolicy
+from .policies import LinearPolicy, _with_bias
 
 __all__ = [
     "OptimizerConfig",
@@ -120,8 +120,9 @@ def write_report(report: TrainReport, path) -> None:
 # ----------------------------------------------------------------------
 
 # A builder is a pair (rows, build): ``rows`` holds per-record arrays, the
-# features and actions first, and ``build(policy, *rows)`` returns (z, coef)
-# with dz_i/dtheta = coef_i * grad log pi(a_i | x_i).  A mini-batch slices
+# bias-augmented features and the actions first, and ``build(policy, *rows)``
+# returns (z, coef, resid) from one kernel call; the gradient of sum_i d_i z_i
+# is ``policy.score_gradient(xb, resid, d * coef)``.  A mini-batch slices
 # every array in ``rows`` with the same indices.
 
 
@@ -133,11 +134,12 @@ def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
         rho = estimate_rho(log)
     rho = float(rho)
 
-    def build(policy: LinearPolicy, feats, acts, log_p0, centered):
-        coef = centered * np.exp(policy.log_prob(feats, acts) - log_p0)
-        return coef + rho, coef
+    def build(policy: LinearPolicy, xb, acts, log_p0, centered):
+        logp, resid = policy.log_prob_and_residual(xb, acts)
+        coef = centered * np.exp(logp - log_p0)
+        return coef + rho, coef, resid
 
-    return (log.features, log.actions, np.log(log.propensities), log.costs - rho), build
+    return (_with_bias(log.features), log.actions, np.log(log.propensities), log.costs - rho), build
 
 
 def _log_trick_costs(log: BanditLog, anchor: LinearPolicy):
@@ -147,11 +149,12 @@ def _log_trick_costs(log: BanditLog, anchor: LinearPolicy):
         raise ValueError("anchor policy must have positive probability on logged actions")
     w0c = np.exp(anchor_lp - np.log(log.propensities)) * log.costs
 
-    def build(policy: LinearPolicy, feats, acts, lp_a, coef):
-        log_ratio = np.maximum(policy.log_prob(feats, acts) - lp_a, -1e12)
-        return coef * (1.0 + log_ratio), coef
+    def build(policy: LinearPolicy, xb, acts, lp_a, coef):
+        logp, resid = policy.log_prob_and_residual(xb, acts)
+        log_ratio = np.maximum(logp - lp_a, -1e12)
+        return coef * (1.0 + log_ratio), coef, resid
 
-    return (log.features, log.actions, anchor_lp, w0c), build
+    return (_with_bias(log.features), log.actions, anchor_lp, w0c), build
 
 
 def _with_theta(policy: LinearPolicy, theta_flat: np.ndarray) -> LinearPolicy:
@@ -159,7 +162,7 @@ def _with_theta(policy: LinearPolicy, theta_flat: np.ndarray) -> LinearPolicy:
 
 
 def _exact_dual(policy, rows, build, kind, epsilon) -> DualPoint:
-    z, _ = build(policy, *rows)
+    z, _, _ = build(policy, *rows)
     return robust_risk_dual(z, kind, epsilon)
 
 
@@ -248,8 +251,8 @@ def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, dual
 
 def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, build):
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
-    feats, acts = rows[0], rows[1]
-    n = len(feats)
+    xb = rows[0]
+    n = len(xb)
     cap = _GENERATORS[kind].cap
     start = time.perf_counter()
 
@@ -266,20 +269,18 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
         policy = _with_theta(policy_init, theta_flat)
-        z, coef = build(policy, *rows)
+        z, coef, resid = build(policy, *rows)
         state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
             imax = int(np.argmax(z))
             viol = (float(z[imax]) - beta) - cap * gamma
-            g_theta = policy.weighted_grad_log_prob_sum(
-                feats, acts, np.where(np.arange(n) == imax, coef, 0.0)
-            )
+            g_theta = policy.score_gradient(xb, resid, np.where(np.arange(n) == imax, coef, 0.0))
             g_duals = [-_PENALTY_SLOPE, -_PENALTY_SLOPE * cap * math.exp(psi)]
             g = np.concatenate([_PENALTY_SLOPE * g_theta.ravel(), g_duals])
             return _PENALTY_BASE + _PENALTY_SLOPE * viol, g
         value, d1, g_beta, g_gamma = state
-        g_theta = policy.weighted_grad_log_prob_sum(feats, acts, d1 * coef) / n
+        g_theta = policy.score_gradient(xb, resid, d1 * coef) / n
         return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma * math.exp(psi)]])
 
     def record(iteration: int, w: np.ndarray, value: float, grad: np.ndarray) -> IterationRecord:
@@ -363,7 +364,7 @@ def train_dro_stochastic(
     def gradient(t: int, w: np.ndarray, batch):
         nonlocal inflations
         policy = _with_theta(policy_init, w[:-2])
-        z, coef = build(policy, *batch)
+        z, coef, resid = build(policy, *batch)
         state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         if state is None:
             w[-1] *= 2.0
@@ -376,11 +377,11 @@ def train_dro_stochastic(
             return None
         inflations = 0
         _, d1, g_beta, g_gamma = state
-        g_theta = policy.weighted_grad_log_prob_sum(batch[0], batch[1], d1 * coef) / len(z)
+        g_theta = policy.score_gradient(batch[0], resid, d1 * coef) / len(z)
         return np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
 
     def objective(w: np.ndarray) -> float:
-        z, _ = build(_with_theta(policy_init, w[:-2]), *rows)
+        z, _, _ = build(_with_theta(policy_init, w[:-2]), *rows)
         state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         return math.inf if state is None else state[0]
 
@@ -421,18 +422,18 @@ def train_poem(
         def gradient(t: int, theta: np.ndarray, batch):
             nonlocal m0, scale
             if t % steps_per_epoch == 0:  # re-majorize from a full pass
-                z_full, _ = build(_with_theta(policy_init, theta), *rows)
+                z_full, _, _ = build(_with_theta(policy_init, theta), *rows)
                 m0 = float(z_full.mean())
                 v0 = float(z_full.var(ddof=1))
                 scale = 0.0 if lam == 0.0 else lam / (2.0 * math.sqrt(n * max(v0, 1e-12)))
             policy = _with_theta(policy_init, theta)
-            z, coef = build(policy, *batch)
+            z, coef, resid = build(policy, *batch)
             mult = 1.0 + scale * (n / (n - 1)) * (2.0 * z - 2.0 * m0)
-            grad = policy.weighted_grad_log_prob_sum(batch[0], batch[1], mult * coef)
+            grad = policy.score_gradient(batch[0], resid, mult * coef)
             return (grad / len(z)).ravel()
 
         def objective(theta: np.ndarray) -> float:
-            z, _ = build(_with_theta(policy_init, theta), *rows)
+            z, _, _ = build(_with_theta(policy_init, theta), *rows)
             return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
 
         theta, report = _sgd(rows, theta0, config, gradient, objective, duals=False, start=start)
@@ -440,14 +441,14 @@ def train_poem(
 
     def fun(theta_flat: np.ndarray):
         policy = _with_theta(policy_init, theta_flat)
-        z, coef = build(policy, *rows)
+        z, coef, resid = build(policy, *rows)
         mean = float(z.mean())
-        grad = policy.weighted_grad_log_prob_sum(log.features, log.actions, coef) / n
+        grad = policy.score_gradient(rows[0], resid, coef) / n
         variance = float(z.var(ddof=1))
         value = mean + lam * math.sqrt(variance / n)
         if lam > 0 and variance > 1e-18:
             dv_coef = 2.0 / (n - 1) * (z - mean) * coef
-            grad_var = policy.weighted_grad_log_prob_sum(log.features, log.actions, dv_coef)
+            grad_var = policy.score_gradient(rows[0], resid, dv_coef)
             grad = grad + grad_var * (lam / (2.0 * math.sqrt(variance / n) * n))
         return value, grad.ravel()
 

@@ -100,9 +100,8 @@ def action_bitvectors(n_labels: int) -> np.ndarray:
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return np.concatenate([x, [1.0]])
+    """One context or a batch as ``(n, d + 1)`` rows ending in a bias feature of 1."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
@@ -141,8 +140,40 @@ class LinearPolicy:
     # core probability computations (vectorized over records)
     # ------------------------------------------------------------------
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
-        return _with_bias(x) @ self.theta / self.temperature
+    def _log_scores(self, xb: np.ndarray) -> np.ndarray:
+        """Scores of bias-augmented rows: the logits, log-normalized for a multiclass space."""
+        scores = xb @ self.theta / self.temperature
+        if isinstance(self.action_space, Multiclass):
+            return scores - logsumexp(scores, axis=1, keepdims=True)
+        return scores
+
+    def _log_prob_of(self, scores: np.ndarray, actions) -> np.ndarray:
+        if isinstance(self.action_space, Multiclass):
+            return scores[np.arange(scores.shape[0]), np.atleast_1d(np.asarray(actions, dtype=int))]
+        # log sigma(s) for set bits and log sigma(-s) for clear ones; negation is exact
+        bits = np.asarray(actions)
+        return np.sum(log_expit(np.where(bits == 1, scores, -scores)), axis=1)
+
+    def _residual_of(self, scores: np.ndarray, actions) -> np.ndarray:
+        if isinstance(self.action_space, Multiclass):
+            resid = -np.exp(scores)
+            resid[np.arange(scores.shape[0]), np.asarray(actions, dtype=int)] += 1.0
+            return resid
+        return np.asarray(actions, dtype=float) - expit(scores)
+
+    def log_prob_and_residual(self, xb: np.ndarray, actions):
+        """Log-probabilities of the actions and the score residual from one pass over ``xb``.
+
+        ``xb`` holds the contexts with their bias column (``_with_bias``); the residual,
+        ``onehot(a) - softmax`` or ``bits - sigmoid``, feeds :meth:`score_gradient`.
+        """
+        scores = self._log_scores(xb)
+        return self._log_prob_of(scores, actions), self._residual_of(scores, actions)
+
+    def score_gradient(self, xb: np.ndarray, resid: np.ndarray, coefficients) -> np.ndarray:
+        """``sum_i coefficients[i] * grad_theta log pi(a_i | x_i)`` from the kernel's residual."""
+        coef = np.asarray(coefficients, dtype=float)
+        return xb.T @ (coef[:, None] * resid) / self.temperature
 
     def log_prob(self, x: np.ndarray, actions) -> np.ndarray:
         """Log probability of each action given its context.
@@ -152,17 +183,7 @@ class LinearPolicy:
         for a factorized one.
         """
         single = np.ndim(x) == 1
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
-        scores = self._scores(xs)
-        if isinstance(self.action_space, Multiclass):
-            acts = np.atleast_1d(np.asarray(actions, dtype=int))
-            logp = scores - logsumexp(scores, axis=1, keepdims=True)
-            out = logp[np.arange(xs.shape[0]), acts]
-        else:
-            acts = np.asarray(actions, dtype=float)
-            acts = acts[None, :] if acts.ndim == 1 else acts
-            # log sigma(s) and log sigma(-s) via the numerically stable form
-            out = np.sum(acts * log_expit(scores) + (1.0 - acts) * log_expit(-scores), axis=1)
+        out = self._log_prob_of(self._log_scores(_with_bias(x)), actions)
         return float(out[0]) if single else out
 
     def action_prob(self, x: np.ndarray, action) -> float:
@@ -174,9 +195,7 @@ class LinearPolicy:
         if not isinstance(self.action_space, Multiclass):
             raise ValueError("class_probabilities is only defined for multiclass spaces")
         single = np.ndim(x) == 1
-        scores = self._scores(np.atleast_2d(np.asarray(x, dtype=float)))
-        logp = scores - logsumexp(scores, axis=1, keepdims=True)
-        probs = np.exp(logp)
+        probs = np.exp(self._log_scores(_with_bias(x)))
         return probs[0] if single else probs
 
     def label_probabilities(self, x: np.ndarray) -> np.ndarray:
@@ -184,7 +203,7 @@ class LinearPolicy:
         if not isinstance(self.action_space, FactorizedLabels):
             raise ValueError("label_probabilities is only defined for factorized spaces")
         single = np.ndim(x) == 1
-        probs = expit(self._scores(np.atleast_2d(np.asarray(x, dtype=float))))
+        probs = expit(self._log_scores(_with_bias(x)))
         return probs[0] if single else probs
 
     def joint_action_probabilities(self, x: np.ndarray) -> np.ndarray:
@@ -240,30 +259,14 @@ class LinearPolicy:
 
     def grad_log_prob(self, x: np.ndarray, action) -> np.ndarray:
         """Gradient of ``log pi(action | x)`` w.r.t. ``theta``, shape ``(d + 1, n_logits)``."""
-        xb = _with_bias(np.asarray(x, dtype=float))
-        if isinstance(self.action_space, Multiclass):
-            probs = self.class_probabilities(x)
-            indicator = np.zeros(self.action_space.n_actions)
-            indicator[int(action)] = 1.0
-            return np.outer(xb, indicator - probs) / self.temperature
-        probs = self.label_probabilities(x)
-        bits = np.asarray(action, dtype=float)
-        return np.outer(xb, bits - probs) / self.temperature
+        return self.weighted_grad_log_prob_sum(x, [action], [1.0])
 
     def weighted_grad_log_prob_sum(
         self, x: np.ndarray, actions, coefficients: np.ndarray
     ) -> np.ndarray:
         """Compute ``sum_i coefficients[i] * grad_theta log pi(a_i | x_i)`` in one pass."""
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
-        xb = _with_bias(xs)
-        coef = np.asarray(coefficients, dtype=float)
-        if isinstance(self.action_space, Multiclass):
-            probs = self.class_probabilities(xs)
-            resid = -probs
-            resid[np.arange(xs.shape[0]), np.asarray(actions, dtype=int)] += 1.0
-        else:
-            resid = np.asarray(actions, dtype=float) - self.label_probabilities(xs)
-        return xb.T @ (coef[:, None] * resid) / self.temperature
+        xb = _with_bias(x)
+        return self.score_gradient(xb, self._residual_of(self._log_scores(xb), actions), coefficients)
 
 
 @dataclass(frozen=True)

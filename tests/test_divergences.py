@@ -192,6 +192,15 @@ def test_divergence_rejects_non_distributions():
         divergence_value(DivergenceKind.KL, np.array([0.5, 0.6]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["q", "p"])
+def test_divergence_rejects_non_finite_vectors_by_name(name, bad):
+    vectors = {"q": np.array([0.5, 0.5]), "p": np.array([0.5, 0.5])}
+    vectors[name][0] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        divergence_value(DivergenceKind.KL, vectors["q"], vectors["p"])
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_divergence_to_uniform_matches_generator_sum(kind):
     rng = np.random.default_rng(3)

@@ -309,3 +309,33 @@ def test_factorized_action_bits_outside_zero_one_are_rejected_by_name(actions):
             action_space=FactorizedLabels(2),
             cost_scale=CostScale.identity(),
         )
+
+
+@pytest.mark.parametrize("actions", [[0.7, 1.9], [0.0, 0.5], [1.0, math.nan]])
+def test_fractional_multiclass_action_ids_are_rejected_by_name(actions):
+    # an int cast alone would truncate 0.7 and 1.9 to the valid ids 0 and 1
+    with pytest.raises(ValueError, match="^actions must be integer ids"):
+        BanditLog(
+            features=np.ones((2, 1)),
+            actions=actions,
+            propensities=np.full(2, 0.5),
+            costs_raw=np.array([-1.0, 0.0]),
+            costs=np.array([-1.0, 0.0]),
+            action_space=Multiclass(2),
+            cost_scale=CostScale.identity(),
+        )
+
+
+def test_integral_float_action_ids_are_accepted():
+    # JSON lines logs may carry ids such as 1.0
+    log = BanditLog(
+        features=np.ones((2, 1)),
+        actions=[1.0, 0.0],
+        propensities=np.full(2, 0.5),
+        costs_raw=np.array([-1.0, 0.0]),
+        costs=np.array([-1.0, 0.0]),
+        action_space=Multiclass(2),
+        cost_scale=CostScale.identity(),
+    )
+    assert log.actions.dtype.kind == "i"
+    np.testing.assert_array_equal(log.actions, [1, 0])

@@ -348,28 +348,28 @@ def test_config_validation():
 
 @pytest.mark.parametrize("trainer", ["poem", "dro"])
 def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
-    # every log_prob call beyond the optimizer's own evaluations is fixed
+    # every kernel call beyond the optimizer's own evaluations is fixed
     # set-up or wrap-up work, so the surplus must not grow with the iterations
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 2, seed=4)
-    counts = {"log_prob": 0, "nfev": 0}
-    log_prob, minimize = LinearPolicy.log_prob, optimize.sp_optimize.minimize
+    counts = {"kernel": 0, "nfev": 0}
+    kernel, minimize = LinearPolicy.log_prob_and_residual, optimize.sp_optimize.minimize
 
-    def counted_log_prob(self, *args):
-        counts["log_prob"] += 1
-        return log_prob(self, *args)
+    def counted_kernel(self, *args):
+        counts["kernel"] += 1
+        return kernel(self, *args)
 
     def counted_minimize(*args, **kwargs):
         result = minimize(*args, **kwargs)
         counts["nfev"] += result.nfev
         return result
 
-    monkeypatch.setattr(LinearPolicy, "log_prob", counted_log_prob)
+    monkeypatch.setattr(LinearPolicy, "log_prob_and_residual", counted_kernel)
     monkeypatch.setattr(optimize.sp_optimize, "minimize", counted_minimize)
     surplus = []
     for max_iters in (5, 20):
-        counts.update(log_prob=0, nfev=0)
+        counts.update(kernel=0, nfev=0)
         config = OptimizerConfig(max_iters=max_iters)
         if trainer == "poem":
             _, report = train_poem(log, 0.3, policy0, config)
@@ -377,5 +377,49 @@ def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
             _, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
         assert report.iterations == max_iters
         assert len(report.trajectory) >= max_iters + 1
-        surplus.append(counts["log_prob"] - counts["nfev"])
+        surplus.append(counts["kernel"] - counts["nfev"])
     assert surplus[0] == surplus[1]
+
+
+@pytest.mark.parametrize("trainer", ["poem", "dro", "logtrick"])
+def test_one_kernel_call_per_batch_evaluation(monkeypatch, trainer):
+    # the scores are computed once per objective evaluation: the value, the
+    # mean gradient and (for poem) the variance gradient share one kernel call,
+    # and no other method makes a second score pass
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)))
+    log = collect_bandit_log(dataset, policy0, 2, seed=4)
+    calls, per_evaluation = {"kernel": 0, "scores": 0}, []
+    kernel, scores, lbfgs = (
+        LinearPolicy.log_prob_and_residual, LinearPolicy._log_scores, optimize._lbfgs
+    )
+
+    def counted_kernel(self, *args):
+        calls["kernel"] += 1
+        return kernel(self, *args)
+
+    def counted_scores(self, *args):
+        calls["scores"] += 1
+        return scores(self, *args)
+
+    def counted_lbfgs(fun, x0, config, record):
+        def counted_fun(x):
+            before = dict(calls)
+            out = fun(x)
+            per_evaluation.append(tuple(calls[k] - before[k] for k in ("kernel", "scores")))
+            return out
+
+        return lbfgs(counted_fun, x0, config, record)
+
+    monkeypatch.setattr(LinearPolicy, "log_prob_and_residual", counted_kernel)
+    monkeypatch.setattr(LinearPolicy, "_log_scores", counted_scores)
+    monkeypatch.setattr(optimize, "_lbfgs", counted_lbfgs)
+    config = OptimizerConfig(max_iters=5)
+    if trainer == "poem":
+        train_poem(log, 0.3, policy0, config)
+    elif trainer == "dro":
+        train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+    else:
+        train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config, outer_iters=2)
+    assert len(per_evaluation) >= 5
+    assert set(per_evaluation) == {(1, 1)}

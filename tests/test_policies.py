@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit, log_expit, logsumexp
 
 from cfdro.policies import (
     FactorizedLabels,
@@ -147,6 +148,41 @@ def test_factorized_gradient_is_sum_of_per_label_scores():
     xb = np.concatenate([x, [1.0]])
     expected = np.outer(xb, bits - p)
     np.testing.assert_allclose(grad, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("space", [Multiclass(4), FactorizedLabels(3)])
+def test_kernel_agrees_bit_for_bit_with_log_prob_and_gradient(space):
+    # scale 20 drives scores past 30 in magnitude, where log_expit saturates
+    rng = np.random.default_rng(11)
+    pol = replace(random_policy(space, 2, rng, scale=20.0), temperature=0.7)
+    xs = rng.normal(size=(200, 2))
+    if isinstance(space, Multiclass):
+        acts = rng.integers(0, space.n_actions, size=200)
+    else:
+        acts = (rng.random((200, 3)) < 0.5).astype(np.int8)
+    coefs = rng.normal(size=200)
+    xb = np.hstack([xs, np.ones((200, 1))])
+    scores = xb @ pol.theta / pol.temperature
+    assert np.abs(scores).max() > 30
+    logp, resid = pol.log_prob_and_residual(xb, acts)
+    # reference formulas, written out independently of the policy module
+    if isinstance(space, Multiclass):
+        log_softmax = scores - logsumexp(scores, axis=1, keepdims=True)
+        expected_logp = log_softmax[np.arange(200), acts]
+        expected_resid = np.eye(space.n_actions)[acts] - np.exp(log_softmax)
+    else:
+        bits = acts.astype(float)
+        expected_logp = np.sum(bits * log_expit(scores) + (1.0 - bits) * log_expit(-scores), axis=1)
+        expected_resid = bits - expit(scores)
+    np.testing.assert_array_equal(logp, expected_logp)
+    np.testing.assert_array_equal(resid, expected_resid)
+    np.testing.assert_array_equal(pol.log_prob(xs, acts), logp)
+    np.testing.assert_array_equal(
+        pol.weighted_grad_log_prob_sum(xs, acts, coefs), pol.score_gradient(xb, resid, coefs)
+    )
+    np.testing.assert_array_equal(
+        pol.score_gradient(xb, resid, coefs), xb.T @ (coefs[:, None] * expected_resid) / 0.7
+    )
 
 
 def test_weighted_grad_sum_matches_loop():
