@@ -23,8 +23,12 @@ trainers' overflow cap.  The public functions below, the dual solver and the
 trainers read that record and nothing else; the curvature ``phi''(1)`` is
 derived from it as ``1 / (phi*)''(0)``.  The record's formulas are written
 per kind rather than as one formula in ``k``, because KL and Burg are limits
-of it.  Adding a generator takes one enum member, one alias in
-:meth:`DivergenceKind.from_name` and one record.
+of it.  Each conjugate and derivative formula is written once with ufunc
+``out=`` arguments and takes an optional workspace of two rows shaped like
+its argument: the dual solver passes one and makes its passes without
+allocating; without one (the pointwise functions below, the trainers) each
+ufunc allocates its result, with the same bits.  Adding a generator takes one
+enum member, one alias in :meth:`DivergenceKind.from_name` and one record.
 
 Conjugates are taken over t >= 0, which is the relevant domain when the
 argument of ``phi`` is a ratio of probability weights.  At and beyond their
@@ -83,9 +87,12 @@ class DivergenceKind(enum.Enum):
 class _Generator:
     """One generator's formulas and bounds.
 
-    ``derivatives(u, reduce)`` gives ``(reduce((phi*)'(u)), reduce((phi*)''(u)))`` inside the
-    domain: ``reduce`` is ``np.asarray`` for pointwise values and a mean in the dual solver, and
-    gets chi-square's second derivative as a boolean mask (half an indicator) to count it.
+    ``conjugate(s, ws)`` gives ``phi*(s)`` inside the domain.  ``derivatives(u, reduce, ws)``
+    gives ``(reduce((phi*)'(u)), reduce((phi*)''(u)))`` there: ``reduce`` is ``np.asarray`` for
+    pointwise values and a mean in the dual solver, and gets chi-square's second derivative as
+    a boolean mask (half an indicator) to count it.  Both write into ``ws``, two rows shaped
+    like their argument, or let each ufunc allocate when ``ws`` is None; they never write
+    into their argument.
     """
 
     phi: Callable  # phi(t) for t > 0
@@ -96,34 +103,74 @@ class _Generator:
     cap: Optional[float] = None  # trainers treat u >= cap as outside the domain
 
 
-def _kl_derivatives(u, reduce):
-    m = reduce(np.exp(u))
+def _outs(ws):
+    """The ``out=`` rows of a table formula: ``ws``, or None twice (each ufunc allocates)."""
+    return (None, None) if ws is None else ws
+
+
+def _mask(row):
+    """``row``'s memory as a boolean array of its shape; None (allocate) for no row."""
+    return None if row is None else np.ndarray(row.shape, np.bool_, row)
+
+
+def _chi2_conjugate(s, ws=None):
+    out, sq = _outs(ws)
+    # on the flat branch s < -2 (and for NaN) fmax gives -2, where s + s^2/4 is exactly -1
+    m = np.fmax(s, -2.0, out=out)
+    sq = np.divide(np.multiply(m, m, out=sq), 4.0, out=sq)
+    return np.add(m, sq, out=out)
+
+
+def _chi2_derivatives(u, reduce, ws=None):
+    out, flat = _outs(ws)
+    d1 = np.maximum(np.add(np.multiply(u, 0.5, out=out), 1.0, out=out), 0.0, out=out)
+    return reduce(d1), 0.5 * reduce(np.greater(u, -2.0, out=_mask(flat)))
+
+
+def _kl_conjugate(s, ws=None):
+    return np.expm1(s, out=_outs(ws)[0])
+
+
+def _kl_derivatives(u, reduce, ws=None):
+    m = reduce(np.exp(u, out=_outs(ws)[0]))
     return m, m
 
 
-def _burg_derivatives(u, reduce):
-    r = 1.0 / (1.0 - u)
-    return reduce(r), reduce(r * r)
+def _burg_conjugate(s, ws=None):
+    out = _outs(ws)[0]
+    return np.negative(np.log1p(np.negative(s, out=out), out=out), out=out)
 
 
-def _hellinger_derivatives(u, reduce):
-    r = 1.0 / (1.0 - u)
-    r2 = r * r
-    return reduce(r2), 2.0 * reduce(r2 * r)
+def _burg_derivatives(u, reduce, ws=None):
+    out, sq = _outs(ws)
+    r = np.divide(1.0, np.subtract(1.0, u, out=out), out=out)
+    return reduce(r), reduce(np.multiply(r, r, out=sq))
+
+
+def _hellinger_conjugate(s, ws=None):
+    out = _outs(ws)[0]
+    return np.divide(s, np.subtract(1.0, s, out=out), out=out)
+
+
+def _hellinger_derivatives(u, reduce, ws=None):
+    out, sq = _outs(ws)
+    r = np.divide(1.0, np.subtract(1.0, u, out=out), out=out)
+    r2 = np.multiply(r, r, out=sq)
+    first = reduce(r2)
+    return first, 2.0 * reduce(np.multiply(r2, r, out=out))
 
 
 # the KL cap: beyond u = 500 the exponential conjugate overflows float64 anyway
 _GENERATORS = {
     DivergenceKind.CHI_SQUARE: _Generator(
-        lambda t: (t - 1.0) ** 2, 1.0, lambda s: np.where(s >= -2.0, s + s * s / 4.0, -1.0),
-        lambda u, reduce: (reduce(np.maximum(1.0 + 0.5 * u, 0.0)), 0.5 * reduce(u > -2.0))),
+        lambda t: (t - 1.0) ** 2, 1.0, _chi2_conjugate, _chi2_derivatives),
     DivergenceKind.KL: _Generator(
-        lambda t: t * np.log(t) - t + 1.0, 1.0, np.expm1, _kl_derivatives, cap=500.0),
+        lambda t: t * np.log(t) - t + 1.0, 1.0, _kl_conjugate, _kl_derivatives, cap=500.0),
     DivergenceKind.BURG: _Generator(
-        lambda t: -np.log(t) + t - 1.0, math.inf, lambda s: -np.log1p(-s), _burg_derivatives,
+        lambda t: -np.log(t) + t - 1.0, math.inf, _burg_conjugate, _burg_derivatives,
         domain=1.0, cap=1.0 - 1e-12),
     DivergenceKind.HELLINGER: _Generator(
-        lambda t: (np.sqrt(t) - 1.0) ** 2, 1.0, lambda s: s / (1.0 - s), _hellinger_derivatives,
+        lambda t: (np.sqrt(t) - 1.0) ** 2, 1.0, _hellinger_conjugate, _hellinger_derivatives,
         domain=1.0, cap=1.0 - 1e-12),
 }
 

@@ -16,6 +16,16 @@ search is globally correct.  A quasi-Newton fallback over
 ``(beta, softplus-parametrized gamma)`` covers the rare case where the
 primary path fails to certify.
 
+Each solve allocates one workspace of three rows of ``len(z)`` floats, reads
+the constants of ``z`` (maximum, scale, standard deviation) once, and runs
+under one ``np.errstate``; no pass over ``z`` allocates.  Every Newton pass
+writes ``u = (z - beta) / gamma`` into the workspace, and when the inner
+solve stops on its root tolerance, ``h`` is read from that same ``u`` (on
+any other exit ``u`` is first recomputed at the returned ``beta``).  So
+evaluating ``h(t)`` costs the inner solve's passes plus one conjugate pass,
+in :func:`dual_objective`'s order of operations and with its bits; that
+function stays public for the fallback.
+
 Extended-real arithmetic is used throughout: out-of-domain conjugate values
 propagate ``+inf`` as a barrier and no NaN ever escapes.
 """
@@ -29,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .divergences import _GENERATORS, DivergenceKind, phi_conjugate
+from .divergences import _GENERATORS, DivergenceKind
 from .estimators import BanditLog, WeightedCosts, _check_policy_matches
 from .policies import LinearPolicy, _with_bias
 
@@ -112,9 +122,23 @@ def dual_objective(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: 
         if np.any(s > 0):
             return float("inf")
         return float(beta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = gamma * np.asarray(phi_conjugate(kind, s / gamma), dtype=float)
-        total = beta + gamma * epsilon + float(np.mean(vals))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _objective_at(np.divide(s, gamma, out=s), _GENERATORS[kind], epsilon, beta, gamma)
+
+
+def _objective_at(u: np.ndarray, gen, epsilon: float, beta: float, gamma: float, rows=None):
+    """``g(beta, gamma)`` from ``u = (z - beta) / gamma``, which it clamps in place.
+
+    The clamp to the conjugate's domain bound makes the conjugate a barrier
+    (``+inf`` at and beyond it).  ``rows`` is the table formulas' workspace.
+    Callers hold an ``np.errstate`` that ignores overflow, division by zero
+    and invalid operations.
+    """
+    if gen.domain < math.inf:
+        np.minimum(u, gen.domain, out=u)
+    vals = gen.conjugate(u, rows)
+    np.multiply(vals, gamma, out=vals)
+    total = beta + gamma * epsilon + _mean(vals)
     if math.isnan(total):  # pragma: no cover - defensive: inputs are finite
         raise FloatingPointError("dual objective produced NaN")
     return float(total)
@@ -127,48 +151,73 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x)) / x.size
 
 
-def _mean_stats(zv: np.ndarray, kind: DivergenceKind, beta: float, gamma: float):
-    """Mean conjugate first/second derivatives at ``u = (z - beta) / gamma``."""
-    # callers wrap the Newton loop in one errstate, so exponential overflow propagates as inf
-    return _GENERATORS[kind].derivatives((zv - beta) / gamma, _mean)
+class _ReducedObjective:
+    """Callable ``h(t) = min_beta g(beta, e^t)`` with a warm-started inner solve.
 
-
-def _solve_beta(
-    zv: np.ndarray,
-    kind: DivergenceKind,
-    gamma: float,
-    warm: Optional[float],
-    opts: DualSolverOptions,
-) -> float:
-    """Exact inner minimization over ``beta`` at fixed ``gamma > 0``.
-
-    Solves the stationarity condition ``mean (phi*)'((z - beta)/gamma) = 1``;
-    the left side is nonincreasing in ``beta``, so a bracketing Newton
-    iteration is globally safe.
+    One instance serves one solve.  It holds the constants of ``z`` that the
+    inner solve reads and a workspace of three rows of ``len(z)`` floats:
+    ``u = (z - beta) / gamma`` and the two scratch rows of the table formulas,
+    so no pass over ``z`` allocates.  Calls run under the solve's
+    ``np.errstate``, which lets exponential overflow propagate as ``inf``.
     """
-    zmax = float(zv.max())
-    scale = max(1.0, float(np.max(np.abs(zv))))
-    hi = zmax  # mean derivative <= (phi*)'(0) = 1 here
-    domain = _GENERATORS[kind].domain
-    with np.errstate(over="ignore", divide="ignore"):
+
+    def __init__(self, zv: np.ndarray, kind: DivergenceKind, epsilon: float, opts: DualSolverOptions):
+        self.zv = zv
+        self.gen = _GENERATORS[kind]
+        self.epsilon = epsilon
+        self.opts = opts
+        self.zmax = float(zv.max())
+        self.scale = max(1.0, float(np.max(np.abs(zv))))
+        self.std = float(zv.std())
+        workspace = np.empty((3, zv.size))
+        self.u, self.rows = workspace[0], (workspace[1], workspace[2])
+        self.warm_beta: Optional[float] = None
+
+    def __call__(self, t: float) -> "tuple[float, float]":
+        gamma = math.exp(t)
+        beta, at_root = self.solve_beta(gamma, self.warm_beta)
+        self.warm_beta = beta
+        # on root_tol the last pass left this beta's u in the workspace
+        u = self.u if at_root else self._fill_u(beta, gamma)
+        return _objective_at(u, self.gen, self.epsilon, beta, gamma, self.rows), beta
+
+    def _fill_u(self, beta: float, gamma: float) -> np.ndarray:
+        np.subtract(self.zv, beta, out=self.u)
+        return np.divide(self.u, gamma, out=self.u)
+
+    def _mean_stats(self, beta: float, gamma: float):
+        """Mean conjugate first/second derivatives at ``u = (z - beta) / gamma``, left in ``u``."""
+        return self.gen.derivatives(self._fill_u(beta, gamma), _mean, self.rows)
+
+    def solve_beta(self, gamma: float, warm: Optional[float]) -> "tuple[float, bool]":
+        """Exact inner minimization over ``beta`` at fixed ``gamma > 0``.
+
+        Solves the stationarity condition ``mean (phi*)'((z - beta)/gamma) = 1``;
+        the left side is nonincreasing in ``beta``, so a bracketing Newton
+        iteration is globally safe.  Returns ``beta`` and whether it stopped
+        on ``root_tol``, in which case ``self.u`` holds its ``u``.
+        """
+        zmax = self.zmax
+        hi = zmax  # mean derivative <= (phi*)'(0) = 1 here
+        domain = self.gen.domain
         if domain < math.inf:
             lo = zmax - gamma * (domain - 1e-9)
         else:
-            step = gamma + float(zv.std()) + 1e-3 * scale
+            step = gamma + self.std + 1e-3 * self.scale
             lo = zmax - step
             for _ in range(200):
-                m, _ = _mean_stats(zv, kind, lo, gamma)
+                m, _ = self._mean_stats(lo, gamma)
                 if m > 1.0:
                     break
                 step *= 3.0
                 lo = zmax - step
             else:  # pragma: no cover - derivative grows without bound
-                return zmax
+                return zmax, False
         beta = warm if warm is not None and lo < warm < hi else 0.5 * (lo + hi)
         for _ in range(100):
-            m, md = _mean_stats(zv, kind, beta, gamma)
-            if abs(m - 1.0) <= opts.root_tol:
-                break
+            m, md = self._mean_stats(beta, gamma)
+            if abs(m - 1.0) <= self.opts.root_tol:
+                return beta, True
             if m > 1.0:
                 lo = beta
             else:
@@ -184,24 +233,7 @@ def _solve_beta(
             beta = candidate
             if hi - lo <= 1e-15 * max(1.0, abs(hi)):
                 break
-    return beta
-
-
-class _ReducedObjective:
-    """Callable ``h(t) = min_beta g(beta, e^t)`` with a warm-started inner solve."""
-
-    def __init__(self, zv: np.ndarray, kind: DivergenceKind, epsilon: float, opts: DualSolverOptions):
-        self.zv = zv
-        self.kind = kind
-        self.epsilon = epsilon
-        self.opts = opts
-        self.warm_beta: Optional[float] = None
-
-    def __call__(self, t: float) -> "tuple[float, float]":
-        gamma = math.exp(t)
-        beta = _solve_beta(self.zv, self.kind, gamma, self.warm_beta, self.opts)
-        self.warm_beta = beta
-        return dual_objective(self.zv, self.kind, self.epsilon, beta, gamma), beta
+        return beta, False
 
 
 def _bracket_and_golden(
@@ -237,7 +269,7 @@ def _bracket_and_golden(
                 t_lo = floor
                 v_lo, _ = h(t_lo)
                 if v_lo <= v0:
-                    beta = _solve_beta(h.zv, h.kind, math.exp(floor), h.warm_beta, opts)
+                    beta, _ = h.solve_beta(math.exp(floor), h.warm_beta)
                     return floor, beta, v_lo, 0.0
             else:
                 v_lo, _ = h(t_lo)
@@ -267,7 +299,7 @@ def _bracket_and_golden(
             vd, _ = h(d)
     t_best = c if vc < vd else d
     v_best = min(vc, vd)
-    beta = _solve_beta(h.zv, h.kind, math.exp(t_best), h.warm_beta, opts)
+    beta, _ = h.solve_beta(math.exp(t_best), h.warm_beta)
     return t_best, beta, v_best, b - a
 
 
@@ -339,10 +371,10 @@ def robust_risk_dual(
     if float(np.ptp(zv)) == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)
     h = _ReducedObjective(zv, kind, epsilon, opts)
-    t0 = math.log(max(float(zv.std()), 1e-3))
-    scale = max(1.0, float(np.max(np.abs(zv))))
-    floor = max(math.log(1e-12 * scale), opts.gamma_log_floor)
-    t_best, beta, value, width = _bracket_and_golden(h, t0, opts, floor=floor)
+    t0 = math.log(max(h.std, 1e-3))
+    floor = max(math.log(1e-12 * h.scale), opts.gamma_log_floor)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t_best, beta, value, width = _bracket_and_golden(h, t0, opts, floor=floor)
     gamma = math.exp(t_best)
     point = DualPoint(beta=beta, gamma=gamma, value=value)
     if math.isfinite(value) and (width <= opts.bracket_tol * 4.0 or t_best <= floor):

@@ -173,7 +173,11 @@ def importance_weights(
         it is applied identically by every estimator in this module.
     """
     _check_policy_matches(log, policy)
-    logp = policy.log_prob(log.features, log.actions)
+    return _weighted_by(log, policy.log_prob(log.features, log.actions), weight_clip)
+
+
+def _weighted_by(log: BanditLog, logp: np.ndarray, weight_clip: Optional[float]) -> WeightedCosts:
+    """:func:`importance_weights` from the policy's log-probabilities of the logged actions."""
     weights = np.exp(logp - np.log(log.propensities))
     if weight_clip is not None:
         if weight_clip <= 0:
@@ -250,10 +254,9 @@ def log_trick_upper_bound(
     _check_policy_matches(log, anchor)
     if np.any(log.costs > 1e-12):
         raise ValueError("the tangent bound requires nonpositive costs")
-    anchor_wc = importance_weights(log, anchor, weight_clip)
-    log_ratio = policy.log_prob(log.features, log.actions) - anchor.log_prob(
-        log.features, log.actions
-    )
+    anchor_lp = anchor.log_prob(log.features, log.actions)
+    anchor_wc = _weighted_by(log, anchor_lp, weight_clip)
+    log_ratio = policy.log_prob(log.features, log.actions) - anchor_lp
     if np.any(np.isneginf(log_ratio)):
         raise ValueError("policy assigns probability 0 to a logged action")
     if np.any(anchor_wc.weights == 0):

@@ -142,8 +142,11 @@ def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
     return (_with_bias(log.features), log.actions, np.log(log.propensities), log.costs - rho), build
 
 
-def _log_trick_costs(log: BanditLog, anchor: LinearPolicy):
-    """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))``."""
+def _log_trick_costs(log: BanditLog, anchor: LinearPolicy, xb: np.ndarray):
+    """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))``.
+
+    ``xb`` is ``_with_bias(log.features)``, built once per training run.
+    """
     anchor_lp = anchor.log_prob(log.features, log.actions)
     if np.any(np.isneginf(anchor_lp)):
         raise ValueError("anchor policy must have positive probability on logged actions")
@@ -154,7 +157,7 @@ def _log_trick_costs(log: BanditLog, anchor: LinearPolicy):
         log_ratio = np.maximum(logp - lp_a, -1e12)
         return coef * (1.0 + log_ratio), coef, resid
 
-    return (_with_bias(log.features), log.actions, anchor_lp, w0c), build
+    return (xb, log.actions, anchor_lp, w0c), build
 
 
 def _with_theta(policy: LinearPolicy, theta_flat: np.ndarray) -> LinearPolicy:
@@ -501,7 +504,7 @@ def train_log_trick(
     reached_fixed_point = False
     for outer in range(1, outer_iters + 1):
         candidate, inner_report = _robust_batch(
-            kind, eps, anchor, config, *_log_trick_costs(log, anchor)
+            kind, eps, anchor, config, *_log_trick_costs(log, anchor, rows[0])
         )
         total_inner += inner_report.iterations
         cand_point = _exact_dual(candidate, rows, build, kind, eps)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfdro.divergences import (
+    _GENERATORS,
     DivergenceKind,
     conjugate_derivative,
     conjugate_second_derivative,
@@ -14,6 +15,8 @@ from cfdro.divergences import (
     phi,
     phi_conjugate,
 )
+
+from cfdro.dro import _mean
 
 from oracles import scaled_conjugate, scaled_conjugate_grad
 
@@ -226,6 +229,33 @@ def test_generator_record_is_consistent(kind):
     np.testing.assert_allclose(d2, fd2, rtol=1e-6, atol=1e-8)
     assert conjugate_derivative(kind, 0.0) == 1.0
     assert curvature_at_one(kind) == 1.0 / conjugate_second_derivative(kind, 0.0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_table_formulas_agree_with_and_without_a_workspace(kind):
+    # the dual solver passes a workspace, the pointwise functions and the trainers do not;
+    # points cover chi-square's flat branch below -2 and, clamped as the barrier does,
+    # the Burg/Hellinger bound (+inf) and beyond it
+    gen = _GENERATORS[kind]
+    points = [-40.0, -3.0, -2.0 - 1e-9, -2.0, -1.0, -0.25, 0.0, 0.5, 1.0 - 1e-12, 1.0, 1.5, 30.0]
+    s = np.minimum(np.array(points), gen.domain)
+    workspace = np.full((2, s.size), np.nan)  # stale contents must not leak into a result
+    with np.errstate(over="ignore", divide="ignore"):
+        fresh = gen.conjugate(s)
+        assert np.all(gen.conjugate(s, workspace) == fresh)
+        d1, d2 = gen.derivatives(s, np.asarray)
+        # the means over every point, and over those inside the domain (finite for all kinds)
+        for part in (slice(None), s < gen.domain):
+            rows = workspace[:, : s[part].size]
+            assert gen.derivatives(s[part], _mean, rows) == (_mean(d1[part]), _mean(d2[part]))
+        for i, x in enumerate(s):
+            scalar = np.asarray(x)
+            assert gen.conjugate(scalar) == fresh[i]
+            assert gen.derivatives(scalar, np.asarray) == (d1[i], d2[i])
+    if gen.domain < math.inf:
+        assert fresh[-1] == d1[-1] == d2[-1] == math.inf
+    if kind is DivergenceKind.CHI_SQUARE:
+        assert fresh[0] == -1.0 and d1[0] == 0.0 and d2[0] == 0.0
 
 
 def test_curvature_values():

@@ -1,10 +1,12 @@
 """Dual objective, solvers, oracle agreement and gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cfdro import dro
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import (
     dual_gradient,
@@ -294,3 +296,91 @@ class TestDualGradient:
             dual_gradient(z, DivergenceKind.BURG, 0.1, -2.0, 0.5)
         with pytest.raises(ValueError):
             dual_gradient(z, DivergenceKind.KL, 0.1, 0.0, 0.0)
+
+
+def _pinned_vectors():
+    """Two seeded cost vectors of 500 records with the radius each is solved at."""
+    normal = np.random.default_rng(2020).normal(size=500)
+    rng = np.random.default_rng(2021)
+    weighted = rng.exponential(size=500) * -rng.uniform(size=500)
+    return {"normal": (normal, 0.05), "weighted": (weighted, 3.841458820694124 / 500)}
+
+
+# (beta, gamma, value) as float.hex, recorded from the solver before each
+# reduced-objective value was read from the inner solve's last pass
+PINNED_SOLVES = {
+    ("normal", "chi2", "robust"):
+        ("-0x1.05bb7aa71f31cp-5", "0x1.2022bb3abd0a8p+1", "0x1.8b95f605b911cp-3"),
+    ("normal", "chi2", "optimistic"):
+        ("-0x1.05bb7aa7246bep-5", "0x1.2022bb3abd0a8p+1", "-0x1.0739d9aca4e3dp-2"),
+    ("normal", "kl", "robust"):
+        ("0x1.049ed1fac65a6p-3", "0x1.9708131705f39p+1", "0x1.251f70a0325bdp-2"),
+    ("normal", "kl", "optimistic"):
+        ("-0x1.877866ec11c9bp-3", "0x1.9792cacd89255p+1", "-0x1.66c3b7c83fc06p-2"),
+    ("normal", "burg", "robust"):
+        ("0x1.2db20057f66a7p-2", "0x1.b9ee9297533c9p+1", "0x1.2db0a64f5bbadp-2"),
+    ("normal", "burg", "optimistic"):
+        ("-0x1.6f6817431df89p-2", "0x1.b8fe91715ce4fp+1", "-0x1.6f68ea385f275p-2"),
+    ("normal", "hellinger", "robust"):
+        ("0x1.3ae1b46ad53cbp-2", "0x1.2fa5bbdd015bap+2", "0x1.b4575bb074d79p-2"),
+    ("normal", "hellinger", "optimistic"):
+        ("-0x1.7cc40a6ee88a9p-2", "0x1.302ab47928d09p+2", "-0x1.f66f33998cc2ap-2"),
+    ("weighted", "chi2", "robust"):
+        ("-0x1.09e42bcbddb40p-1", "0x1.ce78a6e35400fp+1", "-0x1.daeebf945d0b1p-2"),
+    ("weighted", "chi2", "optimistic"):
+        ("-0x1.09e42bcbde393p-1", "0x1.ce78a6e35400fp+1", "-0x1.2650f7cd8decep-1"),
+    ("weighted", "kl", "robust"):
+        ("-0x1.eb9104a298e8ep-2", "0x1.2918d736c3786p+2", "-0x1.c70b9a5f62d86p-2"),
+    ("weighted", "kl", "optimistic"):
+        ("-0x1.1e00c51d5bbd4p-1", "0x1.63ea7520b5ce5p+2", "-0x1.33e0f80e0cd3ap-1"),
+    ("weighted", "burg", "robust"):
+        ("-0x1.c9fc39071ec6cp-2", "0x1.13b20646973b6p+2", "-0x1.c9fc2be3eea70p-2"),
+    ("weighted", "burg", "optimistic"):
+        ("-0x1.36198b2f515d6p-1", "0x1.8badfcc25fda3p+2", "-0x1.3619a2deb44d6p-1"),
+    ("weighted", "hellinger", "robust"):
+        ("-0x1.c3c607ba38e34p-2", "0x1.7e07340c6980ep+2", "-0x1.ac4afeb5ab27bp-2"),
+    ("weighted", "hellinger", "optimistic"):
+        ("-0x1.37543b43675dcp-1", "0x1.175656192f888p+3", "-0x1.487f91b780f40p-1"),
+}
+
+
+@pytest.mark.parametrize("vector,kind,side", sorted(PINNED_SOLVES))
+def test_solver_bits_are_pinned(vector, kind, side):
+    z, eps = _pinned_vectors()[vector]
+    solve = robust_risk_dual if side == "robust" else optimistic_risk_dual
+    point = solve(z, DivergenceKind.from_name(kind), eps)
+    got = tuple(float(x).hex() for x in (point.beta, point.gamma, point.value))
+    assert got == PINNED_SOLVES[vector, kind, side]
+
+
+def test_golden_section_values_come_from_the_inner_solve(monkeypatch):
+    # each h-evaluation whose inner solve stops on root_tol reuses that pass's u,
+    # so dual_objective is left to the fallback and the rare non-certified exit
+    calls = []
+    objective = dro.dual_objective
+
+    def counted(*args):
+        calls.append(args[1:])
+        return objective(*args)
+
+    monkeypatch.setattr(dro, "dual_objective", counted)
+    for z, eps in _pinned_vectors().values():
+        for kind in ALL_KINDS:
+            robust_risk_dual(z, kind, eps)
+            optimistic_risk_dual(z, kind, eps)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_solve_allocates_one_workspace_and_frees_it(kind):
+    # three rows of len(z) floats (u and the two scratch rows); no pass allocates
+    n = 100_000
+    z = np.random.default_rng(2022).normal(size=n)
+    tracemalloc.start()
+    try:
+        robust_risk_dual(z, kind, 0.05)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + 65536
+    assert left <= 65536

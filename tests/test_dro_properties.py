@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize as sp_optimize
 
-from cfdro.divergences import DivergenceKind
+from cfdro.divergences import DivergenceKind, curvature_at_one
 from cfdro.dro import kl_reduced_dual, optimistic_risk_dual, robust_risk_dual
 
 ALL_KINDS = list(DivergenceKind)
@@ -64,6 +64,36 @@ def test_optimistic_mean_robust_sandwich(kind, z, eps):
     mean = float(z.mean())
     assert optimistic_risk_dual(z, kind, eps).value <= mean + 1e-9
     assert mean <= robust(z, kind, eps) + 1e-9
+
+
+# Cressie-Read index k of each generator (phi = f_k up to a constant factor)
+CRESSIE_READ_INDEX = {
+    DivergenceKind.CHI_SQUARE: 2.0, DivergenceKind.KL: 1.0,
+    DivergenceKind.BURG: 0.0, DivergenceKind.HELLINGER: 0.5,
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(z=costs, delta=st.floats(1e-2, 0.1))
+def test_small_radius_limit_is_the_mean(kind, z, delta):
+    # Both risks tend to the mean as eps -> 0, along
+    #   robust - mean = mean - optimistic = sqrt(2 eps / phi''(1)) std(z) (1 + r).
+    # Expanding phi to third order gives r = (k - 2) / 6 sqrt(2 eps / phi''(1)) skew(z) + O(eps),
+    # with k the Cressie-Read index (r = 0 exactly for chi-square).  Since
+    # |skew| <= max|z - mean| / std, choosing eps so that
+    #   delta = sqrt(2 eps / phi''(1)) max|z - mean| / std
+    # bounds the first-order term by (2 - k) / 6 delta; delta^2 covers the rest, whose
+    # coefficient stays below 0.01 on such vectors, and the solver's error.
+    std = float(z.std())
+    assume(std > 1e-3)
+    mean = float(z.mean())
+    spread = float(np.max(np.abs(z - mean))) / std
+    eps = curvature_at_one(kind) / 2.0 * (delta / spread) ** 2
+    first_order = delta * std / spread  # sqrt(2 eps / phi''(1)) std(z)
+    bound = (2.0 - CRESSIE_READ_INDEX[kind]) / 6.0 * delta + delta**2
+    assert abs((robust(z, kind, eps) - mean) / first_order - 1.0) <= bound
+    assert abs((mean - optimistic_risk_dual(z, kind, eps).value) / first_order - 1.0) <= bound
 
 
 @properties

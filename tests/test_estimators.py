@@ -218,6 +218,25 @@ class TestLogTrickBound:
         assert all(b >= a - 1e-12 for a, b in zip(gaps[:-1], gaps[1:]))
         assert gaps[0] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("weight_clip", [None, 1.5])
+    def test_scores_each_policy_once(self, action_dependent_env, monkeypatch, weight_clip):
+        # the anchor's log-probabilities give both its weights and the log-ratio
+        env = action_dependent_env
+        log = env.sample_log(30, np.random.default_rng(17))
+        anchor = env.target_policy
+        candidate = _perturbed(anchor, 0.3, np.random.default_rng(18))
+        scored = []
+        log_prob = LinearPolicy.log_prob
+
+        def counted(self, *args):
+            scored.append(self)
+            return log_prob(self, *args)
+
+        monkeypatch.setattr(LinearPolicy, "log_prob", counted)
+        log_trick_upper_bound(log, candidate, anchor, weight_clip)
+        assert len(scored) == 2
+        assert {id(p) for p in scored} == {id(candidate), id(anchor)}
+
 
 def test_weight_clipping_applies_uniformly(action_dependent_env):
     env = action_dependent_env

@@ -423,3 +423,23 @@ def test_one_kernel_call_per_batch_evaluation(monkeypatch, trainer):
         train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config, outer_iters=2)
     assert len(per_evaluation) >= 5
     assert set(per_evaluation) == {(1, 1)}
+
+
+def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
+    # every outer step's surrogate reuses the matrix of the run's exact-risk builder
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)))
+    log = collect_bandit_log(dataset, policy0, 2, seed=4)
+    built = []
+    with_bias = optimize._with_bias
+
+    def counted(features):
+        built.append(features is log.features)
+        return with_bias(features)
+
+    monkeypatch.setattr(optimize, "_with_bias", counted)
+    _, report = train_log_trick(
+        log, DivergenceKind.CHI_SQUARE, 0.05, policy0, OptimizerConfig(max_iters=5), outer_iters=4
+    )
+    assert len(report.trajectory) == 5  # the exact risk at the start and after 4 outer steps
+    assert built == [True]
