@@ -69,6 +69,28 @@ def _load_dataset(path: str):
     return parse_libsvm_multilabel(target)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _comma_list(item):
+    """argparse type: a non-empty comma-separated list, each token read by ``item``."""
+
+    def parse(text: str) -> list:
+        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        if not tokens:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        try:
+            return [item(tok) for tok in tokens]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value in {text!r}: {exc}") from exc
+
+    return parse
+
+
 def _parse_divergences(names: str):
     if names.strip().lower() == "all":
         return list(DivergenceKind)
@@ -97,6 +119,21 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+_SPLIT_FRACTIONS = ("train_frac", "validation_frac", "test_frac", "logging_frac")
+_OPTIMIZER_FLAGS = ("mode", "max_iters", "batch_size", "step_size")
+
+
+def _fit_logging_policy(rows, action_space: str, temperature: float) -> LinearPolicy:
+    config = LoggingPolicyConfig(action_space=action_space, temperature=temperature)
+    return train_logging_policy(rows, config)
+
+
+def _split_and_fit(dataset, spec: SplitSpec, action_space: str, temperature: float):
+    """``(splits, policy0)``: the seeded splits and the logging policy fitted on their logging rows."""
+    splits = split_dataset(dataset, spec)
+    return splits, _fit_logging_policy(splits.logging, action_space, temperature)
+
+
 # ----------------------------------------------------------------------
 # convert
 # ----------------------------------------------------------------------
@@ -105,20 +142,8 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_convert(args) -> int:
     seed = _resolve_seed(args.seed)
     dataset = _load_dataset(args.data)
-    spec = SplitSpec(
-        train_frac=args.train_frac,
-        validation_frac=args.validation_frac,
-        test_frac=args.test_frac,
-        logging_frac=args.logging_frac,
-        seed=seed,
-    )
-    if args.replay_count < 1:
-        raise _CliError("replay count must be a positive integer")
-    splits = split_dataset(dataset, spec)
-    policy0 = train_logging_policy(
-        splits.logging,
-        LoggingPolicyConfig(action_space=args.action_space, temperature=args.temperature),
-    )
+    spec = SplitSpec(seed=seed, **{key: getattr(args, key) for key in _SPLIT_FRACTIONS})
+    splits, policy0 = _split_and_fit(dataset, spec, args.action_space, args.temperature)
     log = collect_bandit_log(splits.train, policy0, args.replay_count, seed=seed + 1)
     out = _prepare_out_dir(args.output_dir)
     write_bandit_log(log, out / "bandit_log.jsonl")
@@ -177,23 +202,24 @@ def cmd_evaluate(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _run_algorithm(algo, mode, variant, train_log, val_log, policy0, delta, lambda_grid, opt_config):
+def _run_algorithm(algo, args, train_log, val_log, policy0, opt_config):
     """Train one algorithm on one repetition's logs; returns the final policy."""
     if algo == "ips":
         policy, _ = train_poem(train_log, 0.0, policy0, opt_config)
         return policy
     if algo == "poem":
         best = None
-        for lam in lambda_grid:
+        for lam in args["lambda_grid"]:
             candidate, _ = train_poem(train_log, lam, policy0, opt_config)
             score = ips_risk(val_log, candidate)
             if best is None or score < best[0]:
                 best = (score, candidate)
         return best[1]
     kind = DivergenceKind.from_name(algo.split("-", 1)[1])
-    if variant == "cv":
+    delta = args["delta"]
+    if args["variant"] == "cv":
         policy, _ = train_dro(train_log, kind, delta, policy0, opt_config, rho="mean")
-    elif variant == "logtrick":
+    elif args["variant"] == "logtrick":
         policy, _ = train_log_trick(train_log, kind, delta, policy0, opt_config)
     else:
         policy, _ = train_dro(train_log, kind, delta, policy0, opt_config)
@@ -201,43 +227,25 @@ def _run_algorithm(algo, mode, variant, train_log, val_log, policy0, delta, lamb
 
 
 def _optimize_one_rep(payload):
-    """Worker for one repetition; top-level so it can cross a process boundary."""
-    dataset = payload["dataset"]
+    """Worker for one repetition; top-level so it can cross a process boundary.
+
+    ``payload["args"]`` maps the optimize flags, by their argparse names, to
+    their resolved values; ``payload["rep_seed"]`` seeds the repetition.
+    """
     args = payload["args"]
-    rep = payload["rep"]
     rep_seed = payload["rep_seed"]
-    spec = SplitSpec(
-        train_frac=args["train_frac"],
-        validation_frac=args["validation_frac"],
-        test_frac=args["test_frac"],
-        logging_frac=args["logging_frac"],
-        seed=rep_seed,
-    )
-    splits = split_dataset(dataset, spec)
-    policy0 = train_logging_policy(
-        splits.logging,
-        LoggingPolicyConfig(action_space=args["action_space"], temperature=args["temperature"]),
-    )
+    spec = SplitSpec(seed=rep_seed, **{key: args[key] for key in _SPLIT_FRACTIONS})
+    splits, policy0 = _split_and_fit(payload["dataset"], spec, args["action_space"], args["temperature"])
     train_log = collect_bandit_log(splits.train, policy0, args["replay_count"], seed=rep_seed + 1)
     val_log = collect_bandit_log(splits.validation, policy0, args["replay_count"], seed=rep_seed + 2)
-    mode = args["mode"]
-    opt_config = OptimizerConfig(
-        mode=mode,
-        max_iters=args["max_iters"],
-        batch_size=args["batch_size"],
-        step_size=args["step_size"],
-        seed=rep_seed,
-    )
+    opt_config = OptimizerConfig(seed=rep_seed, **{key: args[key] for key in _OPTIMIZER_FLAGS})
     results = []
     for algo in args["algos"]:
-        policy = _run_algorithm(
-            algo, mode, args["variant"], train_log, val_log, policy0,
-            args["delta"], args["lambda_grid"], opt_config,
-        )
+        policy = _run_algorithm(algo, args, train_log, val_log, policy0, opt_config)
         results.append(
             {
                 "algorithm": algo,
-                "repetition": rep,
+                "repetition": payload["rep"],
                 "risk": true_risk(policy, splits.test),
                 "greedy_risk": greedy_risk(policy, splits.test),
             }
@@ -246,45 +254,25 @@ def _optimize_one_rep(payload):
 
 
 def cmd_optimize(args) -> int:
-    seed = _resolve_seed(args.seed)
     if not 0 < args.delta < 1:
         raise _CliError("delta must lie in (0, 1)")
-    if args.repetitions < 1:
-        raise _CliError("repetitions must be positive")
-    dataset = _load_dataset(args.data)
-    algos = [token.strip() for token in args.algos.split(",") if token.strip()]
-    for algo in algos:
+    for algo in args.algos:
         if algo not in _ALGO_CHOICES:
             raise _CliError(f"unknown algorithm {algo!r}; choose from {', '.join(_ALGO_CHOICES)}")
-    try:
-        lambda_grid = [float(tok) for tok in args.lambda_grid.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _CliError(f"bad lambda grid: {args.lambda_grid}") from exc
-    max_iters = args.max_iters if args.max_iters else (5000 if args.mode == "stochastic" else 300)
-    shared = {
-        "train_frac": args.train_frac,
-        "validation_frac": args.validation_frac,
-        "test_frac": args.test_frac,
-        "logging_frac": args.logging_frac,
-        "action_space": args.action_space,
-        "temperature": args.temperature,
-        "replay_count": args.replay_count,
-        "mode": args.mode,
-        "variant": args.variant,
-        "delta": args.delta,
-        "lambda_grid": lambda_grid,
-        "algos": algos,
-        "max_iters": max_iters,
-        "batch_size": args.batch_size,
-        "step_size": args.step_size,
-    }
-    rep_seeds = [seed + 1000 * rep for rep in range(args.repetitions)]
+    # The workers' input and config.json are this one mapping, so they cannot drift apart.
+    run = {key: value for key, value in vars(args).items() if key not in ("func", "output_dir")}
+    run["seed"] = seed = _resolve_seed(args.seed)
+    if args.max_iters is None:
+        run["max_iters"] = 5000 if args.mode == "stochastic" else 300
+    dataset = _load_dataset(args.data)
     payloads = [
-        {"dataset": dataset, "args": shared, "rep": rep, "rep_seed": rep_seeds[rep]}
+        {"dataset": dataset, "args": run, "rep": rep, "rep_seed": seed + 1000 * rep}
         for rep in range(args.repetitions)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at the first submit, so it never gets more than there is work.
+    workers = min(args.jobs, args.repetitions)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_optimize_one_rep, payloads))
     else:
         per_rep = [_optimize_one_rep(p) for p in payloads]
@@ -296,7 +284,7 @@ def cmd_optimize(args) -> int:
         [[r["algorithm"], r["repetition"], repr(r["risk"]), repr(r["greedy_risk"])] for r in detail_rows],
     )
     summary_rows = []
-    for algo in algos:
+    for algo in args.algos:
         risks = np.array([r["risk"] for r in detail_rows if r["algorithm"] == algo])
         greedy = np.array([r["greedy_risk"] for r in detail_rows if r["algorithm"] == algo])
         risk_std = risks.std(ddof=1) if risks.size > 1 else 0.0
@@ -312,8 +300,7 @@ def cmd_optimize(args) -> int:
          "risk_mean", "risk_std", "greedy_risk_mean", "greedy_risk_std"],
         summary_rows,
     )
-    _write_config(out, {"command": "optimize", "seed": seed, **shared, "data": args.data,
-                        "repetitions": args.repetitions, "jobs": args.jobs})
+    _write_config(out, run)
     for row in summary_rows:
         print(f"{row[0]}: risk {float(row[4]):.4f} ({float(row[5]):.4f}) "
               f"greedy {float(row[6]):.4f} ({float(row[7]):.4f})")
@@ -329,39 +316,23 @@ def cmd_coverage(args) -> int:
     seed = _resolve_seed(args.seed)
     if not 0 < args.delta < 1:
         raise _CliError("delta must lie in (0, 1)")
-    if args.replications < 1:
-        raise _CliError("replications must be positive")
-    try:
-        replay_counts = [int(tok) for tok in args.replay_counts.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _CliError(f"bad replay counts: {args.replay_counts}") from exc
-    if not replay_counts or min(replay_counts) < 1:
-        raise _CliError("replay counts must be positive integers")
     dataset = _load_dataset(args.data)
     kinds = _parse_divergences(args.divergence)
-    spec = SplitSpec(seed=seed)
-    splits = split_dataset(dataset, spec)
-    policy0 = train_logging_policy(
-        splits.logging, LoggingPolicyConfig(action_space=args.action_space, temperature=2.0)
-    )
+    splits, policy0 = _split_and_fit(dataset, SplitSpec(seed=seed), args.action_space, 2.0)
     # The evaluated policy controls how hard the study is: far-from-logging
     # policies have heavy-tailed weights and need much larger logs before
     # the asymptotic interval covers.  The default is a perturbed incumbent,
     # the regime the intervals are designed for (offline A/B comparison).
+    rng = np.random.default_rng(seed + 17)
     if args.target_policy is not None:
         target = load_policy(args.target_policy)
     elif args.target_subset_frac is not None:
         if not 0 < args.target_subset_frac <= 1:
             raise _CliError("target-subset-frac must lie in (0, 1]")
-        rng = np.random.default_rng(seed + 17)
         size = max(1, int(round(args.target_subset_frac * splits.train.n_rows)))
         idx = rng.choice(splits.train.n_rows, size=size, replace=False)
-        target = train_logging_policy(
-            splits.train.subset(idx),
-            LoggingPolicyConfig(action_space=args.action_space, temperature=2.0),
-        )
+        target = _fit_logging_policy(splits.train.subset(idx), args.action_space, 2.0)
     else:
-        rng = np.random.default_rng(seed + 17)
         target = LinearPolicy(
             theta=policy0.theta
             + args.target_perturbation * rng.normal(size=policy0.theta.shape),
@@ -375,14 +346,14 @@ def cmd_coverage(args) -> int:
         replications=args.replications,
         delta=args.delta,
         kinds=kinds,
-        replay_counts=replay_counts,
+        replay_counts=args.replay_counts,
         seed=seed,
     )
     out = _prepare_out_dir(args.output_dir)
     write_coverage_csv(rows, out / "coverage.csv")
     _write_config(
         out,
-        {"command": "coverage", "data": args.data, "replay_counts": replay_counts,
+        {"command": "coverage", "data": args.data, "replay_counts": args.replay_counts,
          "replications": args.replications, "delta": args.delta, "seed": seed,
          "divergence": args.divergence, "action_space": args.action_space},
     )
@@ -421,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_convert.add_argument("--data", required=True,
                            help=f"LibSVM multilabel file, or '{_BUNDLED_SYNTHETIC}'")
     p_convert.add_argument("--output-dir", required=True)
-    p_convert.add_argument("-P", "--replay-count", type=int, default=4)
+    p_convert.add_argument("-P", "--replay-count", type=_positive_int, default=4)
     _add_split_flags(p_convert)
     p_convert.add_argument("--seed", type=int, default=None)
     p_convert.set_defaults(func=cmd_convert)
@@ -440,18 +411,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="train policies and report test risks")
     p_opt.add_argument("--data", required=True)
     p_opt.add_argument("--output-dir", required=True)
-    p_opt.add_argument("--algos", default="dro-chi2",
+    p_opt.add_argument("--algos", type=_comma_list(str), default="dro-chi2",
                        help=f"comma list from: {', '.join(_ALGO_CHOICES)}")
     p_opt.add_argument("--mode", choices=("batch", "stochastic"), default="batch")
     p_opt.add_argument("--variant", choices=("plain", "cv", "logtrick"), default="plain")
-    p_opt.add_argument("--repetitions", type=int, default=20)
-    p_opt.add_argument("-P", "--replay-count", type=int, default=4)
+    p_opt.add_argument("--repetitions", type=_positive_int, default=20)
+    p_opt.add_argument("-P", "--replay-count", type=_positive_int, default=4)
     p_opt.add_argument("--delta", type=float, default=0.05)
-    p_opt.add_argument("--lambda-grid", default=_DEFAULT_LAMBDA_GRID)
-    p_opt.add_argument("--max-iters", type=int, default=None)
+    p_opt.add_argument("--lambda-grid", type=_comma_list(float), default=_DEFAULT_LAMBDA_GRID)
+    p_opt.add_argument("--max-iters", type=_positive_int, default=None)
     p_opt.add_argument("--batch-size", type=int, default=64)
     p_opt.add_argument("--step-size", type=float, default=0.05)
-    p_opt.add_argument("--jobs", type=int, default=1)
+    p_opt.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes, at most one per repetition")
     _add_split_flags(p_opt)
     p_opt.add_argument("--seed", type=int, default=None)
     p_opt.set_defaults(func=cmd_optimize)
@@ -459,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("coverage", help="interval coverage study over regenerated logs")
     p_cov.add_argument("--data", required=True)
     p_cov.add_argument("--output-dir", required=True)
-    p_cov.add_argument("--replay-counts", default="1,2,4")
-    p_cov.add_argument("--replications", "-R", type=int, default=20)
+    p_cov.add_argument("--replay-counts", type=_comma_list(_positive_int), default="1,2,4")
+    p_cov.add_argument("--replications", "-R", type=_positive_int, default=20)
     p_cov.add_argument("--delta", type=float, default=0.05)
     p_cov.add_argument("--divergence", default="all")
     p_cov.add_argument("--action-space", choices=("factorized", "multiclass"),
@@ -481,10 +453,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (_CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

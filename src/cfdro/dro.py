@@ -40,7 +40,7 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from .divergences import _GENERATORS, DivergenceKind
-from .estimators import BanditLog, WeightedCosts, _check_policy_matches
+from .estimators import BanditLog, WeightedCosts, _check_policy_matches, _weighted_by
 from .policies import LinearPolicy, _with_bias
 
 __all__ = [
@@ -497,7 +497,7 @@ def dual_gradient_policy(
     _check_policy_matches(log, policy)
     xb = _with_bias(log.features)
     logp, resid = policy.log_prob_and_residual(xb, log.actions)
-    z = np.exp(logp - np.log(log.propensities)) * log.costs
+    z = _weighted_by(log, logp, None).values
     d1, g_beta, g_gamma = _exact_partials(z, kind, epsilon, beta, gamma)
     g_theta = policy.score_gradient(xb, resid, d1 * z) / log.n
     return g_beta, g_gamma, g_theta

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .divergences import DivergenceKind, curvature_at_one
-from .dro import DualSolverOptions, optimistic_risk_dual, robust_risk_dual
+from .dro import optimistic_risk_dual, robust_risk_dual
 from .estimators import BanditLog, WeightedCosts, importance_weights
 from .policies import LinearPolicy
 
@@ -111,19 +111,18 @@ def dro_interval(
     kind: DivergenceKind,
     delta: float,
     weight_clip: Optional[float] = None,
-    options: Optional[DualSolverOptions] = None,
 ) -> RiskInterval:
     """Asymptotic interval ``[optimistic, robust]`` at the calibrated radius."""
-    return _dro_bounds(importance_weights(log, policy, weight_clip), kind, delta, options)
+    return _dro_bounds(importance_weights(log, policy, weight_clip), kind, delta)
 
 
-def _dro_bounds(z: WeightedCosts, kind: DivergenceKind, delta: float, options) -> RiskInterval:
+def _dro_bounds(z: WeightedCosts, kind: DivergenceKind, delta: float) -> RiskInterval:
     n = len(z)
     if n < 2:
         raise ValueError("the interval needs at least 2 records")
     eps = calibrated_radius(kind, delta, n)
-    lower = optimistic_risk_dual(z, kind, eps, options).value
-    upper = robust_risk_dual(z, kind, eps, options).value
+    lower = optimistic_risk_dual(z, kind, eps).value
+    upper = robust_risk_dual(z, kind, eps).value
     return RiskInterval(lower=lower, upper=upper, delta=delta, method=f"dro-{kind.value}", n=n)
 
 
@@ -198,11 +197,10 @@ def risk_intervals(
     kinds: Sequence[DivergenceKind],
     delta: float,
     weight_bound: Optional[float] = None,
-    options: Optional[DualSolverOptions] = None,
 ) -> "list[RiskInterval]":
     """The DRO interval of each kind, then Hoeffding and Bernstein, from one weights pass."""
     z = importance_weights(log, policy)
-    intervals = [_dro_bounds(z, kind, delta, options) for kind in kinds]
+    intervals = [_dro_bounds(z, kind, delta) for kind in kinds]
     return intervals + [fn(z.values, delta, weight_bound) for fn in (_hoeffding_bounds, _bernstein_bounds)]
 
 
@@ -240,7 +238,6 @@ def coverage_experiment(
     replay_counts: Optional[Sequence[int]] = None,
     weight_bound: Optional[float] = None,
     seed: int = 0,
-    solver_options: Optional[DualSolverOptions] = None,
 ) -> "list[CoverageRow]":
     """Repeatedly regenerate logs and record interval coverage of the exact risk.
 
@@ -272,7 +269,7 @@ def coverage_experiment(
             else:
                 log = collect_bandit_log(dataset, logging_policy, size, seed=child)
             truth = float(log.cost_scale.apply(raw_risk))
-            intervals = risk_intervals(log, policy, kinds, delta, weight_bound, solver_options)
+            intervals = risk_intervals(log, policy, kinds, delta, weight_bound)
             for iv, kind in zip(intervals, [k.value for k in kinds] + ["", ""]):
                 method = "dro" if kind else iv.method
                 rows.append(

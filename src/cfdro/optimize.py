@@ -29,7 +29,7 @@ from scipy import optimize as sp_optimize
 
 from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _robust_value_grads, robust_risk_dual
-from .estimators import BanditLog, estimate_rho
+from .estimators import BanditLog, _weighted_by, estimate_rho
 from .intervals import calibrated_radius
 from .policies import LinearPolicy, _with_bias
 
@@ -147,10 +147,10 @@ def _log_trick_costs(log: BanditLog, anchor: LinearPolicy, xb: np.ndarray):
 
     ``xb`` is ``_with_bias(log.features)``, built once per training run.
     """
-    anchor_lp = anchor.log_prob(log.features, log.actions)
+    anchor_lp = anchor._log_prob_of(anchor._log_scores(xb), log.actions)
     if np.any(np.isneginf(anchor_lp)):
         raise ValueError("anchor policy must have positive probability on logged actions")
-    w0c = np.exp(anchor_lp - np.log(log.propensities)) * log.costs
+    w0c = _weighted_by(log, anchor_lp, None).values
 
     def build(policy: LinearPolicy, xb, acts, lp_a, coef):
         logp, resid = policy.log_prob_and_residual(xb, acts)

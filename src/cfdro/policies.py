@@ -186,10 +186,6 @@ class LinearPolicy:
         out = self._log_prob_of(self._log_scores(_with_bias(x)), actions)
         return float(out[0]) if single else out
 
-    def action_prob(self, x: np.ndarray, action) -> float:
-        """Probability of one action in one context."""
-        return float(np.exp(self.log_prob(x, action)))
-
     def class_probabilities(self, x: np.ndarray) -> np.ndarray:
         """Softmax probabilities over actions (multiclass spaces only)."""
         if not isinstance(self.action_space, Multiclass):
@@ -247,19 +243,9 @@ class LinearPolicy:
         # which is the lexicographically smallest action
         return (self.label_probabilities(xs) > 0.5).astype(np.int8)
 
-    def greedy_action(self, x: np.ndarray):
-        out = self.greedy_actions(np.atleast_2d(np.asarray(x, dtype=float)))
-        if isinstance(self.action_space, Multiclass):
-            return int(out[0])
-        return out[0]
-
     # ------------------------------------------------------------------
     # gradients
     # ------------------------------------------------------------------
-
-    def grad_log_prob(self, x: np.ndarray, action) -> np.ndarray:
-        """Gradient of ``log pi(action | x)`` w.r.t. ``theta``, shape ``(d + 1, n_logits)``."""
-        return self.weighted_grad_log_prob_sum(x, [action], [1.0])
 
     def weighted_grad_log_prob_sum(
         self, x: np.ndarray, actions, coefficients: np.ndarray

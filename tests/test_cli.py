@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cfdro import cli
 from cfdro.cli import main
 from cfdro.data import read_bandit_log, write_bandit_log
 from cfdro.estimators import BanditLog, CostScale
@@ -213,6 +214,60 @@ class TestOptimize:
             ])
             assert code == 0
             assert np.isfinite(float(read_csv(out / "summary.csv")[0]["risk_mean"]))
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--algos", "poem", "--lambda-grid", ","], "--lambda-grid"),
+        (["--max-iters", "0"], "--max-iters"),
+        (["--jobs", "0"], "--jobs"),
+        (["--jobs", "-2"], "--jobs"),
+        (["--algos", ","], "--algos"),
+    ])
+    def test_bad_flag_values_are_validation_errors(self, tmp_path, capsys, flags, named):
+        code = main([
+            "optimize", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
+            "--algos", "ips", "--repetitions", "1", "--max-iters", "5", *flags,
+        ])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_worker_pool_is_capped_at_the_repetitions(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert main([
+            "optimize", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
+            "--algos", "ips", "--repetitions", "2", "--max-iters", "5", "--jobs", "8",
+        ]) == 0
+        assert sizes == [2]
+
+    def test_config_holds_exactly_the_resolved_flags(self, tmp_path):
+        out = tmp_path / "opt"
+        assert main([
+            "optimize", "--data", "bundled:synthetic", "--output-dir", str(out),
+            "--algos", "ips", "--repetitions", "1", "--seed", "6",
+        ]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert set(config) == {
+            "action_space", "algos", "artifact_version", "batch_size", "command", "data",
+            "delta", "jobs", "lambda_grid", "logging_frac", "max_iters", "mode",
+            "replay_count", "repetitions", "seed", "step_size", "temperature", "test_frac",
+            "train_frac", "validation_frac", "variant",
+        }
+        assert config["max_iters"] == 300 and config["seed"] == 6 and config["algos"] == ["ips"]
 
     def test_parallel_jobs_match_the_serial_run(self, tmp_path):
         results = []

@@ -285,7 +285,8 @@ class TestDualGradient:
         _, _, g_theta = dual_gradient_policy(log, matching, kind, eps, beta, gamma)
         d1 = np.asarray(conjugate_derivative(kind, (wc.values - beta) / gamma))
         manual = sum(
-            d1[i] * wc.values[i] * matching.grad_log_prob(log.features[i], int(log.actions[i]))
+            d1[i] * wc.values[i]
+            * matching.weighted_grad_log_prob_sum(log.features[i], [int(log.actions[i])], [1.0])
             for i in range(log.n)
         ) / log.n
         np.testing.assert_allclose(g_theta, manual, atol=1e-12)

@@ -443,3 +443,24 @@ def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
     )
     assert len(report.trajectory) == 5  # the exact risk at the start and after 4 outer steps
     assert built == [True]
+
+
+def test_log_trick_scores_the_anchor_on_the_runs_matrix(monkeypatch):
+    # each outer step scores its anchor on the bias-augmented matrix built once
+    # per run, never through the public log_prob and its own hstack
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)))
+    log = collect_bandit_log(dataset, policy0, 2, seed=4)
+    calls = []
+    log_prob = LinearPolicy.log_prob
+
+    def counted(self, *args):
+        calls.append(1)
+        return log_prob(self, *args)
+
+    monkeypatch.setattr(LinearPolicy, "log_prob", counted)
+    _, report = train_log_trick(
+        log, DivergenceKind.CHI_SQUARE, 0.05, policy0, OptimizerConfig(max_iters=5), outer_iters=4
+    )
+    assert len(report.trajectory) == 5
+    assert calls == []

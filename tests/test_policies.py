@@ -34,11 +34,11 @@ def test_zero_parameters_give_uniform_probabilities():
     x = np.array([0.3, -1.0, 2.0])
     pol = uniform_policy(Multiclass(4))
     for a in range(4):
-        assert pol.action_prob(x, a) == pytest.approx(0.25, abs=1e-12)
+        assert np.exp(pol.log_prob(x, a)) == pytest.approx(0.25, abs=1e-12)
     fac = uniform_policy(FactorizedLabels(3))
     bits = action_bitvectors(3)
     for row in bits:
-        assert fac.action_prob(x, row) == pytest.approx(0.125, abs=1e-12)
+        assert np.exp(fac.log_prob(x, row)) == pytest.approx(0.125, abs=1e-12)
 
 
 @pytest.mark.parametrize("space", [Multiclass(5), FactorizedLabels(4)])
@@ -91,14 +91,16 @@ def test_sampling_is_deterministic_given_the_seed():
 
 def test_greedy_action_tie_rule_and_argmax():
     pol = uniform_policy(Multiclass(4))
-    assert pol.greedy_action(np.zeros(3)) == 0  # exact tie resolves to the lowest id
+    # exact tie resolves to the lowest id
+    assert pol.greedy_actions(np.atleast_2d(np.zeros(3)))[0] == 0
     fac = uniform_policy(FactorizedLabels(3))
-    np.testing.assert_array_equal(fac.greedy_action(np.zeros(3)), [0, 0, 0])
+    np.testing.assert_array_equal(fac.greedy_actions(np.atleast_2d(np.zeros(3)))[0], [0, 0, 0])
     rng = np.random.default_rng(4)
     rand = random_policy(Multiclass(6), 3, rng)
     for _ in range(20):
         x = rng.normal(size=3)
-        assert rand.greedy_action(x) == int(np.argmax(rand.joint_action_probabilities(x)))
+        greedy = rand.greedy_actions(np.atleast_2d(x))[0]
+        assert greedy == int(np.argmax(rand.joint_action_probabilities(x)))
 
 
 def test_greedy_action_invariant_to_temperature():
@@ -107,7 +109,7 @@ def test_greedy_action_invariant_to_temperature():
     hot = replace(pol, temperature=10.0)
     for _ in range(20):
         x = rng.normal(size=3)
-        assert pol.greedy_action(x) == hot.greedy_action(x)
+        assert pol.greedy_actions(np.atleast_2d(x))[0] == hot.greedy_actions(np.atleast_2d(x))[0]
 
 
 @pytest.mark.parametrize("space", [Multiclass(4), FactorizedLabels(3)])
@@ -116,7 +118,7 @@ def test_grad_log_prob_matches_finite_differences(space):
     pol = random_policy(space, 3, rng, scale=0.7)
     x = rng.normal(size=3)
     action = 2 if isinstance(space, Multiclass) else np.array([1, 0, 1], dtype=np.int8)
-    grad = pol.grad_log_prob(x, action)
+    grad = pol.weighted_grad_log_prob_sum(x, [action], [1.0])
     h = 1e-6
     for i in range(pol.theta.shape[0]):
         for j in range(pol.theta.shape[1]):
@@ -134,7 +136,9 @@ def test_grad_log_prob_matches_finite_differences(space):
 def test_softmax_score_identity_at_zero():
     pol = uniform_policy(Multiclass(4))
     x = np.array([0.5, -1.0, 0.25])
-    total = sum(pol.action_prob(x, a) * pol.grad_log_prob(x, a) for a in range(4))
+    total = sum(
+        np.exp(pol.log_prob(x, a)) * pol.weighted_grad_log_prob_sum(x, [a], [1.0]) for a in range(4)
+    )
     np.testing.assert_allclose(total, 0.0, atol=1e-12)
 
 
@@ -143,7 +147,7 @@ def test_factorized_gradient_is_sum_of_per_label_scores():
     pol = random_policy(FactorizedLabels(3), 2, rng)
     x = rng.normal(size=2)
     bits = np.array([1, 0, 1], dtype=np.int8)
-    grad = pol.grad_log_prob(x, bits)
+    grad = pol.weighted_grad_log_prob_sum(x, [bits], [1.0])
     p = pol.label_probabilities(x)
     xb = np.concatenate([x, [1.0]])
     expected = np.outer(xb, bits - p)
@@ -192,7 +196,9 @@ def test_weighted_grad_sum_matches_loop():
     acts = (rng.random((7, 3)) < 0.5).astype(np.int8)
     coefs = rng.normal(size=7)
     batched = pol.weighted_grad_log_prob_sum(xs, acts, coefs)
-    looped = sum(c * pol.grad_log_prob(x, a) for c, x, a in zip(coefs, xs, acts))
+    looped = sum(
+        c * pol.weighted_grad_log_prob_sum(x, [a], [1.0]) for c, x, a in zip(coefs, xs, acts)
+    )
     np.testing.assert_allclose(batched, looped, atol=1e-10)
 
 
