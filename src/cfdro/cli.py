@@ -95,9 +95,9 @@ def _parse_divergences(names: str):
     if names.strip().lower() == "all":
         return list(DivergenceKind)
     try:
-        return [DivergenceKind.from_name(token) for token in names.split(",") if token.strip()]
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        return _comma_list(DivergenceKind.from_name)(names)
+    except argparse.ArgumentTypeError as exc:
+        raise _CliError(f"argument --divergence: {exc}") from exc
 
 
 def _write_config(out_dir: Path, payload: dict) -> None:
@@ -264,6 +264,8 @@ def cmd_optimize(args) -> int:
     run["seed"] = seed = _resolve_seed(args.seed)
     if args.max_iters is None:
         run["max_iters"] = 5000 if args.mode == "stochastic" else 300
+    # the workers build the same config per repetition; building it here rejects bad flags early
+    OptimizerConfig(seed=seed, **{key: run[key] for key in _OPTIMIZER_FLAGS})
     dataset = _load_dataset(args.data)
     payloads = [
         {"dataset": dataset, "args": run, "rep": rep, "rep_seed": seed + 1000 * rep}
@@ -420,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--delta", type=float, default=0.05)
     p_opt.add_argument("--lambda-grid", type=_comma_list(float), default=_DEFAULT_LAMBDA_GRID)
     p_opt.add_argument("--max-iters", type=_positive_int, default=None)
-    p_opt.add_argument("--batch-size", type=int, default=64)
+    p_opt.add_argument("--batch-size", type=_positive_int, default=64)
     p_opt.add_argument("--step-size", type=float, default=0.05)
     p_opt.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes, at most one per repetition")

@@ -26,7 +26,6 @@ File formats (documented bit-exactly):
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -42,10 +41,10 @@ from .policies import (
     LabeledDataset,
     LinearPolicy,
     Multiclass,
+    _hamming_costs,
     _space_from_dict,
     _space_to_dict,
     _with_bias,
-    action_bitvectors,
 )
 
 __all__ = [
@@ -205,6 +204,12 @@ def split_dataset(dataset: LabeledDataset, spec: SplitSpec) -> DatasetSplits:
     )
 
 
+# the logging-policy fit's L-BFGS-B limits, and its weight decay on all rows but the bias
+_LOGGING_MAX_ITERS = 300
+_LOGGING_TOLERANCE = 1e-8
+_LOGGING_L2 = 1e-4
+
+
 @dataclass(frozen=True)
 class LoggingPolicyConfig:
     """Supervised fit settings for the logging policy.
@@ -214,16 +219,13 @@ class LoggingPolicyConfig:
     """
 
     action_space: str = "factorized"
-    max_iters: int = 300
-    tolerance: float = 1e-8
-    l2: float = 1e-4
     temperature: float = 2.0
 
     def __post_init__(self) -> None:
         if self.action_space not in ("factorized", "multiclass"):
             raise ValueError("action_space must be 'factorized' or 'multiclass'")
-        if self.temperature <= 0 or self.l2 < 0 or self.max_iters < 1:
-            raise ValueError("invalid logging-policy configuration")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
 
 
 def train_logging_policy(
@@ -241,19 +243,10 @@ def train_logging_policy(
         space: ActionSpace = FactorizedLabels(dataset.n_labels)
         targets = dataset.labels.astype(float)
 
-        def objective(flat: np.ndarray):
-            theta = flat.reshape(d1, space.n_logits)
-            scores = xb @ theta
+        def data_term(scores: np.ndarray):
             # mean BCE over all (row, label) cells, in the stable log1p form
             loss = float(np.mean(np.logaddexp(0.0, scores) - targets * scores))
-            grad = xb.T @ (expit(scores) - targets) / (m * space.n_logits)
-            grad_flat = grad.ravel()
-            if config.l2 > 0:
-                loss += 0.5 * config.l2 * float(np.sum(theta[:-1] ** 2))
-                reg = np.zeros_like(theta)
-                reg[:-1] = config.l2 * theta[:-1]
-                grad_flat = grad_flat + reg.ravel()
-            return loss, grad_flat
+            return loss, xb.T @ (expit(scores) - targets) / (m * space.n_logits)
 
     else:
         n_labels = dataset.n_labels
@@ -263,41 +256,29 @@ def train_logging_policy(
         powers = 1 << np.arange(n_labels)
         classes = dataset.labels.astype(int) @ powers
 
-        def objective(flat: np.ndarray):
-            theta = flat.reshape(d1, space.n_logits)
-            scores = xb @ theta
+        def data_term(scores: np.ndarray):
             lse = logsumexp(scores, axis=1)
             loss = float(np.mean(lse - scores[np.arange(m), classes]))
             probs = np.exp(scores - lse[:, None])
             probs[np.arange(m), classes] -= 1.0
-            grad = xb.T @ probs / m
-            grad_flat = grad.ravel()
-            if config.l2 > 0:
-                loss += 0.5 * config.l2 * float(np.sum(theta[:-1] ** 2))
-                reg = np.zeros_like(theta)
-                reg[:-1] = config.l2 * theta[:-1]
-                grad_flat = grad_flat + reg.ravel()
-            return loss, grad_flat
+            return loss, xb.T @ probs / m
+
+    def objective(flat: np.ndarray):
+        theta = flat.reshape(d1, space.n_logits)
+        loss, grad = data_term(xb @ theta)
+        loss += 0.5 * _LOGGING_L2 * float(np.sum(theta[:-1] ** 2))
+        grad[:-1] += _LOGGING_L2 * theta[:-1]
+        return loss, grad.ravel()
 
     result = sp_optimize.minimize(
         objective,
         np.zeros(d1 * space.n_logits),
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": config.max_iters, "ftol": config.tolerance, "gtol": 1e-10},
+        options={"maxiter": _LOGGING_MAX_ITERS, "ftol": _LOGGING_TOLERANCE, "gtol": 1e-10},
     )
     theta = result.x.reshape(d1, space.n_logits)
     return LinearPolicy(theta=theta, action_space=space, temperature=config.temperature)
-
-
-def _hamming_costs(actions, labels: np.ndarray, space: ActionSpace) -> np.ndarray:
-    t = labels.astype(float)
-    if isinstance(space, FactorizedLabels):
-        a = np.asarray(actions, dtype=float)
-        return np.sum(np.abs(a - t), axis=1)
-    bits = action_bitvectors(int(math.log2(space.n_actions))).astype(float)
-    a = bits[np.asarray(actions, dtype=int)]
-    return np.sum(np.abs(a - t), axis=1)
 
 
 def _log_from_rows(
@@ -396,10 +377,14 @@ def read_bandit_log(path) -> BanditLog:
         except KeyError as exc:
             raise ValueError(f"line 1: missing key {exc.args[0]!r}") from exc
         feats, actions, props, raws, scaleds = [], [], [], [], []
+        numeric, numeric_keys = (int, float), ("propensity", "cost_raw", "cost_scaled")  # not bool
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"line {lineno}: the record is not a JSON object")
             try:
@@ -407,12 +392,15 @@ def read_bandit_log(path) -> BanditLog:
                 raw, scaled = record["cost_raw"], record["cost_scaled"]
             except KeyError as exc:
                 raise ValueError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
-            if len(vec) != dim:
+            if not isinstance(vec, list) or len(vec) != dim:
                 raise ValueError(f"line {lineno}: feature dimension mismatch")
+            if not (type(prop) in numeric and type(raw) in numeric and type(scaled) in numeric):
+                key = next(k for k in numeric_keys if type(record[k]) not in numeric)
+                raise ValueError(f"line {lineno}: {key} is not a number")
             if prop <= 0:
                 raise ValueError(f"line {lineno}: nonpositive propensity")
             if isinstance(space, FactorizedLabels):
-                if len(action) != space.n_labels:
+                if not isinstance(action, list) or len(action) != space.n_labels:
                     raise ValueError(f"line {lineno}: action length mismatch")
             feats.append(vec)
             actions.append(action)

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sp_optimize
 
-from .divergences import _GENERATORS, DivergenceKind
+from .divergences import _GENERATORS, DivergenceKind, conjugate_derivative
 from .estimators import BanditLog, WeightedCosts, _check_policy_matches, _weighted_by
 from .policies import LinearPolicy, _with_bias
 
@@ -81,7 +81,7 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class DualSolverOptions:
-    """Tolerances and search limits for the two-dimensional dual solver.
+    """The outer search tolerance of the two-dimensional dual solver.
 
     ``bracket_tol`` is in log-gamma units; the objective error at
     termination is quadratic in it, so the default certifies values to
@@ -89,13 +89,13 @@ class DualSolverOptions:
     """
 
     bracket_tol: float = 1e-4
-    root_tol: float = 1e-12
-    max_iters: int = 200
-    gamma_log_floor: float = -40.0
-    gamma_log_cap: float = 45.0
 
 
-_DEFAULT_OPTIONS = DualSolverOptions()
+# the inner root tolerance, the golden-section cap and the outer log-gamma range
+_ROOT_TOL = 1e-12
+_MAX_ITERS = 200
+_GAMMA_LOG_FLOOR = -40.0
+_GAMMA_LOG_CAP = 45.0
 
 
 def _as_values(z) -> np.ndarray:
@@ -161,11 +161,10 @@ class _ReducedObjective:
     ``np.errstate``, which lets exponential overflow propagate as ``inf``.
     """
 
-    def __init__(self, zv: np.ndarray, kind: DivergenceKind, epsilon: float, opts: DualSolverOptions):
+    def __init__(self, zv: np.ndarray, kind: DivergenceKind, epsilon: float):
         self.zv = zv
         self.gen = _GENERATORS[kind]
         self.epsilon = epsilon
-        self.opts = opts
         self.zmax = float(zv.max())
         self.scale = max(1.0, float(np.max(np.abs(zv))))
         self.std = float(zv.std())
@@ -177,7 +176,7 @@ class _ReducedObjective:
         gamma = math.exp(t)
         beta, at_root = self.solve_beta(gamma, self.warm_beta)
         self.warm_beta = beta
-        # on root_tol the last pass left this beta's u in the workspace
+        # on _ROOT_TOL the last pass left this beta's u in the workspace
         u = self.u if at_root else self._fill_u(beta, gamma)
         return _objective_at(u, self.gen, self.epsilon, beta, gamma, self.rows), beta
 
@@ -195,7 +194,7 @@ class _ReducedObjective:
         Solves the stationarity condition ``mean (phi*)'((z - beta)/gamma) = 1``;
         the left side is nonincreasing in ``beta``, so a bracketing Newton
         iteration is globally safe.  Returns ``beta`` and whether it stopped
-        on ``root_tol``, in which case ``self.u`` holds its ``u``.
+        on ``_ROOT_TOL``, in which case ``self.u`` holds its ``u``.
         """
         zmax = self.zmax
         hi = zmax  # mean derivative <= (phi*)'(0) = 1 here
@@ -216,7 +215,7 @@ class _ReducedObjective:
         beta = warm if warm is not None and lo < warm < hi else 0.5 * (lo + hi)
         for _ in range(100):
             m, md = self._mean_stats(beta, gamma)
-            if abs(m - 1.0) <= self.opts.root_tol:
+            if abs(m - 1.0) <= _ROOT_TOL:
                 return beta, True
             if m > 1.0:
                 lo = beta
@@ -236,18 +235,14 @@ class _ReducedObjective:
         return beta, False
 
 
-def _bracket_and_golden(
-    h: _ReducedObjective, t0: float, opts: DualSolverOptions, floor: Optional[float] = None
-):
+def _bracket_and_golden(h: _ReducedObjective, t0: float, bracket_tol: float, floor: float):
     """Bracket a minimizer of the unimodal ``h`` in log-gamma, then golden-section it.
 
     ``floor`` guards the scale below which the inner location solve loses
     float64 resolution; at a boundary optimum (the reweighting fully
     concentrating) the value there is exact to within ``exp(floor)``.
     """
-    floor = opts.gamma_log_floor if floor is None else floor
-    cap = opts.gamma_log_cap
-    t0 = min(max(t0, floor + 1.0), cap - 1.0)
+    t0 = min(max(t0, floor + 1.0), _GAMMA_LOG_CAP - 1.0)
     v0, _ = h(t0)
     step = 1.0
     t_lo, t_hi = t0 - step, t0 + step
@@ -278,16 +273,16 @@ def _bracket_and_golden(
             t0, v0 = t_hi, v_hi
             step *= 2.0
             t_hi = t0 + step
-            if t_hi > cap:  # pragma: no cover - epsilon > 0 makes h coercive upward
-                t_hi = cap
+            if t_hi > _GAMMA_LOG_CAP:  # pragma: no cover - epsilon > 0 makes h coercive upward
+                t_hi = _GAMMA_LOG_CAP
             v_hi, _ = h(t_hi)
     a, b = t_lo, t_hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     vc, _ = h(c)
     vd, _ = h(d)
-    for _ in range(opts.max_iters):
-        if b - a <= opts.bracket_tol:
+    for _ in range(_MAX_ITERS):
+        if b - a <= bracket_tol:
             break
         if vc < vd:
             b, d, vd = d, c, vc
@@ -362,7 +357,7 @@ def robust_risk_dual(
         certify convergence.  The exception carries the best iterate found.
     """
     zv = _as_values(z)
-    opts = options or _DEFAULT_OPTIONS
+    bracket_tol = (options or DualSolverOptions()).bracket_tol
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     mean = float(zv.mean())
@@ -370,14 +365,14 @@ def robust_risk_dual(
         return DualPoint(beta=mean, gamma=0.0, value=mean)
     if float(np.ptp(zv)) == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)
-    h = _ReducedObjective(zv, kind, epsilon, opts)
+    h = _ReducedObjective(zv, kind, epsilon)
     t0 = math.log(max(h.std, 1e-3))
-    floor = max(math.log(1e-12 * h.scale), opts.gamma_log_floor)
+    floor = max(math.log(1e-12 * h.scale), _GAMMA_LOG_FLOOR)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t_best, beta, value, width = _bracket_and_golden(h, t0, opts, floor=floor)
+        t_best, beta, value, width = _bracket_and_golden(h, t0, bracket_tol, floor)
     gamma = math.exp(t_best)
     point = DualPoint(beta=beta, gamma=gamma, value=value)
-    if math.isfinite(value) and (width <= opts.bracket_tol * 4.0 or t_best <= floor):
+    if math.isfinite(value) and (width <= bracket_tol * 4.0 or t_best <= floor):
         return point
     fallback = _solve_quasi_newton(zv, kind, epsilon, beta, max(gamma, 1e-6))
     if math.isfinite(fallback.value) and fallback.value <= value + 1e-9:
@@ -457,8 +452,13 @@ def _robust_value_grads(kind: DivergenceKind, epsilon: float, z, beta: float, ga
     return value, d1, g_beta, g_gamma
 
 
-def _exact_partials(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float):
-    """``(d1, g_beta, g_gamma)`` strictly inside the domain; raises ``ValueError`` elsewhere."""
+def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float):
+    """Analytic partials of the dual objective with respect to ``beta`` and ``gamma``.
+
+    Requires ``gamma > 0`` and the conjugate arguments strictly inside
+    their domain; a boundary point raises ``ValueError`` so the caller can
+    back off.
+    """
     zv = _as_values(z)
     if gamma <= 0:
         raise ValueError("dual_gradient requires gamma > 0")
@@ -468,16 +468,6 @@ def _exact_partials(z, kind: DivergenceKind, epsilon: float, beta: float, gamma:
     value, d1, g_beta, g_gamma = state
     if not (math.isfinite(value) and np.all(np.isfinite(d1))):
         raise ValueError("gradient is not finite at this point")
-    return d1, g_beta, g_gamma
-
-
-def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float):
-    """Analytic partials of the dual objective with respect to ``beta`` and ``gamma``.
-
-    Requires ``gamma > 0`` and the conjugate arguments strictly inside
-    their domain; a boundary point raises so the caller can back off.
-    """
-    _, g_beta, g_gamma = _exact_partials(z, kind, epsilon, beta, gamma)
     return g_beta, g_gamma
 
 
@@ -498,6 +488,7 @@ def dual_gradient_policy(
     xb = _with_bias(log.features)
     logp, resid = policy.log_prob_and_residual(xb, log.actions)
     z = _weighted_by(log, logp, None).values
-    d1, g_beta, g_gamma = _exact_partials(z, kind, epsilon, beta, gamma)
+    g_beta, g_gamma = dual_gradient(z, kind, epsilon, beta, gamma)
+    d1 = conjugate_derivative(kind, (z - beta) / gamma)
     g_theta = policy.score_gradient(xb, resid, d1 * z) / log.n
     return g_beta, g_gamma, g_theta

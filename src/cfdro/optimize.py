@@ -45,36 +45,36 @@ __all__ = [
 ]
 
 
+_TOLERANCE = 1e-10  # L-BFGS-B ftol
+_STEP_DECAY = 1000.0  # the SGD step size decays as 1 / sqrt(1 + t / _STEP_DECAY)
+_CLIP_NORM = 10.0
+_EVAL_EVERY = 100  # SGD steps between full-log evaluations
+_GAMMA_MIN = 1e-8  # keeps gamma off the dual's nonsmooth boundary at 0
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs shared by all trainers.
 
     ``max_iters`` counts L-BFGS-B iterations in batch mode and SGD steps in
-    stochastic mode; ``tolerance`` applies to L-BFGS-B, the other step and
-    batch settings to the SGD loop.  ``gamma_min`` keeps the dual scale
-    variable away from its nonsmooth boundary during joint optimization.
+    stochastic mode; ``batch_size`` and ``step_size`` apply to the SGD loop,
+    and ``seed`` draws its mini-batches.
     """
 
     mode: str = "batch"
     max_iters: int = 300
-    tolerance: float = 1e-10
     batch_size: int = 64
     step_size: float = 0.05
-    step_decay: float = 1000.0
-    gradient_clip_norm: float = 10.0
     seed: int = 0
-    gamma_min: float = 1e-8
-    eval_every: int = 100
 
     def __post_init__(self) -> None:
         if self.mode not in ("batch", "stochastic"):
             raise ValueError("mode must be 'batch' or 'stochastic'")
-        if self.max_iters < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("iteration counts must be positive")
-        if self.tolerance <= 0 or self.step_size <= 0 or self.step_decay <= 0:
-            raise ValueError("tolerances and steps must be positive")
-        if self.gradient_clip_norm <= 0 or self.gamma_min <= 0:
-            raise ValueError("gradient_clip_norm and gamma_min must be positive")
+        for name in ("max_iters", "batch_size", "step_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig, record):
         jac=True,
         method="L-BFGS-B",
         callback=note,
-        options={"maxiter": config.max_iters, "ftol": config.tolerance, "gtol": 1e-9},
+        options={"maxiter": config.max_iters, "ftol": _TOLERANCE, "gtol": 1e-9},
     )
     return res.x, res.nit, res.status == 0, trajectory
 
@@ -210,9 +210,9 @@ def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, dual
 
     ``gradient(t, w, batch)`` is the step-``t`` gradient on the sliced
     ``rows``, or ``None`` to skip the step (it may adjust ``w`` in place).
-    ``objective(w)`` is the full-log value recorded every ``eval_every``
+    ``objective(w)`` is the full-log value recorded every ``_EVAL_EVERY``
     steps and at the end.  With ``duals`` ``gamma = w[-1]`` is kept at or
-    above ``gamma_min``.
+    above ``_GAMMA_MIN``.
     """
     n = len(rows[0])
     batch_size = min(config.batch_size, n)
@@ -229,7 +229,7 @@ def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, dual
         return value
 
     for t in range(config.max_iters):
-        if t % config.eval_every == 0:
+        if t % _EVAL_EVERY == 0:
             record(t)
         idx = np.arange(n) if batch_size == n else rng.integers(0, n, size=batch_size)
         grad = gradient(t, w, [a[idx] for a in rows])
@@ -237,11 +237,11 @@ def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, dual
             continue
         norm = float(np.linalg.norm(grad))
         last_norm = norm
-        if norm > config.gradient_clip_norm:
-            grad *= config.gradient_clip_norm / norm
-        w -= config.step_size / math.sqrt(1.0 + t / config.step_decay) * grad
+        if norm > _CLIP_NORM:
+            grad *= _CLIP_NORM / norm
+        w -= config.step_size / math.sqrt(1.0 + t / _STEP_DECAY) * grad
         if duals:
-            w[-1] = max(float(w[-1]), config.gamma_min)
+            w[-1] = max(float(w[-1]), _GAMMA_MIN)
 
     final_value = record(config.max_iters)
     dual = DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=final_value) if duals else None
@@ -262,12 +262,12 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     def unpack(w: np.ndarray):
         beta = float(w[-2])
         psi = min(float(w[-1]), 60.0)
-        gamma = config.gamma_min + math.exp(psi)
+        gamma = _GAMMA_MIN + math.exp(psi)
         return w[:-2], beta, psi, gamma
 
     def pack(theta_flat: np.ndarray, point: DualPoint) -> np.ndarray:
-        gamma = max(point.gamma, config.gamma_min * 2.0)
-        return np.concatenate([theta_flat, [point.beta, math.log(gamma - config.gamma_min)]])
+        gamma = max(point.gamma, _GAMMA_MIN * 2.0)
+        return np.concatenate([theta_flat, [point.beta, math.log(gamma - _GAMMA_MIN)]])
 
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
@@ -360,7 +360,7 @@ def train_dro_stochastic(
     cap = _GENERATORS[kind].cap
     point0 = _exact_dual(policy_init, rows, build, kind, eps)
     w0 = np.concatenate(
-        [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, config.gamma_min)]]
+        [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, _GAMMA_MIN)]]
     )
     inflations = 0
 
@@ -512,7 +512,7 @@ def train_log_trick(
         improved = cand_point.value <= current.value + 1e-12
         if improved:
             anchor = candidate
-        stalled = abs(current.value - cand_point.value) <= max(config.tolerance, 1e-12)
+        stalled = abs(current.value - cand_point.value) <= _TOLERANCE
         current = cand_point if improved else current
         if stalled or not improved:
             reached_fixed_point = True

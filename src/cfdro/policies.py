@@ -328,16 +328,18 @@ def greedy_risk(policy: LinearPolicy, dataset: LabeledDataset) -> float:
     Reported alongside :func:`true_risk`; neither dominates the other in
     general, so both are surfaced rather than asserting an ordering.
     """
-    t = dataset.labels.astype(float)
-    if isinstance(policy.action_space, FactorizedLabels):
-        bits = policy.greedy_actions(dataset.features).astype(float)
-    else:
-        n_labels = dataset.n_labels
-        if policy.action_space.n_actions != (1 << n_labels):
-            raise ValueError("multiclass space must enumerate all label bit-vectors")
-        table = action_bitvectors(n_labels).astype(float)
-        bits = table[policy.greedy_actions(dataset.features)]
-    return float(np.sum(np.abs(bits - t), axis=1).mean())
+    space = policy.action_space
+    if isinstance(space, Multiclass) and space.n_actions != (1 << dataset.n_labels):
+        raise ValueError("multiclass space must enumerate all label bit-vectors")
+    actions = policy.greedy_actions(dataset.features)
+    return float(_hamming_costs(actions, dataset.labels, space).mean())
+
+
+def _hamming_costs(actions, labels: np.ndarray, space: ActionSpace) -> np.ndarray:
+    """Per-row Hamming distance between ``actions`` of ``space`` and the 0/1 ``labels`` rows."""
+    if isinstance(space, Multiclass):
+        actions = action_bitvectors(space.n_actions.bit_length() - 1)[np.asarray(actions, dtype=int)]
+    return np.sum(np.abs(np.asarray(actions, dtype=float) - labels.astype(float)), axis=1)
 
 
 _CHECKPOINT_FORMAT = "cfdro-policy"

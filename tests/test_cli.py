@@ -64,6 +64,14 @@ class TestConvert:
         ])
         assert code == 1
 
+    def test_nonpositive_temperature_is_a_validation_error(self, tmp_path, capsys):
+        code = main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
+            "--temperature", "0",
+        ])
+        assert code == 1
+        assert "temperature must be positive" in capsys.readouterr().err
+
 
 def make_constant_cost_artifacts(tmp_path):
     rng = np.random.default_rng(0)
@@ -130,6 +138,38 @@ class TestEvaluate:
         code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
         assert code == 1
         assert f"line {line + 1}: the " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("propensity", None, "propensity"),
+        ("features", 3, "feature"),
+        ("action", 7, "action"),
+        ("cost_raw", None, "cost_raw"),
+        ("cost_scaled", "low", "cost_scaled"),
+        ("propensity", True, "propensity"),
+        (None, "{not json", "Expecting property name enclosed in double quotes (column 2)"),
+    ])
+    def test_malformed_record_is_a_validation_error_with_its_line(
+        self, tmp_path, capsys, key, value, named
+    ):
+        out = tmp_path / "run"
+        assert main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(out), "-P", "1",
+        ]) == 0
+        log_path = out / "bandit_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        if key is None:
+            lines[3] = value
+        else:
+            record = json.loads(lines[3])
+            record[key] = value
+            lines[3] = json.dumps(record)
+        log_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        policy_path = out / "logging_policy.json"
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "line 4: " in err and named in err
 
     def test_single_divergence_selection(self, tmp_path, capsys):
         log_path, policy_path = make_constant_cost_artifacts(tmp_path)
@@ -221,6 +261,8 @@ class TestOptimize:
         (["--jobs", "0"], "--jobs"),
         (["--jobs", "-2"], "--jobs"),
         (["--algos", ","], "--algos"),
+        (["--batch-size", "0"], "--batch-size"),
+        (["--step-size", "-1"], "step_size must be positive"),
     ])
     def test_bad_flag_values_are_validation_errors(self, tmp_path, capsys, flags, named):
         code = main([
@@ -327,6 +369,19 @@ def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch):
         "-P", "1", "--seed", "21",
     ]) == 0
     assert (out_env / "bandit_log.jsonl").read_bytes() == (out_flag / "bandit_log.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "coverage"])
+def test_divergence_list_with_no_names_is_a_validation_error(tmp_path, capsys, command):
+    log_path, policy_path = make_constant_cost_artifacts(tmp_path)
+    inputs = {
+        "evaluate": ["--log", str(log_path), "--policy", str(policy_path)],
+        "coverage": ["--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x")],
+    }
+    code = main([command, *inputs[command], "--divergence", ","])
+    assert code == 1
+    assert "--divergence" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_usage_errors_exit_one():

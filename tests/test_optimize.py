@@ -342,8 +342,8 @@ def test_config_validation():
         OptimizerConfig(mode="annealed")
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gamma_min=0.0)
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        OptimizerConfig(batch_size=0)
 
 
 @pytest.mark.parametrize("trainer", ["poem", "dro"])
