@@ -377,7 +377,8 @@ def read_bandit_log(path) -> BanditLog:
         except KeyError as exc:
             raise ValueError(f"line 1: missing key {exc.args[0]!r}") from exc
         feats, actions, props, raws, scaleds = [], [], [], [], []
-        numeric, numeric_keys = (int, float), ("propensity", "cost_raw", "cost_scaled")  # not bool
+        # exact types, so a JSON true or false is not a number
+        numeric, numeric_keys = (int, float), ("propensity", "cost_raw", "cost_scaled")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
