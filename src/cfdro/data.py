@@ -26,6 +26,8 @@ File formats (documented bit-exactly):
 from __future__ import annotations
 
 import json
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -167,12 +169,10 @@ def parse_libsvm_multilabel(
 def write_libsvm_multilabel(dataset: LabeledDataset, path) -> None:
     """Write a dataset in the multilabel LibSVM text format (nonzero features only)."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for i in range(dataset.n_rows):
-            labs = ",".join(str(j) for j in np.flatnonzero(dataset.labels[i]))
-            feats = " ".join(
-                f"{j + 1}:{float(dataset.features[i, j])!r}"
-                for j in np.flatnonzero(dataset.features[i])
-            )
+        for labels, row in zip(dataset.labels.tolist(), dataset.features.tolist()):
+            labs = ",".join(str(j) for j, bit in enumerate(labels) if bit)
+            # v != 0.0 skips -0.0 too, the rule np.flatnonzero follows
+            feats = " ".join(f"{j}:{v!r}" for j, v in enumerate(row, start=1) if v != 0.0)
             fh.write((labs + " " + feats).strip() + "\n")
 
 
@@ -329,14 +329,32 @@ def sample_bandit_log(
 
 _LOG_FORMAT = "cfdro-banditlog"
 _LOG_VERSION = 1
+_RECORD_KEYS = ("features", "action", "propensity", "cost_raw", "cost_scaled")
+_WRITE_CHUNK = 4096
+
+
+def _shared_rows(features: np.ndarray) -> np.ndarray:
+    """Per row, the index of its group of byte-equal rows if the group has more than one, else -1.
+
+    Rows are compared by their bytes, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    n, d = features.shape
+    if d == 0:
+        return np.full(n, -1)
+    keys = np.ascontiguousarray(features).view(np.dtype((np.void, features.itemsize * d)))
+    _, group, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+    return np.where(counts[group] > 1, group, -1)
 
 
 def write_bandit_log(log: BanditLog, path) -> None:
-    """Serialize a bandit log as JSON lines: one metadata header, then one record per line."""
-    if isinstance(log.action_space, Multiclass):
-        encode = lambda a: int(a)  # noqa: E731 - tiny per-record closure
-    else:
-        encode = lambda a: [int(b) for b in a]  # noqa: E731
+    """Serialize a bandit log as JSON lines: one metadata header, then one record per line.
+
+    Each line is exactly ``json.dumps`` of its object.  For the records this
+    holds because every value is finite: ``repr`` of a finite float and
+    ``str`` of an int or an int list are what ``json.dumps`` writes.  A
+    feature row that recurs in the log, as in a replayed conversion, is
+    formatted once; only the texts of such rows are kept.
+    """
     header = {
         "format": _LOG_FORMAT,
         "version": _LOG_VERSION,
@@ -345,21 +363,67 @@ def write_bandit_log(log: BanditLog, path) -> None:
         "action_space": _space_to_dict(log.action_space),
         "cost_scale": {"scale": log.cost_scale.scale, "offset": log.cost_scale.offset},
     }
+    columns = (
+        _shared_rows(log.features),
+        log.features,
+        log.actions,
+        log.propensities,
+        log.costs_raw,
+        log.costs,
+    )
+    texts: dict[int, str] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for i in range(log.n):
-            record = {
-                "features": [float(v) for v in log.features[i]],
-                "action": encode(log.actions[i]),
-                "propensity": float(log.propensities[i]),
-                "cost_raw": float(log.costs_raw[i]),
-                "cost_scaled": float(log.costs[i]),
-            }
-            fh.write(json.dumps(record) + "\n")
+        # a chunk at a time, so the Python copies of the columns stay small
+        for start in range(0, log.n, _WRITE_CHUNK):
+            chunk = (column[start : start + _WRITE_CHUNK].tolist() for column in columns)
+            for group, row, action, prop, raw, scaled in zip(*chunk):
+                if group < 0:
+                    text = str(row)
+                elif (text := texts.get(group)) is None:
+                    text = texts[group] = str(row)
+                fh.write(
+                    f'{{"features": {text}, "action": {action}, "propensity": {prop!r}, '
+                    f'"cost_raw": {raw!r}, "cost_scaled": {scaled!r}}}\n'
+                )
+
+
+def _parse_header(header: dict, file_bytes: Optional[int]):
+    """Validate a log header and return its action space, cost scale, record count and dimension.
+
+    ``file_bytes`` bounds the record count when the file's size is known:
+    each number in a record line takes at least two bytes with its separator.
+    """
+    try:
+        space_spec, dim, n = header["action_space"], header["feature_dim"], header["n"]
+        scale_spec = header["cost_scale"]
+    except KeyError as exc:
+        raise ValueError(f"line 1: missing key {exc.args[0]!r}") from exc
+    try:
+        space = _space_from_dict(space_spec)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"line 1: action_space: {exc}") from exc
+    try:
+        scale = CostScale(**scale_spec)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"line 1: cost_scale: {exc}") from exc
+    for key, value in (("feature_dim", dim), ("n", n)):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"line 1: {key} must be a nonnegative integer")
+    width = dim + (space.n_labels if isinstance(space, FactorizedLabels) else 1)
+    if file_bytes is not None and 2 * width * n > file_bytes:
+        raise ValueError(
+            f"line 1: n: {n} records of {width} numbers cannot fit in {file_bytes} bytes"
+        )
+    return space, scale, n, dim
 
 
 def read_bandit_log(path) -> BanditLog:
-    """Read a log written by :func:`write_bandit_log`, validating every record."""
+    """Read a log written by :func:`write_bandit_log`, validating every record.
+
+    The header's counts size the arrays, which are filled one record at a
+    time; a fault in a record names its line and field.
+    """
     with Path(path).open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
         try:
@@ -370,18 +434,29 @@ def read_bandit_log(path) -> BanditLog:
             raise ValueError("line 1: the header is not a JSON object")
         if header.get("format") != _LOG_FORMAT or header.get("version") != _LOG_VERSION:
             raise ValueError("not a recognized bandit-log file")
-        try:
-            space = _space_from_dict(header["action_space"])
-            dim, n = int(header["feature_dim"]), int(header["n"])
-            scale = CostScale(**header["cost_scale"])
-        except KeyError as exc:
-            raise ValueError(f"line 1: missing key {exc.args[0]!r}") from exc
-        feats, actions, props, raws, scaleds = [], [], [], [], []
+        info = os.fstat(fh.fileno())
+        file_bytes = None  # a pipe has no size to check the count against
+        if stat.S_ISREG(info.st_mode):
+            file_bytes = info.st_size - len(header_line.encode())
+        space, scale, n, dim = _parse_header(header, file_bytes)
+        factorized = isinstance(space, FactorizedLabels)
+        columns = (
+            np.empty((n, dim)),
+            np.empty((n, space.n_labels)) if factorized else np.empty(n, dtype=np.int64),
+            np.empty(n),
+            np.empty(n),
+            np.empty(n),
+        )
+        count = 0
         # exact types, so a JSON true or false is not a number
-        numeric, numeric_keys = (int, float), ("propensity", "cost_raw", "cost_scaled")
+        numeric = (int, float)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
+            if count == n:
+                # count the rest, so the mismatch error reports the file's true count
+                count += 1 + sum(1 for rest in fh if rest.strip())
+                break
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -389,33 +464,37 @@ def read_bandit_log(path) -> BanditLog:
             if not isinstance(record, dict):
                 raise ValueError(f"line {lineno}: the record is not a JSON object")
             try:
-                vec, action, prop = record["features"], record["action"], record["propensity"]
-                raw, scaled = record["cost_raw"], record["cost_scaled"]
+                values = [record[key] for key in _RECORD_KEYS]
             except KeyError as exc:
                 raise ValueError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
+            vec, action, prop, raw, scaled = values
             if not isinstance(vec, list) or len(vec) != dim:
                 raise ValueError(f"line {lineno}: feature dimension mismatch")
             if not (type(prop) in numeric and type(raw) in numeric and type(scaled) in numeric):
-                key = next(k for k in numeric_keys if type(record[k]) not in numeric)
+                key = next(k for k in _RECORD_KEYS[2:] if type(record[k]) not in numeric)
                 raise ValueError(f"line {lineno}: {key} is not a number")
             if prop <= 0:
                 raise ValueError(f"line {lineno}: nonpositive propensity")
-            if isinstance(space, FactorizedLabels):
-                if not isinstance(action, list) or len(action) != space.n_labels:
-                    raise ValueError(f"line {lineno}: action length mismatch")
-            feats.append(vec)
-            actions.append(action)
-            props.append(prop)
-            raws.append(raw)
-            scaleds.append(scaled)
-    if len(feats) != n:
-        raise ValueError(f"header announces {n} records but file has {len(feats)}")
+            if factorized and (not isinstance(action, list) or len(action) != space.n_labels):
+                raise ValueError(f"line {lineno}: action length mismatch")
+            for key, column, value in zip(_RECORD_KEYS, columns, values):
+                try:
+                    column[count] = value
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ValueError(f"line {lineno}: {key}: {exc}") from exc
+            # an id column truncates 1.5 to 1
+            if not factorized and columns[1][count] != action:
+                raise ValueError(f"line {lineno}: action: {action!r} is not an integer id")
+            count += 1
+    if count != n:
+        raise ValueError(f"header announces {n} records but file has {count}")
+    feats, actions, props, raws, scaleds = columns
     return BanditLog(
-        features=np.asarray(feats, dtype=float),
-        actions=np.asarray(actions),
-        propensities=np.asarray(props, dtype=float),
-        costs_raw=np.asarray(raws, dtype=float),
-        costs=np.asarray(scaleds, dtype=float),
+        features=feats,
+        actions=actions,
+        propensities=props,
+        costs_raw=raws,
+        costs=scaleds,
         action_space=space,
         cost_scale=scale,
     )

@@ -14,6 +14,7 @@ summation so results are deterministic for a fixed record order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,8 @@ class CostScale:
     offset: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
+            raise ValueError("scale and offset must be finite")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 

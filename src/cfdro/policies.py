@@ -83,6 +83,8 @@ def _space_to_dict(space: ActionSpace) -> dict:
 
 
 def _space_from_dict(payload: dict) -> ActionSpace:
+    if not isinstance(payload, dict):
+        raise ValueError("an action space must be a JSON object")
     kind = payload.get("kind")
     if kind == "multiclass":
         return Multiclass(int(payload["size"]))

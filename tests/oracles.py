@@ -4,14 +4,62 @@
 generator formulas, independent of the library's generator table;
 ``kl_softmax_risk`` is the softmax-tilted form of the KL robust risk; the
 scaled conjugate and its analytic partials check the dual's building block.
+``write_bandit_log_by_records`` and ``write_libsvm_by_index`` are the plain
+writers, one ``json.dumps`` per record and one numpy index per value, whose
+bytes the library's writers must reproduce.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
+from cfdro.data import _LOG_FORMAT, _LOG_VERSION
 from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
 from cfdro.dro import _as_values
+from cfdro.estimators import BanditLog
+from cfdro.policies import LabeledDataset, Multiclass, _space_to_dict
+
+
+def write_bandit_log_by_records(log: BanditLog, path) -> None:
+    """Write a bandit log with one ``json.dumps`` per header and record."""
+    if isinstance(log.action_space, Multiclass):
+        encode = lambda a: int(a)  # noqa: E731 - tiny per-record closure
+    else:
+        encode = lambda a: [int(b) for b in a]  # noqa: E731
+    header = {
+        "format": _LOG_FORMAT,
+        "version": _LOG_VERSION,
+        "n": log.n,
+        "feature_dim": log.feature_dim,
+        "action_space": _space_to_dict(log.action_space),
+        "cost_scale": {"scale": log.cost_scale.scale, "offset": log.cost_scale.offset},
+    }
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for i in range(log.n):
+            record = {
+                "features": [float(v) for v in log.features[i]],
+                "action": encode(log.actions[i]),
+                "propensity": float(log.propensities[i]),
+                "cost_raw": float(log.costs_raw[i]),
+                "cost_scaled": float(log.costs[i]),
+            }
+            fh.write(json.dumps(record) + "\n")
+
+
+def write_libsvm_by_index(dataset: LabeledDataset, path) -> None:
+    """Write the multilabel LibSVM text one numpy index per nonzero value."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for i in range(dataset.n_rows):
+            labs = ",".join(str(j) for j in np.flatnonzero(dataset.labels[i]))
+            feats = " ".join(
+                f"{j + 1}:{float(dataset.features[i, j])!r}"
+                for j in np.flatnonzero(dataset.features[i])
+            )
+            fh.write((labs + " " + feats).strip() + "\n")
 
 
 def scaled_conjugate(kind: DivergenceKind, gamma: float, s) -> "float | np.ndarray":

@@ -139,21 +139,28 @@ class TestEvaluate:
         assert code == 1
         assert f"line {line + 1}: the " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value,named", [
-        ("propensity", None, "propensity"),
-        ("features", 3, "feature"),
-        ("action", 7, "action"),
-        ("cost_raw", None, "cost_raw"),
-        ("cost_scaled", "low", "cost_scaled"),
-        ("propensity", True, "propensity"),
-        (None, "{not json", "Expecting property name enclosed in double quotes (column 2)"),
+    @pytest.mark.parametrize("key,value,named,space", [
+        ("propensity", None, "propensity", "factorized"),
+        ("features", 3, "feature", "factorized"),
+        ("action", 7, "action", "factorized"),
+        ("cost_raw", None, "cost_raw", "factorized"),
+        ("cost_scaled", "low", "cost_scaled", "factorized"),
+        ("propensity", True, "propensity", "factorized"),
+        (None, "{not json", "Expecting property name enclosed in double quotes (column 2)",
+         "factorized"),
+        ("features", ["a", 0.0, 0.0, 0.0, 0.0], "features: could not convert", "factorized"),
+        ("features", [[1], 0.0, 0.0, 0.0, 0.0], "features: ", "factorized"),
+        ("action", "x", "action: invalid literal", "multiclass"),
+        ("action", 1e400, "action: ", "multiclass"),
+        ("action", 1.5, "action: 1.5 is not an integer id", "multiclass"),
     ])
     def test_malformed_record_is_a_validation_error_with_its_line(
-        self, tmp_path, capsys, key, value, named
+        self, tmp_path, capsys, key, value, named, space
     ):
         out = tmp_path / "run"
         assert main([
             "convert", "--data", "bundled:synthetic", "--output-dir", str(out), "-P", "1",
+            "--action-space", space,
         ]) == 0
         log_path = out / "bandit_log.jsonl"
         lines = log_path.read_text().splitlines()
@@ -170,6 +177,42 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 1
         assert "line 4: " in err and named in err
+
+    @pytest.mark.parametrize("key,inner,value,named", [
+        ("cost_scale", "x", 1, "cost_scale"),
+        ("cost_scale", None, [1, 2], "cost_scale"),
+        ("cost_scale", "scale", "a", "cost_scale"),
+        ("cost_scale", "offset", float("nan"), "cost_scale"),
+        ("action_space", None, "factorized", "action_space"),
+        ("action_space", "size", "x", "action_space"),
+        ("n", None, "x", "n must be"),
+        ("n", None, -1, "n must be"),
+        ("feature_dim", None, -1, "feature_dim must be"),
+        ("n", None, 10**6, "n: 1000000 records"),
+    ])
+    def test_malformed_header_is_a_validation_error_on_line_1(
+        self, tmp_path, capsys, key, inner, value, named
+    ):
+        out = tmp_path / "run"
+        assert main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(out), "-P", "1",
+        ]) == 0
+        log_path = out / "bandit_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        header = json.loads(lines[0])
+        if inner is None:
+            header[key] = value
+        else:
+            header[key][inner] = value
+        lines[0] = json.dumps(header)
+        log_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--log", str(log_path), "--policy", str(out / "logging_policy.json"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 1: ") and named in err
 
     def test_single_divergence_selection(self, tmp_path, capsys):
         log_path, policy_path = make_constant_cost_artifacts(tmp_path)

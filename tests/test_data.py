@@ -1,9 +1,15 @@
 """Parsing, splitting, logging-policy fitting, log collection and serialization."""
 
+import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cfdro.data import (
     LoggingPolicyConfig,
@@ -18,8 +24,23 @@ from cfdro.data import (
     write_bandit_log,
     write_libsvm_multilabel,
 )
-from cfdro.estimators import CostScale, ips_risk
-from cfdro.policies import FactorizedLabels, LabeledDataset, LinearPolicy, greedy_risk, true_risk
+from cfdro.estimators import BanditLog, CostScale, ips_risk
+from cfdro.policies import (
+    FactorizedLabels,
+    LabeledDataset,
+    LinearPolicy,
+    Multiclass,
+    greedy_risk,
+    true_risk,
+)
+
+from oracles import write_bandit_log_by_records, write_libsvm_by_index
+
+# floats whose shortest repr takes each of Python's forms: subnormal, the
+# smallest normal, the largest, exponent notation on both sides, and -0.0
+EXTREME_FLOATS = [
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7, 0.1, 3.0, -0.0,
+]
 
 
 class TestLibsvmParsing:
@@ -61,6 +82,19 @@ class TestLibsvmParsing:
         back = parse_libsvm_multilabel(path)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_writes_the_bytes_of_the_per_index_writer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        feats = np.where(rng.random((40, 8)) < 0.4, rng.normal(size=(40, 8)), 0.0)
+        feats[0] = EXTREME_FLOATS
+        feats[1] = -np.asarray(EXTREME_FLOATS)
+        labels = (rng.random((40, 5)) < 0.4).astype(np.int8)
+        labels[2] = 0  # a row with an empty label field
+        feats[3] = 0.0  # and one with no features
+        ds = LabeledDataset(feats, labels)
+        write_libsvm_multilabel(ds, tmp_path / "new.svm")
+        write_libsvm_by_index(ds, tmp_path / "old.svm")
+        assert (tmp_path / "new.svm").read_bytes() == (tmp_path / "old.svm").read_bytes()
 
 
 class TestSplitting:
@@ -236,11 +270,114 @@ class TestLogSerialization:
         with pytest.raises(ValueError, match="dimension"):
             read_bandit_log(path)
 
+    @pytest.mark.parametrize("action_space", ["factorized", "multiclass"])
+    @pytest.mark.parametrize("replay", [1, 3])
+    def test_writes_the_bytes_of_the_per_record_writer(self, tmp_path, action_space, replay):
+        ds = synthetic_multilabel_dataset(30, 3, 4, seed=26)
+        policy = train_logging_policy(ds, LoggingPolicyConfig(action_space=action_space))
+        log = collect_bandit_log(ds, policy, replay, seed=27)
+        assert_same_bytes_and_round_trip(log, tmp_path)
+
+    def test_writes_extreme_floats_and_signed_zeros_exactly(self, tmp_path):
+        extremes = np.array(EXTREME_FLOATS)
+        feats = np.vstack([extremes, -extremes, extremes[::-1], extremes, -extremes])
+        # rows that differ only in the sign of a zero, each repeated
+        zeros = np.zeros((4, extremes.size))
+        zeros[1, 0] = zeros[3, 0] = -0.0
+        feats = np.vstack([feats, zeros])
+        n = feats.shape[0]
+        log = BanditLog(
+            features=feats,
+            actions=np.arange(n) % 2,
+            propensities=np.resize([5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1.0], n),
+            costs_raw=np.resize(extremes, n),
+            costs=np.resize([-1.0, -0.0, -0.1, -1e-7, -5e-324], n),
+            action_space=Multiclass(2),
+            cost_scale=CostScale(1e16, -0.0),
+        )
+        back = assert_same_bytes_and_round_trip(log, tmp_path)
+        assert np.signbit(back.features[5:, 0]).tolist() == [False, True, False, True]
+
+    @pytest.mark.parametrize("extra", [1, -1, -3])
+    def test_count_mismatch_reports_the_true_count(self, tmp_path, extra):
+        ds = synthetic_multilabel_dataset(20, 3, 4, seed=28)
+        log = collect_bandit_log(ds, train_logging_policy(ds), 2, seed=29)
+        path = tmp_path / "log.jsonl"
+        write_bandit_log(log, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["n"] = log.n + extra
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n\n")
+        announced = f"^header announces {log.n + extra} records but file has {log.n}$"
+        with pytest.raises(ValueError, match=announced):
+            read_bandit_log(path)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        ds = synthetic_multilabel_dataset(20, 3, 4, seed=30)
+        log = collect_bandit_log(ds, train_logging_policy(ds), 2, seed=31)
+        write_bandit_log(log, tmp_path / "log.jsonl")
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_bytes((tmp_path / "log.jsonl").read_bytes()), daemon=True
+        )
+        writer.start()
+        back = read_bandit_log(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(back.features, log.features)
+
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "foreign.jsonl"
         path.write_text('{"format": "other"}\n')
         with pytest.raises(ValueError):
             read_bandit_log(path)
+
+
+def assert_same_bytes_and_round_trip(log, tmp_path):
+    """Check the writer's bytes against the per-record writer's, and the read-back bits and dtypes."""
+    write_bandit_log(log, tmp_path / "new.jsonl")
+    write_bandit_log_by_records(log, tmp_path / "old.jsonl")
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+    back = read_bandit_log(tmp_path / "new.jsonl")
+    for name in ("features", "actions", "propensities", "costs_raw", "costs"):
+        got, want = getattr(back, name), getattr(log, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert back.action_space == log.action_space
+    assert back.cost_scale == log.cost_scale
+    return back
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(0, 5)), elements=finite),
+    data=st.data(),
+)
+def test_round_trip_keeps_every_bit(tmp_path_factory, rows, data):
+    # records draw their contexts from a few rows, so rows repeat
+    n = data.draw(st.integers(1, 12))
+    pick = data.draw(hnp.arrays(np.intp, n, elements=st.integers(0, rows.shape[0] - 1)))
+    column = lambda elements: data.draw(hnp.arrays(np.float64, n, elements=elements))  # noqa: E731
+    if data.draw(st.booleans()):
+        space, shape, ids = Multiclass(3), n, st.integers(0, 2)
+    else:
+        space, shape, ids = FactorizedLabels(2), (n, 2), st.integers(0, 1)
+    actions = data.draw(hnp.arrays(np.int64, shape, elements=ids))
+    log = BanditLog(
+        features=rows[pick],
+        actions=actions,
+        propensities=column(st.floats(0.0, 1.0, exclude_min=True)),
+        costs_raw=column(finite),
+        costs=column(st.floats(-1.0, 0.0)),
+        action_space=space,
+        cost_scale=CostScale(data.draw(st.floats(0.0, 1e300, exclude_min=True)), data.draw(finite)),
+    )
+    assert_same_bytes_and_round_trip(log, tmp_path_factory.mktemp("log"))
 
 
 def test_cost_scale_round_trip():
