@@ -488,16 +488,8 @@ def read_bandit_log(path) -> BanditLog:
             count += 1
     if count != n:
         raise ValueError(f"header announces {n} records but file has {count}")
-    feats, actions, props, raws, scaleds = columns
-    return BanditLog(
-        features=feats,
-        actions=actions,
-        propensities=props,
-        costs_raw=raws,
-        costs=scaleds,
-        action_space=space,
-        cost_scale=scale,
-    )
+    # the columns are in BanditLog's field order
+    return BanditLog(*columns, action_space=space, cost_scale=scale)
 
 
 def synthetic_multilabel_dataset(
