@@ -16,6 +16,12 @@ search is globally correct.  A quasi-Newton fallback over
 ``(beta, softplus-parametrized gamma)`` covers the rare case where the
 primary path fails to certify.
 
+The empirical distribution may be given as distinct values ``z`` with
+``counts``, the multiplicity of each.  The dual's mean then weights each
+value by its mass ``counts / sum(counts)`` (one more row of floats), so every
+pass runs over ``len(z)`` values, in another order of summation than on
+``np.repeat(z, counts)``.
+
 Each solve allocates one workspace of three rows of ``len(z)`` floats, reads
 the constants of ``z`` (maximum, scale, standard deviation) once, and runs
 under one ``np.errstate``; no pass over ``z`` allocates.  Every Newton pass
@@ -109,6 +115,14 @@ def _as_values(z) -> np.ndarray:
     return arr
 
 
+def _masses(counts, size: int) -> np.ndarray:
+    """The masses ``counts / sum(counts)`` of a support of ``size`` values."""
+    c = np.asarray(counts)
+    if c.ndim != 1 or c.size != size or c.dtype.kind not in "iu" or not np.all(c >= 1):
+        raise ValueError("counts must be a 1-D vector of integers of at least 1, one per value of z")
+    return c / c.sum()
+
+
 def dual_objective(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float) -> float:
     """Evaluate ``g(beta, gamma) = beta + gamma eps + mean_i (gamma phi)*(z_i - beta)``.
 
@@ -123,22 +137,22 @@ def dual_objective(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: 
             return float("inf")
         return float(beta)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _objective_at(np.divide(s, gamma, out=s), _GENERATORS[kind], epsilon, beta, gamma)
+        return _objective_at(np.divide(s, gamma, out=s), _GENERATORS[kind], epsilon, beta, gamma, _mean)
 
 
-def _objective_at(u: np.ndarray, gen, epsilon: float, beta: float, gamma: float, rows=None):
+def _objective_at(u: np.ndarray, gen, epsilon: float, beta: float, gamma: float, mean, rows=None):
     """``g(beta, gamma)`` from ``u = (z - beta) / gamma``, which it clamps in place.
 
     The clamp to the conjugate's domain bound makes the conjugate a barrier
-    (``+inf`` at and beyond it).  ``rows`` is the table formulas' workspace.
-    Callers hold an ``np.errstate`` that ignores overflow, division by zero
-    and invalid operations.
+    (``+inf`` at and beyond it).  ``mean`` is the solve's mean and ``rows``
+    the table formulas' workspace.  Callers hold an ``np.errstate`` that
+    ignores overflow, division by zero and invalid operations.
     """
     if gen.domain < math.inf:
         np.minimum(u, gen.domain, out=u)
     vals = gen.conjugate(u, rows)
     np.multiply(vals, gamma, out=vals)
-    total = beta + gamma * epsilon + _mean(vals)
+    total = beta + gamma * epsilon + mean(vals)
     if math.isnan(total):  # pragma: no cover - defensive: inputs are finite
         raise FloatingPointError("dual objective produced NaN")
     return float(total)
@@ -151,23 +165,33 @@ def _mean(x: np.ndarray) -> float:
     return float(np.add.reduce(x)) / x.size
 
 
+def _mean_under(p: Optional[np.ndarray]):
+    """The mean over a support whose values have masses ``p``; :func:`_mean` for None."""
+    if p is None:
+        return _mean
+    # chi-square's second derivative comes as a mask, whose mean is its mass
+    return lambda x: float(np.add.reduce(p, where=x) if x.dtype == bool else np.dot(x, p))
+
+
 class _ReducedObjective:
     """Callable ``h(t) = min_beta g(beta, e^t)`` with a warm-started inner solve.
 
-    One instance serves one solve.  It holds the constants of ``z`` that the
-    inner solve reads and a workspace of three rows of ``len(z)`` floats:
-    ``u = (z - beta) / gamma`` and the two scratch rows of the table formulas,
-    so no pass over ``z`` allocates.  Calls run under the solve's
+    One instance serves one solve.  It holds the solve's mean, the constants of
+    ``z`` that the inner solve reads and a workspace of three rows of ``len(z)``
+    floats: ``u = (z - beta) / gamma`` and the two scratch rows of the table
+    formulas, so no pass over ``z`` allocates.  Calls run under the solve's
     ``np.errstate``, which lets exponential overflow propagate as ``inf``.
     """
 
-    def __init__(self, zv: np.ndarray, kind: DivergenceKind, epsilon: float):
+    def __init__(self, zv: np.ndarray, kind: DivergenceKind, epsilon: float, mean):
         self.zv = zv
         self.gen = _GENERATORS[kind]
         self.epsilon = epsilon
+        self.mean = mean
         self.zmax = float(zv.max())
         self.scale = max(1.0, float(np.max(np.abs(zv))))
-        self.std = float(zv.std())
+        # the bits of ``zv.std()`` for the plain mean; the temporaries go before the workspace
+        self.std = math.sqrt(mean(np.square(zv - mean(zv))))
         workspace = np.empty((3, zv.size))
         self.u, self.rows = workspace[0], (workspace[1], workspace[2])
         self.warm_beta: Optional[float] = None
@@ -178,7 +202,7 @@ class _ReducedObjective:
         self.warm_beta = beta
         # on _ROOT_TOL the last pass left this beta's u in the workspace
         u = self.u if at_root else self._fill_u(beta, gamma)
-        return _objective_at(u, self.gen, self.epsilon, beta, gamma, self.rows), beta
+        return _objective_at(u, self.gen, self.epsilon, beta, gamma, self.mean, self.rows), beta
 
     def _fill_u(self, beta: float, gamma: float) -> np.ndarray:
         np.subtract(self.zv, beta, out=self.u)
@@ -186,7 +210,7 @@ class _ReducedObjective:
 
     def _mean_stats(self, beta: float, gamma: float):
         """Mean conjugate first/second derivatives at ``u = (z - beta) / gamma``, left in ``u``."""
-        return self.gen.derivatives(self._fill_u(beta, gamma), _mean, self.rows)
+        return self.gen.derivatives(self._fill_u(beta, gamma), self.mean, self.rows)
 
     def solve_beta(self, gamma: float, warm: Optional[float]) -> "tuple[float, bool]":
         """Exact inner minimization over ``beta`` at fixed ``gamma > 0``.
@@ -335,6 +359,7 @@ def robust_risk_dual(
     kind: DivergenceKind,
     epsilon: float,
     options: Optional[DualSolverOptions] = None,
+    counts=None,
 ) -> DualPoint:
     """Solve the robust reweighted risk at radius ``epsilon``.
 
@@ -344,6 +369,9 @@ def robust_risk_dual(
         Weighted-cost vector (or :class:`WeightedCosts`).
     epsilon:
         Ambiguity radius; ``epsilon = 0`` short-circuits to the plain mean.
+    counts:
+        Multiplicity of each entry of ``z`` (integers of at least 1), or None
+        for one each: the solve of ``np.repeat(z, counts)``, on ``len(z)`` values.
 
     Returns
     -------
@@ -357,15 +385,16 @@ def robust_risk_dual(
         certify convergence.  The exception carries the best iterate found.
     """
     zv = _as_values(z)
+    mean_of = _mean_under(None if counts is None else _masses(counts, zv.size))
     bracket_tol = (options or DualSolverOptions()).bracket_tol
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    mean = float(zv.mean())
+    mean = mean_of(zv)
     if epsilon == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)
     if float(np.ptp(zv)) == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)
-    h = _ReducedObjective(zv, kind, epsilon)
+    h = _ReducedObjective(zv, kind, epsilon, mean_of)
     t0 = math.log(max(h.std, 1e-3))
     floor = max(math.log(1e-12 * h.scale), _GAMMA_LOG_FLOOR)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -374,10 +403,11 @@ def robust_risk_dual(
     point = DualPoint(beta=beta, gamma=gamma, value=value)
     if math.isfinite(value) and (width <= bracket_tol * 4.0 or t_best <= floor):
         return point
-    fallback = _solve_quasi_newton(zv, kind, epsilon, beta, max(gamma, 1e-6))
+    records = zv if counts is None else np.repeat(zv, counts)
+    fallback = _solve_quasi_newton(records, kind, epsilon, beta, max(gamma, 1e-6))
     if math.isfinite(fallback.value) and fallback.value <= value + 1e-9:
         try:
-            gb, gg = dual_gradient(zv, kind, epsilon, fallback.beta, max(fallback.gamma, 1e-300))
+            gb, gg = dual_gradient(records, kind, epsilon, fallback.beta, max(fallback.gamma, 1e-300))
             certified = math.hypot(gb, gg) <= 1e-5 * max(1.0, abs(fallback.value))
         except ValueError:
             certified = False
@@ -392,6 +422,7 @@ def optimistic_risk_dual(
     kind: DivergenceKind,
     epsilon: float,
     options: Optional[DualSolverOptions] = None,
+    counts=None,
 ) -> DualPoint:
     """Solve the optimistic (infimum) reweighted risk at radius ``epsilon``.
 
@@ -399,9 +430,10 @@ def optimistic_risk_dual(
     equals minus the robust risk of ``-z`` over the same ball.  The returned
     dual variables refer to the internal maximization of ``-z``, with
     ``beta`` negated so the point stays in the original cost units.
+    ``counts`` is as in :func:`robust_risk_dual`.
     """
     zv = _as_values(z)
-    sol = robust_risk_dual(-zv, kind, epsilon, options)
+    sol = robust_risk_dual(-zv, kind, epsilon, options, counts)
     return DualPoint(beta=-sol.beta, gamma=sol.gamma, value=-sol.value)
 
 

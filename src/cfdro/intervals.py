@@ -15,6 +15,10 @@ sandwich scales with ``sqrt(2 eps / phi''(1))``, so the radius that makes
 the interval match the normal-theory quantile depends on the generator's
 curvature at 1.  :func:`calibrated_radius` applies that correction, which
 makes all four generators produce interchangeable intervals.
+
+Each log's weighted costs are compressed once to their distinct values and
+counts, on which every DRO interval is solved; replayed logs repeat each
+(row, action) pair's cost.  The radius still uses the number of records.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, curvature_at_one
 from .dro import optimistic_risk_dual, robust_risk_dual
-from .estimators import BanditLog, WeightedCosts, importance_weights
+from .estimators import BanditLog, importance_weights
 from .policies import LinearPolicy
 
 __all__ = [
@@ -113,16 +117,18 @@ def dro_interval(
     weight_clip: Optional[float] = None,
 ) -> RiskInterval:
     """Asymptotic interval ``[optimistic, robust]`` at the calibrated radius."""
-    return _dro_bounds(importance_weights(log, policy, weight_clip), kind, delta)
+    z = importance_weights(log, policy, weight_clip)
+    return _dro_bounds(*np.unique(z.values, return_counts=True), kind, delta)
 
 
-def _dro_bounds(z: WeightedCosts, kind: DivergenceKind, delta: float) -> RiskInterval:
-    n = len(z)
+def _dro_bounds(values, counts, kind: DivergenceKind, delta: float) -> RiskInterval:
+    """The interval on the distinct weighted costs ``values``; ``n`` is their total count."""
+    n = int(counts.sum())
     if n < 2:
         raise ValueError("the interval needs at least 2 records")
     eps = calibrated_radius(kind, delta, n)
-    lower = optimistic_risk_dual(z, kind, eps).value
-    upper = robust_risk_dual(z, kind, eps).value
+    lower = optimistic_risk_dual(values, kind, eps, counts=counts).value
+    upper = robust_risk_dual(values, kind, eps, counts=counts).value
     return RiskInterval(lower=lower, upper=upper, delta=delta, method=f"dro-{kind.value}", n=n)
 
 
@@ -200,7 +206,8 @@ def risk_intervals(
 ) -> "list[RiskInterval]":
     """The DRO interval of each kind, then Hoeffding and Bernstein, from one weights pass."""
     z = importance_weights(log, policy)
-    intervals = [_dro_bounds(z, kind, delta) for kind in kinds]
+    support = np.unique(z.values, return_counts=True)
+    intervals = [_dro_bounds(*support, kind, delta) for kind in kinds]
     return intervals + [fn(z.values, delta, weight_bound) for fn in (_hoeffding_bounds, _bernstein_bounds)]
 
 

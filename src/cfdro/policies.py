@@ -85,12 +85,12 @@ def _space_to_dict(space: ActionSpace) -> dict:
 def _space_from_dict(payload: dict) -> ActionSpace:
     if not isinstance(payload, dict):
         raise ValueError("an action space must be a JSON object")
-    kind = payload.get("kind")
-    if kind == "multiclass":
-        return Multiclass(int(payload["size"]))
-    if kind == "factorized":
-        return FactorizedLabels(int(payload["size"]))
-    raise ValueError(f"unknown action space kind {kind!r}")
+    kind, size = payload.get("kind"), payload.get("size")
+    if kind not in ("multiclass", "factorized"):
+        raise ValueError(f"unknown action space kind {kind!r}")
+    if type(size) is not int:
+        raise ValueError(f"size must be a JSON integer, got {size!r}")
+    return Multiclass(size) if kind == "multiclass" else FactorizedLabels(size)
 
 
 def action_bitvectors(n_labels: int) -> np.ndarray:

@@ -214,6 +214,34 @@ class TestEvaluate:
         assert code == 1
         assert err.startswith("error: line 1: ") and named in err
 
+    @pytest.mark.parametrize("where", ["log header", "policy checkpoint"])
+    @pytest.mark.parametrize("key,value", [
+        ("size", 16.9), ("size", "16"), ("size", True), ("size", None),
+        ("kind", "ranked"), ("kind", None),
+    ])
+    def test_malformed_action_space_is_a_validation_error(self, tmp_path, capsys, where, key, value):
+        # None deletes the key
+        out = tmp_path / "run"
+        assert main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(out), "-P", "1",
+            "--action-space", "multiclass",
+        ]) == 0
+        log_path, policy_path = out / "bandit_log.jsonl", out / "logging_policy.json"
+        edited = log_path if where == "log header" else policy_path
+        lines = edited.read_text().splitlines()
+        payload = json.loads(lines[0])
+        if value is None:
+            del payload["action_space"][key]
+        else:
+            payload["action_space"][key] = value
+        lines[0] = json.dumps(payload)
+        edited.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert key in err and ("line 1: action_space: " in err) == (where == "log header")
+
     def test_single_divergence_selection(self, tmp_path, capsys):
         log_path, policy_path = make_constant_cost_artifacts(tmp_path)
         code = main([

@@ -385,3 +385,35 @@ def test_solve_allocates_one_workspace_and_frees_it(kind):
         tracemalloc.stop()
     assert peak <= 3 * 8 * n + 65536
     assert left <= 65536
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_support_solve_allocates_its_masses_and_one_workspace(kind):
+    # on k values: three rows of k floats plus the masses counts / n
+    k = 100_000
+    rng = np.random.default_rng(2023)
+    values, counts = rng.normal(size=k), rng.integers(1, 5, size=k)
+    tracemalloc.start()
+    try:
+        robust_risk_dual(values, kind, 0.05, counts=counts)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * k + 65536
+    assert left <= 65536
+
+
+@pytest.mark.parametrize("solve", [robust_risk_dual, optimistic_risk_dual])
+@pytest.mark.parametrize("counts", [
+    [[1, 2, 3]],  # not 1-D
+    [1, 2],  # shorter than z
+    [1, 2, 3, 4],  # longer than z
+    [1.0, 2.0, 3.0],  # not integers
+    [True, True, True],  # booleans are not counts
+    ["1", "2", "3"],
+    [1, 0, 3],  # below 1
+    [1, -2, 3],
+])
+def test_counts_are_checked_at_the_boundary(solve, counts):
+    with pytest.raises(ValueError, match="counts"):
+        solve(np.array([-0.2, -0.5, -0.9]), DivergenceKind.KL, 0.1, counts=np.array(counts))

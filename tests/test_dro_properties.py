@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import optimize as sp_optimize
 
+from cfdro.data import collect_bandit_log, synthetic_multilabel_dataset, train_logging_policy
 from cfdro.divergences import DivergenceKind, curvature_at_one
 from cfdro.dro import kl_reduced_dual, optimistic_risk_dual, robust_risk_dual
+from cfdro.estimators import importance_weights
+from cfdro.intervals import calibrated_radius, risk_intervals
+from cfdro.policies import LinearPolicy
 
 ALL_KINDS = list(DivergenceKind)
 
@@ -105,3 +109,64 @@ def test_kl_matches_the_closed_form_reduced_dual(z, eps):
         bounds=(math.log(1e-10), math.log(1e4)), method="bounded", options={"xatol": 1e-10},
     )
     assert robust(z, DivergenceKind.KL, eps) == pytest.approx(res.fun, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# the solve on (values, counts) is the solve on the repeated records
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def supports(draw):
+    """Values (ties allowed) with a multiplicity of 1 to 20 each."""
+    values = draw(hnp.arrays(
+        np.float64, st.integers(1, 60), elements=st.floats(-2.0, 0.0, allow_subnormal=False)
+    ))
+    counts = draw(hnp.arrays(np.int64, values.size, elements=st.integers(1, 20)))
+    return values, counts
+
+
+def assert_close(got, expected):
+    assert abs(got - expected) <= 1e-12 * abs(expected), (got, expected)
+
+
+@pytest.mark.parametrize("solve", [robust_risk_dual, optimistic_risk_dual])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(support=supports(), eps=radii)
+def test_support_solve_is_the_solve_on_the_repeated_records(kind, solve, support, eps):
+    values, counts = support
+    assert_close(solve(values, kind, eps, counts=counts).value,
+                 solve(np.repeat(values, counts), kind, eps).value)
+
+
+@pytest.mark.parametrize("solve", [robust_risk_dual, optimistic_risk_dual])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@properties
+@given(support=supports(), eps=radii, seed=st.integers(0, 2**32 - 1))
+def test_order_of_the_support_does_not_matter(kind, solve, support, eps, seed):
+    values, counts = support
+    order = np.random.default_rng(seed).permutation(values.size)
+    assert_close(solve(values[order], kind, eps, counts=counts[order]).value,
+                 solve(values, kind, eps, counts=counts).value)
+
+
+_DATASET = synthetic_multilabel_dataset(40, 3, 4, seed=5)
+_LOGGING = train_logging_policy(_DATASET.subset(range(20)))
+# a target policy away from the logging one, so the weighted costs spread out
+_TARGET = LinearPolicy(
+    _LOGGING.theta + np.random.default_rng(6).normal(size=_LOGGING.theta.shape), _LOGGING.action_space
+)
+
+
+@properties
+@given(replay=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), delta=st.floats(0.01, 0.3))
+def test_risk_intervals_match_the_per_record_solves(replay, seed, delta):
+    log = collect_bandit_log(_DATASET, _LOGGING, replay, seed=seed)
+    z = importance_weights(log, _TARGET).values
+    intervals = risk_intervals(log, _TARGET, ALL_KINDS, delta)
+    for kind, interval in zip(ALL_KINDS, intervals):
+        eps = calibrated_radius(kind, delta, log.n)
+        assert interval.n == log.n
+        assert_close(interval.lower, optimistic_risk_dual(z, kind, eps).value)
+        assert_close(interval.upper, robust_risk_dual(z, kind, eps).value)
