@@ -25,6 +25,7 @@ File formats (documented bit-exactly):
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import stat
@@ -36,7 +37,7 @@ import numpy as np
 from scipy import optimize as sp_optimize
 from scipy.special import expit, logsumexp
 
-from .estimators import BanditLog, CostScale
+from .estimators import BanditLog, CostScale, _RecordFault
 from .policies import (
     ActionSpace,
     FactorizedLabels,
@@ -448,10 +449,12 @@ def read_bandit_log(path) -> BanditLog:
             np.empty(n),
         )
         count = 0
+        blanks = []  # the record count at each blank line, to map a record to its line
         # exact types, so a JSON true or false is not a number
         numeric = (int, float)
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
+                blanks.append(count)
                 continue
             if count == n:
                 # count the rest, so the mismatch error reports the file's true count
@@ -488,8 +491,12 @@ def read_bandit_log(path) -> BanditLog:
             count += 1
     if count != n:
         raise ValueError(f"header announces {n} records but file has {count}")
-    # the columns are in BanditLog's field order
-    return BanditLog(*columns, action_space=space, cost_scale=scale)
+    try:
+        # the columns are in BanditLog's field order
+        return BanditLog(*columns, action_space=space, cost_scale=scale)
+    except _RecordFault as exc:
+        lineno = exc.index + 2 + bisect.bisect_right(blanks, exc.index)
+        raise ValueError(f"line {lineno}: {exc}") from exc
 
 
 def synthetic_multilabel_dataset(

@@ -462,25 +462,31 @@ def kl_reduced_dual(z, epsilon: float, gamma: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _robust_value_grads(kind: DivergenceKind, epsilon: float, z, beta: float, gamma: float, bound):
+def _robust_value_grads(
+    kind: DivergenceKind, epsilon: float, z, beta: float, gamma: float, bound, grads: bool = True
+):
     """Value and analytic partials of the dual objective at ``gamma > 0``.
 
     Returns ``(value, d1, g_beta, g_gamma)`` where ``d1`` are the per-record
     conjugate derivatives (the chain weights for the policy gradient), or
     ``None`` when some ``u = (z - beta) / gamma`` reaches ``bound``: the
     conjugate's domain for the exact gradient, the overflow cap (``None``
-    for no check) in the trainers.
+    for no check) in the trainers.  Without ``grads`` it returns the value
+    alone and computes no derivative.
     """
     gen = _GENERATORS[kind]
     u = (z - beta) / gamma
-    if bound is not None and float(u.max(initial=-np.inf)) >= bound:
+    if bound is not None and float(np.maximum.reduce(u, initial=-np.inf)) >= bound:
         return None
     with np.errstate(over="ignore"):
         vals = gen.conjugate(u)
+        # np.add.reduce(x) / x.size is x.mean() without the method's overhead, bit for bit
+        value = beta + gamma * epsilon + gamma * float(np.add.reduce(vals) / vals.size)
+        if not grads:
+            return value
         d1, _ = gen.derivatives(u, np.asarray)
-    value = beta + gamma * epsilon + gamma * float(vals.mean())
-    g_beta = 1.0 - float(d1.mean())
-    g_gamma = epsilon + float((vals - u * d1).mean())
+    g_beta = 1.0 - float(np.add.reduce(d1) / d1.size)
+    g_gamma = epsilon + float(np.add.reduce(vals - u * d1) / u.size)
     return value, d1, g_beta, g_gamma
 
 

@@ -65,6 +65,21 @@ class CostScale:
         return cls(1.0 / n_labels, -1.0)
 
 
+class _RecordFault(ValueError):
+    """A rule of :class:`BanditLog` that record ``index`` breaks, the first record to do so."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _check_records(ok: np.ndarray, message: str) -> None:
+    """Raise :class:`_RecordFault` at the first record (row of ``ok``) with a False entry."""
+    if not np.all(ok):
+        first = int(np.argmin(ok))  # the flat position of the first False
+        raise _RecordFault(message, first // (ok.size // ok.shape[0]) if ok.ndim else 0)
+
+
 @dataclass(frozen=True)
 class BanditLog:
     """Immutable logged bandit history.
@@ -76,6 +91,9 @@ class BanditLog:
     propensities: ``(n,)`` logging probabilities of the recorded actions; strictly positive.
     costs_raw: ``(n,)`` costs in environment units.
     costs: ``(n,)`` rescaled costs in [-1, 0].
+
+    A value that breaks a rule raises a ``ValueError`` whose ``index``
+    attribute is the first record that breaks it.
     """
 
     features: np.ndarray
@@ -93,34 +111,31 @@ class BanditLog:
         scaled = np.asarray(self.costs, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features must be finite")
+        _check_records(np.isfinite(feats), "features must be finite")
         n = feats.shape[0]
         if isinstance(self.action_space, Multiclass):
             ids = np.asarray(self.actions)
-            if ids.dtype.kind == "f" and not np.all(np.isfinite(ids) & (ids == np.round(ids))):
-                raise ValueError("actions must be integer ids")
+            if ids.dtype.kind == "f":
+                integral = np.isfinite(ids) & (ids == np.round(ids))
+                _check_records(integral, "actions must be integer ids")
             acts = np.asarray(ids, dtype=int)
             if acts.shape != (n,):
                 raise ValueError("multiclass actions must be a length-n id vector")
-            if acts.size and (acts.min() < 0 or acts.max() >= self.action_space.n_actions):
-                raise ValueError("action id out of range")
+            in_range = (acts >= 0) & (acts < self.action_space.n_actions)
+            _check_records(in_range, "action id out of range")
         else:
             bits = np.asarray(self.actions)
             if bits.shape != (n, self.action_space.n_labels):
                 raise ValueError("factorized actions must be an (n, L) bit matrix")
-            if not np.all((bits == 0) | (bits == 1)):
-                raise ValueError("factorized actions must be 0/1 bits")
+            _check_records((bits == 0) | (bits == 1), "factorized actions must be 0/1 bits")
             acts = np.asarray(bits, dtype=np.int8)
         for name, arr in (("propensities", props), ("costs_raw", raw), ("costs", scaled)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape (n,)")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.any(props <= 0) or np.any(props > 1.0 + 1e-9):
-            raise ValueError("propensities must lie in (0, 1]")
-        if np.any(scaled < -1.0 - 1e-9) or np.any(scaled > 1e-9):
-            raise ValueError("rescaled costs must lie in [-1, 0]")
+            _check_records(np.isfinite(arr), f"{name} must be finite")
+        _check_records((props > 0) & (props <= 1.0 + 1e-9), "propensities must lie in (0, 1]")
+        in_range = (scaled >= -1.0 - 1e-9) & (scaled <= 1e-9)
+        _check_records(in_range, "rescaled costs must lie in [-1, 0]")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "actions", acts)
         object.__setattr__(self, "propensities", props)

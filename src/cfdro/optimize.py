@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +31,7 @@ from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _robust_value_grads, robust_risk_dual
 from .estimators import BanditLog, _weighted_by, estimate_rho
 from .intervals import calibrated_radius
-from .policies import LinearPolicy, _with_bias
+from .policies import LinearPolicy, Multiclass, _with_bias
 
 __all__ = [
     "OptimizerConfig",
@@ -79,6 +79,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One trajectory entry; ``beta`` and ``gamma`` are NaN for a trainer without duals.
+
+    A batch entry holds the exact objective at an L-BFGS-B iterate.  An SGD
+    run's first and last entries hold the exact full-log objective, and each
+    entry in between the mean mini-batch objective of the steps since the
+    previous one (for ``train_poem``, of the majorizer those steps descend).
+    """
+
     iteration: int
     objective: float
     gradient_norm: float
@@ -119,11 +127,12 @@ def write_report(report: TrainReport, path) -> None:
 # shared machinery
 # ----------------------------------------------------------------------
 
-# A builder is a pair (rows, build): ``rows`` holds per-record arrays, the
-# bias-augmented features and the actions first, and ``build(policy, *rows)``
-# returns (z, coef, resid) from one kernel call; the gradient of sum_i d_i z_i
-# is ``policy.score_gradient(xb, resid, d * coef)``.  A mini-batch slices
-# every array in ``rows`` with the same indices.
+# A builder is a pair (rows, costs): ``rows`` holds per-record arrays, the
+# bias-augmented features and the actions first (ids, or bits as floats that
+# no kernel call has to cast), and ``costs(logp, *rows[2:])`` returns (z, coef)
+# from the policy's log-probabilities of the actions; the gradient of
+# sum_i d_i z_i is ``policy.score_gradient(xb, resid, d * coef)``.  A mini-batch
+# slices every array in ``rows`` with the same indices.
 
 
 def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
@@ -134,39 +143,46 @@ def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
         rho = estimate_rho(log)
     rho = float(rho)
 
-    def build(policy: LinearPolicy, xb, acts, log_p0, centered):
-        logp, resid = policy.log_prob_and_residual(xb, acts)
+    def costs(logp, log_p0, centered):
         coef = centered * np.exp(logp - log_p0)
-        return coef + rho, coef, resid
+        return coef + rho, coef
 
-    return (_with_bias(log.features), log.actions, np.log(log.propensities), log.costs - rho), build
+    acts = log.actions if isinstance(log.action_space, Multiclass) else log.actions.astype(float)
+    return (_with_bias(log.features), acts, np.log(log.propensities), log.costs - rho), costs
 
 
-def _log_trick_costs(log: BanditLog, anchor: LinearPolicy, xb: np.ndarray):
+def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
     """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))``.
 
-    ``xb`` is ``_with_bias(log.features)``, built once per training run.
+    It shares the matrix and actions of ``rows``, the run's exact-risk rows;
+    ``anchor_lp`` holds the anchor's log-probabilities of the actions.
     """
-    anchor_lp = anchor._log_prob_of(anchor._log_scores(xb), log.actions)
     if np.any(np.isneginf(anchor_lp)):
         raise ValueError("anchor policy must have positive probability on logged actions")
     w0c = _weighted_by(log, anchor_lp, None).values
 
-    def build(policy: LinearPolicy, xb, acts, lp_a, coef):
-        logp, resid = policy.log_prob_and_residual(xb, acts)
+    def costs(logp, lp_a, coef):
         log_ratio = np.maximum(logp - lp_a, -1e12)
-        return coef * (1.0 + log_ratio), coef, resid
+        return coef * (1.0 + log_ratio), coef
 
-    return (xb, log.actions, anchor_lp, w0c), build
-
-
-def _with_theta(policy: LinearPolicy, theta_flat: np.ndarray) -> LinearPolicy:
-    return replace(policy, theta=theta_flat.reshape(policy.theta.shape))
+    return (rows[0], rows[1], anchor_lp, w0c), costs
 
 
-def _exact_dual(policy, rows, build, kind, epsilon) -> DualPoint:
-    z, _, _ = build(policy, *rows)
-    return robust_risk_dual(z, kind, epsilon)
+def _scored(policy: LinearPolicy, rows, costs):
+    """``(z, coef, resid)`` on ``rows`` from one kernel call."""
+    logp, resid = policy.log_prob_and_residual(rows[0], rows[1])
+    return (*costs(logp, *rows[2:]), resid)
+
+
+def _log_prob(policy: LinearPolicy, rows) -> np.ndarray:
+    """The log-probabilities of the actions alone: one score pass and no residual."""
+    return policy._log_prob_of(policy._log_scores(rows[0]), rows[1])
+
+
+def _exact_dual(policy, rows, costs, kind, epsilon):
+    """The exact dual point of ``policy``'s costs and its log-probabilities, from one score pass."""
+    logp = _log_prob(policy, rows)
+    return robust_risk_dual(costs(logp, *rows[2:])[0], kind, epsilon), logp
 
 
 _PENALTY_BASE = 1e8
@@ -205,45 +221,54 @@ def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig, record):
     return res.x, res.nit, res.status == 0, trajectory
 
 
-def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, duals: bool, start):
+def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals: bool, start):
     """Projected, clipped mini-batch SGD on ``w = [theta, (beta, gamma)]``; returns (theta, report).
 
-    ``gradient(t, w, batch)`` is the step-``t`` gradient on the sliced
-    ``rows``, or ``None`` to skip the step (it may adjust ``w`` in place).
-    ``objective(w)`` is the full-log value recorded every ``_EVAL_EVERY``
-    steps and at the end.  With ``duals`` ``gamma = w[-1]`` is kept at or
-    above ``_GAMMA_MIN``.
+    ``step(t, w, batch)`` returns the step-``t`` mini-batch objective value and
+    gradient on the sliced ``rows``, or ``None`` to skip the step (it may
+    adjust ``w`` in place).  ``objective(w)`` is the exact full-log value and
+    ``value0`` its value at the start, which the trainer has from its own
+    start-up pass.  The trajectory's first entry is ``value0`` and its last
+    the exact value at the returned iterate, ``final_value``; the entries
+    every ``_EVAL_EVERY`` steps in between hold the mean mini-batch value of
+    the steps since the previous entry (NaN if every one was skipped), so the
+    loop scores the full log once whatever ``max_iters`` is.  With ``duals``
+    ``gamma = w[-1]`` is kept at or above ``_GAMMA_MIN``.
     """
     n = len(rows[0])
     batch_size = min(config.batch_size, n)
     rng = np.random.default_rng(config.seed)
     trajectory: "list[IterationRecord]" = []
     last_norm = 0.0
+    total, count = 0.0, 0
 
-    def record(t: int) -> float:
-        value = objective(w)
+    def record(t: int, value: float) -> None:
         beta, gamma = (float(w[-2]), float(w[-1])) if duals else (math.nan, math.nan)
         trajectory.append(
             IterationRecord(t, value, last_norm, beta, gamma, time.perf_counter() - start)
         )
-        return value
 
+    record(0, value0)
     for t in range(config.max_iters):
-        if t % _EVAL_EVERY == 0:
-            record(t)
-        idx = np.arange(n) if batch_size == n else rng.integers(0, n, size=batch_size)
-        grad = gradient(t, w, [a[idx] for a in rows])
-        if grad is None:
+        if t and t % _EVAL_EVERY == 0:
+            record(t, total / count if count else math.nan)
+            total, count = 0.0, 0
+        idx = None if batch_size == n else rng.integers(0, n, size=batch_size)
+        out = step(t, w, rows if idx is None else [a.take(idx, axis=0) for a in rows])
+        if out is None:
             continue
-        norm = float(np.linalg.norm(grad))
-        last_norm = norm
+        value, grad = out
+        total, count = total + value, count + 1
+        # the bits of np.linalg.norm, without its dispatch
+        norm = last_norm = math.sqrt(grad @ grad)
         if norm > _CLIP_NORM:
             grad *= _CLIP_NORM / norm
         w -= config.step_size / math.sqrt(1.0 + t / _STEP_DECAY) * grad
         if duals:
             w[-1] = max(float(w[-1]), _GAMMA_MIN)
 
-    final_value = record(config.max_iters)
+    final_value = objective(w)
+    record(config.max_iters, final_value)
     dual = DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=final_value) if duals else None
     report = TrainReport(
         final_value=final_value, iterations=config.max_iters, wall_time=time.perf_counter() - start,
@@ -252,7 +277,7 @@ def _sgd(rows, w: np.ndarray, config: OptimizerConfig, gradient, objective, dual
     return (w[:-2] if duals else w), report
 
 
-def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, build):
+def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs):
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
     xb = rows[0]
     n = len(xb)
@@ -271,8 +296,8 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
 
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
-        policy = _with_theta(policy_init, theta_flat)
-        z, coef, resid = build(policy, *rows)
+        policy = policy_init._with_theta(theta_flat)
+        z, coef, resid = _scored(policy, rows, costs)
         state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
@@ -294,12 +319,12 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
 
     # initialize the dual pair exactly at the starting policy, so a warm
     # start from a previous optimum is a fixed point of the joint solve
-    point0 = _exact_dual(policy_init, rows, build, kind, epsilon)
+    point0, _ = _exact_dual(policy_init, rows, costs, kind, epsilon)
     w, iterations, converged, trajectory = _lbfgs(
         fun, pack(policy_init.theta.ravel(), point0), config, record
     )
-    policy = _with_theta(policy_init, w[:-2])
-    final_point = _exact_dual(policy, rows, build, kind, epsilon)
+    policy = policy_init._with_theta(w[:-2])
+    final_point, _ = _exact_dual(policy, rows, costs, kind, epsilon)
     w_final = pack(w[:-2], final_point)
     trajectory.append(record(iterations, w_final, *fun(w_final)))
     report = TrainReport(
@@ -333,9 +358,9 @@ def train_dro(
     """
     if config.mode == "stochastic":
         return train_dro_stochastic(log, kind, delta, policy_init, config, rho)
-    rows, build = _weighted_costs(log, rho)
+    rows, costs = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
-    return _robust_batch(kind, eps, policy_init, config, rows, build)
+    return _robust_batch(kind, eps, policy_init, config, rows, costs)
 
 
 def train_dro_stochastic(
@@ -355,19 +380,19 @@ def train_dro_stochastic(
     abort the run.
     """
     start = time.perf_counter()
-    rows, build = _weighted_costs(log, rho)
+    rows, costs = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
     cap = _GENERATORS[kind].cap
-    point0 = _exact_dual(policy_init, rows, build, kind, eps)
+    point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps)
     w0 = np.concatenate(
         [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, _GAMMA_MIN)]]
     )
     inflations = 0
 
-    def gradient(t: int, w: np.ndarray, batch):
+    def step(t: int, w: np.ndarray, batch):
         nonlocal inflations
-        policy = _with_theta(policy_init, w[:-2])
-        z, coef, resid = build(policy, *batch)
+        policy = policy_init._with_theta(w[:-2])
+        z, coef, resid = _scored(policy, batch, costs)
         state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         if state is None:
             w[-1] *= 2.0
@@ -379,17 +404,21 @@ def train_dro_stochastic(
                 )
             return None
         inflations = 0
-        _, d1, g_beta, g_gamma = state
+        value, d1, g_beta, g_gamma = state
         g_theta = policy.score_gradient(batch[0], resid, d1 * coef) / len(z)
-        return np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
+        return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
+
+    def value_at(logp: np.ndarray, w: np.ndarray) -> float:
+        z = costs(logp, *rows[2:])[0]
+        value = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap, grads=False)
+        return math.inf if value is None else value
 
     def objective(w: np.ndarray) -> float:
-        z, _, _ = build(_with_theta(policy_init, w[:-2]), *rows)
-        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
-        return math.inf if state is None else state[0]
+        return value_at(_log_prob(policy_init._with_theta(w[:-2]), rows), w)
 
-    theta, report = _sgd(rows, w0, config, gradient, objective, duals=True, start=start)
-    return _with_theta(policy_init, theta), report
+    value0 = value_at(logp0, w0)
+    theta, report = _sgd(rows, w0, config, step, objective, value0, duals=True, start=start)
+    return policy_init._with_theta(theta), report
 
 
 def train_poem(
@@ -407,7 +436,9 @@ def train_poem(
     ``-n mean^2`` term are replaced by their tangents there, leaving a
     per-record decomposable upper bound ``z_i + c (n/(n-1)) (z_i^2 - 2 m0 z_i)``
     with ``c = lam / (2 sqrt(n v0))``.  The whole log must therefore stay in
-    memory; the inner steps use per-record gradients.
+    memory; the inner steps use per-record gradients, and each step's value
+    in the trajectory is the batch mean of that bound plus its constant, which
+    makes it equal the objective at the point of the last full pass.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -415,36 +446,48 @@ def train_poem(
     if n < 2:
         raise ValueError("the penalized objective needs at least 2 records")
     start = time.perf_counter()
-    rows, build = _weighted_costs(log)
+    rows, costs = _weighted_costs(log)
     theta0 = policy_init.theta.ravel().copy()
+
+    def full_costs(theta: np.ndarray) -> np.ndarray:
+        return costs(_log_prob(policy_init._with_theta(theta), rows), *rows[2:])[0]
+
+    def penalized(z: np.ndarray) -> float:
+        return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
 
     if config.mode == "stochastic":
         steps_per_epoch = -(-n // min(config.batch_size, n))
-        m0 = scale = 0.0
+        m0 = scale = offset = 0.0
+        z0 = full_costs(theta0)
 
-        def gradient(t: int, theta: np.ndarray, batch):
-            nonlocal m0, scale
+        def step(t: int, theta: np.ndarray, batch):
+            nonlocal m0, scale, offset
             if t % steps_per_epoch == 0:  # re-majorize from a full pass
-                z_full, _, _ = build(_with_theta(policy_init, theta), *rows)
+                z_full = z0 if t == 0 else full_costs(theta)
                 m0 = float(z_full.mean())
-                v0 = float(z_full.var(ddof=1))
-                scale = 0.0 if lam == 0.0 else lam / (2.0 * math.sqrt(n * max(v0, 1e-12)))
-            policy = _with_theta(policy_init, theta)
-            z, coef, resid = build(policy, *batch)
+                v0 = max(float(z_full.var(ddof=1)), 1e-12)
+                scale = 0.0 if lam == 0.0 else lam / (2.0 * math.sqrt(n * v0))
+                # the bound's constant: it equals the objective at the anchor
+                offset = lam * math.sqrt(v0 / n) + scale * ((n / (n - 1)) * m0 * m0 - v0)
+            policy = policy_init._with_theta(theta)
+            z, coef, resid = _scored(policy, batch, costs)
             mult = 1.0 + scale * (n / (n - 1)) * (2.0 * z - 2.0 * m0)
             grad = policy.score_gradient(batch[0], resid, mult * coef)
-            return (grad / len(z)).ravel()
+            bound = z * (1.0 + scale * (n / (n - 1)) * (z - 2.0 * m0))
+            value = float(np.add.reduce(bound)) / len(z) + offset
+            return value, (grad / len(z)).ravel()
 
         def objective(theta: np.ndarray) -> float:
-            z, _, _ = build(_with_theta(policy_init, theta), *rows)
-            return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
+            return penalized(full_costs(theta))
 
-        theta, report = _sgd(rows, theta0, config, gradient, objective, duals=False, start=start)
-        return _with_theta(policy_init, theta), report
+        theta, report = _sgd(
+            rows, theta0, config, step, objective, penalized(z0), duals=False, start=start
+        )
+        return policy_init._with_theta(theta), report
 
     def fun(theta_flat: np.ndarray):
-        policy = _with_theta(policy_init, theta_flat)
-        z, coef, resid = build(policy, *rows)
+        policy = policy_init._with_theta(theta_flat)
+        z, coef, resid = _scored(policy, rows, costs)
         mean = float(z.mean())
         grad = policy.score_gradient(rows[0], resid, coef) / n
         variance = float(z.var(ddof=1))
@@ -464,7 +507,7 @@ def train_poem(
         final_value=trajectory[-1].objective, iterations=iterations,
         wall_time=time.perf_counter() - start, trajectory=trajectory, converged=converged,
     )
-    return _with_theta(policy_init, theta), report
+    return policy_init._with_theta(theta), report
 
 
 def train_log_trick(
@@ -491,27 +534,28 @@ def train_log_trick(
     start = time.perf_counter()
     anchor = policy_init
     trajectory: "list[IterationRecord]" = []
-    rows, build = _weighted_costs(log)
+    rows, costs = _weighted_costs(log)
 
     def note(outer: int, point: DualPoint) -> None:
         elapsed = time.perf_counter() - start
         record = IterationRecord(outer, point.value, math.nan, point.beta, point.gamma, elapsed)
         trajectory.append(record)
 
-    current = _exact_dual(anchor, rows, build, kind, eps)
+    # each exact risk's score pass gives the log-probabilities the next surrogate is anchored on
+    current, anchor_lp = _exact_dual(anchor, rows, costs, kind, eps)
     note(0, current)
     total_inner = 0
     reached_fixed_point = False
     for outer in range(1, outer_iters + 1):
         candidate, inner_report = _robust_batch(
-            kind, eps, anchor, config, *_log_trick_costs(log, anchor, rows[0])
+            kind, eps, anchor, config, *_log_trick_costs(log, anchor_lp, rows)
         )
         total_inner += inner_report.iterations
-        cand_point = _exact_dual(candidate, rows, build, kind, eps)
+        cand_point, cand_lp = _exact_dual(candidate, rows, costs, kind, eps)
         note(outer, cand_point)
         improved = cand_point.value <= current.value + 1e-12
         if improved:
-            anchor = candidate
+            anchor, anchor_lp = candidate, cand_lp
         stalled = abs(current.value - cand_point.value) <= _TOLERANCE
         current = cand_point if improved else current
         if stalled or not improved:

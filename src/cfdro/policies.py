@@ -134,6 +134,12 @@ class LinearPolicy:
             raise ValueError("temperature must be positive")
         object.__setattr__(self, "theta", theta)
 
+    def _with_theta(self, theta_flat: np.ndarray) -> "LinearPolicy":
+        """This policy with ``theta_flat``, a float vector of ``theta.size``, taken unchecked."""
+        policy = object.__new__(LinearPolicy)
+        policy.__dict__.update(self.__dict__, theta=theta_flat.reshape(self.theta.shape))
+        return policy
+
     @property
     def feature_dim(self) -> int:
         return self.theta.shape[0] - 1
@@ -154,7 +160,7 @@ class LinearPolicy:
             return scores[np.arange(scores.shape[0]), np.atleast_1d(np.asarray(actions, dtype=int))]
         # log sigma(s) for set bits and log sigma(-s) for clear ones; negation is exact
         bits = np.asarray(actions)
-        return np.sum(log_expit(np.where(bits == 1, scores, -scores)), axis=1)
+        return np.add.reduce(log_expit(np.where(bits == 1, scores, -scores)), axis=1)
 
     def _residual_of(self, scores: np.ndarray, actions) -> np.ndarray:
         if isinstance(self.action_space, Multiclass):
@@ -363,10 +369,15 @@ def save_policy(policy: LinearPolicy, path) -> None:
 def load_policy(path) -> LinearPolicy:
     """Read a checkpoint written by :func:`save_policy`."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != _CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError("not a policy checkpoint")
     if payload.get("version") != _CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    missing = [key for key in ("theta", "action_space", "temperature") if key not in payload]
+    if missing:
+        raise ValueError(f"policy checkpoint has no {missing[0]!r}")
+    if type(payload["temperature"]) not in (int, float):
+        raise ValueError(f"temperature must be a JSON number, got {payload['temperature']!r}")
     return LinearPolicy(
         theta=np.asarray(payload["theta"], dtype=float),
         action_space=_space_from_dict(payload["action_space"]),

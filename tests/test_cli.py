@@ -242,6 +242,66 @@ class TestEvaluate:
         assert code == 1
         assert key in err and ("line 1: action_space: " in err) == (where == "log header")
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("theta", None, "'theta'"),
+        ("action_space", None, "'action_space'"),
+        ("temperature", None, "'temperature'"),
+        ("temperature", "hot", "temperature must be a JSON number"),
+    ])
+    def test_malformed_policy_checkpoint_is_a_validation_error(
+        self, tmp_path, capsys, key, value, named
+    ):
+        # None deletes the key
+        log_path, policy_path = make_constant_cost_artifacts(tmp_path)
+        payload = json.loads(policy_path.read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        policy_path.write_text(json.dumps(payload) + "\n")
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    def test_checkpoint_that_is_not_an_object_is_a_validation_error(self, tmp_path, capsys):
+        log_path, policy_path = make_constant_cost_artifacts(tmp_path)
+        policy_path.write_text("[1, 2]\n")
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        assert code == 1
+        assert "not a policy checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,named,space", [
+        ("features", [None, 0.0, 0.0, 0.0, 0.0], "features must be finite", "factorized"),
+        ("propensity", 1.5, "propensities must lie in (0, 1]", "factorized"),
+        ("cost_scaled", 0.5, "rescaled costs must lie in [-1, 0]", "factorized"),
+        ("cost_scaled", -1.5, "rescaled costs must lie in [-1, 0]", "multiclass"),
+        ("action", 99, "action id out of range", "multiclass"),
+        ("action", -1, "action id out of range", "multiclass"),
+    ])
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_out_of_range_record_value_is_a_validation_error_with_its_line(
+        self, tmp_path, capsys, key, value, named, space, blank_lines
+    ):
+        # BanditLog's rules find the record; blank lines before it shift its line
+        out = tmp_path / "run"
+        assert main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(out), "-P", "1",
+            "--action-space", space,
+        ]) == 0
+        log_path = out / "bandit_log.jsonl"
+        lines = log_path.read_text().splitlines()
+        record = json.loads(lines[5])
+        record[key] = value
+        lines[5] = json.dumps(record)
+        lines[2:2] = [""] * blank_lines
+        log_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        policy_path = out / "logging_policy.json"
+        code = main(["evaluate", "--log", str(log_path), "--policy", str(policy_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: line {6 + blank_lines}: {named}" in err
+
     def test_single_divergence_selection(self, tmp_path, capsys):
         log_path, policy_path = make_constant_cost_artifacts(tmp_path)
         code = main([

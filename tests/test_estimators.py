@@ -1,6 +1,7 @@
 """Estimator arithmetic on hand-checked logs and Monte-Carlo behavior on known environments."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -358,3 +359,27 @@ def test_integral_float_action_ids_are_accepted():
     )
     assert log.actions.dtype.kind == "i"
     np.testing.assert_array_equal(log.actions, [1, 0])
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("features", [np.nan, 0.0], "features must be finite"),
+    ("actions", [0, 2], "factorized actions must be 0/1 bits"),
+    ("propensities", 1.5, "propensities must lie in (0, 1]"),
+    ("costs", 0.5, "rescaled costs must lie in [-1, 0]"),
+])
+def test_a_broken_rule_names_the_first_record_that_breaks_it(field, value, message):
+    n = 5
+    fields = dict(
+        features=np.zeros((n, 2)),
+        actions=np.zeros((n, 2), dtype=np.int8),
+        propensities=np.full(n, 0.25),
+        costs_raw=np.full(n, -1.0),
+        costs=np.full(n, -1.0),
+        action_space=FactorizedLabels(2),
+        cost_scale=CostScale.identity(),
+    )
+    fields[field][2] = value
+    fields[field][4] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        BanditLog(**fields)
+    assert info.value.index == 2

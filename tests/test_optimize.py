@@ -1,5 +1,6 @@
 """Trainer behavior: recovery of known optima, warm starts, stochastic contracts, monotone loops."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from cfdro import optimize
-from cfdro.data import collect_bandit_log, synthetic_multilabel_dataset, train_logging_policy
+from cfdro.data import (
+    LoggingPolicyConfig,
+    collect_bandit_log,
+    synthetic_multilabel_dataset,
+    train_logging_policy,
+)
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import dual_gradient_policy, robust_risk_dual
 from cfdro.estimators import BanditLog, CostScale, importance_weights, ips_risk
@@ -464,3 +470,157 @@ def test_log_trick_scores_the_anchor_on_the_runs_matrix(monkeypatch):
     )
     assert len(report.trajectory) == 5
     assert calls == []
+
+
+def _stochastic_env(space):
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    config = LoggingPolicyConfig(action_space=space)
+    policy0 = train_logging_policy(dataset.subset(range(20)), config)
+    return collect_bandit_log(dataset, policy0, 2, seed=4), policy0
+
+
+def _run_digest(policy, report):
+    """sha256 prefix of the float.hex of theta, the dual point and final_value."""
+    parts = [float(v).hex() for v in policy.theta.ravel()]
+    if report.dual is not None:
+        parts += [report.dual.beta.hex(), report.dual.gamma.hex(), report.dual.value.hex()]
+    parts.append(report.final_value.hex())
+    return hashlib.sha256(" ".join(parts).encode()).hexdigest()[:16]
+
+
+# recorded before the stochastic step was slimmed down; every bit must stay
+_STOCHASTIC_DIGESTS = {
+    ("factorized", "chi2", 0.0): "f8f5e5c63e464928",
+    ("factorized", "chi2", "mean"): "3830646c66791256",
+    ("factorized", "kl", 0.0): "fa7aa8f1d55c2803",
+    ("factorized", "kl", "mean"): "64d590ff51b82b7d",
+    ("factorized", "burg", 0.0): "9f4ec6b0e1c1d708",
+    ("factorized", "burg", "mean"): "afd57859d1bde05b",
+    ("factorized", "hellinger", 0.0): "31e6ea3a396d9b18",
+    ("factorized", "hellinger", "mean"): "cebc82dc461d1306",
+    ("factorized", "poem", 0.0): "e9c3e17eb1c2ca61",
+    ("factorized", "poem", 0.3): "01ad430dc3f3aedd",
+    ("multiclass", "chi2", 0.0): "ee21c525542654b1",
+    ("multiclass", "chi2", "mean"): "c9ba99803f1d3eaf",
+    ("multiclass", "kl", 0.0): "a4fd3cfb823189b8",
+    ("multiclass", "kl", "mean"): "c608afbb4442323a",
+    ("multiclass", "burg", 0.0): "fe9cb14314ab46a9",
+    ("multiclass", "burg", "mean"): "4ed56d264d6194fe",
+    ("multiclass", "hellinger", 0.0): "63d5ed51c58b8b58",
+    ("multiclass", "hellinger", "mean"): "a348cd517117f034",
+    ("multiclass", "poem", 0.0): "efb34d0683b0e634",
+    ("multiclass", "poem", 0.3): "d6afcdfd7ad0ea0e",
+}
+
+
+@pytest.mark.parametrize("space,trainer,arg", sorted(_STOCHASTIC_DIGESTS, key=str))
+def test_stochastic_runs_are_pinned_bit_for_bit(space, trainer, arg):
+    # arg is rho for the robust trainers and lam for poem
+    log, policy0 = _stochastic_env(space)
+    config = OptimizerConfig(mode="stochastic", max_iters=250, batch_size=16, step_size=0.1, seed=5)
+    if trainer == "poem":
+        policy, report = train_poem(log, arg, policy0, config)
+    else:
+        kind = DivergenceKind.from_name(trainer)
+        policy, report = train_dro(log, kind, 0.05, policy0, config, rho=arg)
+    assert _run_digest(policy, report) == _STOCHASTIC_DIGESTS[space, trainer, arg]
+
+
+def test_stochastic_gamma_doubling_is_pinned_bit_for_bit(monkeypatch):
+    # one-record batches at a large step push beta low enough that a batch
+    # leaves Burg's conjugate domain, and the loop doubles gamma
+    log, policy0 = _stochastic_env("factorized")
+    skipped = []
+    value_grads = optimize._robust_value_grads
+
+    def counted(*args, **kwargs):
+        out = value_grads(*args, **kwargs)
+        skipped.append(out is None)
+        return out
+
+    monkeypatch.setattr(optimize, "_robust_value_grads", counted)
+    config = OptimizerConfig(mode="stochastic", max_iters=300, batch_size=1, step_size=10.0, seed=5)
+    policy, report = train_dro(log, DivergenceKind.BURG, 0.05, policy0, config)
+    assert any(skipped)
+    assert _run_digest(policy, report) == "aefc5381fab13abf"
+
+
+def _count_full_log_scores(monkeypatch, n):
+    calls = []
+    scores = LinearPolicy._log_scores
+
+    def counted(self, xb):
+        calls.append(len(xb) == n)
+        return scores(self, xb)
+
+    monkeypatch.setattr(LinearPolicy, "_log_scores", counted)
+    return calls
+
+
+def test_stochastic_run_scores_the_full_log_a_fixed_number_of_times(monkeypatch):
+    # the start's dual point, whose scores also give the first trajectory entry,
+    # and the exact objective at the end
+    log, policy0 = _stochastic_env("factorized")
+    calls = _count_full_log_scores(monkeypatch, log.n)
+    full_passes = []
+    for max_iters in (300, 1200):
+        calls.clear()
+        config = OptimizerConfig(mode="stochastic", max_iters=max_iters, seed=1)
+        _, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+        assert len(report.trajectory) == max_iters // 100 + 1
+        full_passes.append(sum(calls))
+    assert full_passes == [2, 2]
+
+
+def test_log_trick_anchors_on_the_exact_risks_scores(monkeypatch):
+    # the surrogate of each outer step takes its anchor's log-probabilities from
+    # the score pass of that anchor's exact risk; the anchor is not scored again
+    log, policy0 = _stochastic_env("factorized")
+    calls = _count_full_log_scores(monkeypatch, log.n)
+    inside, lbfgs = [0], optimize._lbfgs
+
+    def counted_lbfgs(fun, x0, config, record):
+        def counted_fun(x):
+            before = sum(calls)
+            out = fun(x)
+            inside[0] += sum(calls) - before
+            return out
+
+        return lbfgs(counted_fun, x0, config, record)
+
+    monkeypatch.setattr(optimize, "_lbfgs", counted_lbfgs)
+    _, report = train_log_trick(
+        log, DivergenceKind.CHI_SQUARE, 0.05, policy0, OptimizerConfig(max_iters=5), outer_iters=4
+    )
+    assert len(report.trajectory) == 5
+    # the start's exact risk, then per outer step the inner run's two dual
+    # solves and closing entry, and the candidate's exact risk: 21 before
+    # the anchor's scores were reused, one more per outer step
+    assert sum(calls) - inside[0] == 1 + 4 * 4
+
+
+@pytest.mark.parametrize("trainer", ["dro", "poem"])
+def test_intermediate_sgd_entries_average_the_step_values(monkeypatch, trainer):
+    # with the whole log as the batch, step t's value is the exact objective
+    # at iterate t, which a run of t steps reports as its final value
+    monkeypatch.setattr(optimize, "_EVAL_EVERY", 10)
+    log = one_context_log()
+    base = dict(mode="stochastic", batch_size=log.n, step_size=0.1)
+
+    def run(max_iters):
+        config = OptimizerConfig(max_iters=max_iters, **base)
+        if trainer == "poem":
+            return train_poem(log, 0.3, fresh_policy(), config)[1]
+        return train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), config)[1]
+
+    report = run(11)
+    assert [rec.iteration for rec in report.trajectory] == [0, 10, 11]
+    assert report.trajectory[-1].objective == report.final_value
+    total = report.trajectory[0].objective
+    for t in range(1, 10):
+        total += run(t).final_value
+    if trainer == "poem":
+        # the majorizer is re-anchored at every full-batch step, where it equals the objective
+        assert report.trajectory[1].objective == pytest.approx(total / 10, rel=1e-12)
+    else:
+        assert report.trajectory[1].objective == total / 10
