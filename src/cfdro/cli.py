@@ -318,6 +318,11 @@ def cmd_coverage(args) -> int:
     seed = _resolve_seed(args.seed)
     if not 0 < args.delta < 1:
         raise _CliError("delta must lie in (0, 1)")
+    if args.target_subset_frac is not None and not 0 < args.target_subset_frac <= 1:
+        raise _CliError("--target-subset-frac must lie in (0, 1]")
+    if not np.isfinite(args.target_perturbation):
+        raise _CliError("--target-perturbation must be finite")
+    target = None if args.target_policy is None else load_policy(args.target_policy)
     dataset = _load_dataset(args.data)
     kinds = _parse_divergences(args.divergence)
     splits, policy0 = _split_and_fit(dataset, SplitSpec(seed=seed), args.action_space, 2.0)
@@ -326,15 +331,11 @@ def cmd_coverage(args) -> int:
     # the asymptotic interval covers.  The default is a perturbed incumbent,
     # the regime the intervals are designed for (offline A/B comparison).
     rng = np.random.default_rng(seed + 17)
-    if args.target_policy is not None:
-        target = load_policy(args.target_policy)
-    elif args.target_subset_frac is not None:
-        if not 0 < args.target_subset_frac <= 1:
-            raise _CliError("target-subset-frac must lie in (0, 1]")
+    if target is None and args.target_subset_frac is not None:
         size = max(1, int(round(args.target_subset_frac * splits.train.n_rows)))
         idx = rng.choice(splits.train.n_rows, size=size, replace=False)
         target = _fit_logging_policy(splits.train.subset(idx), args.action_space, 2.0)
-    else:
+    elif target is None:
         target = LinearPolicy(
             theta=policy0.theta
             + args.target_perturbation * rng.normal(size=policy0.theta.shape),

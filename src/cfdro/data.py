@@ -225,8 +225,8 @@ class LoggingPolicyConfig:
     def __post_init__(self) -> None:
         if self.action_space not in ("factorized", "multiclass"):
             raise ValueError("action_space must be 'factorized' or 'multiclass'")
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
 
 
 def train_logging_policy(

@@ -12,9 +12,9 @@ reduced function ``h(gamma) = min_beta g(beta, gamma)``: the inner step is an
 exact one-dimensional minimization in ``beta`` (safeguarded Newton on the
 stationarity condition), and the outer step is a golden-section search over
 ``log gamma``; ``h`` is convex in ``gamma`` by partial minimization, so the
-search is globally correct.  A quasi-Newton fallback over
-``(beta, softplus-parametrized gamma)`` covers the rare case where the
-primary path fails to certify.
+search is globally correct.  A solve returns only a certified point: a finite
+value whose bracket shrank to the tolerance, or the boundary optimum at the
+``gamma`` floor; anything else raises :class:`SolverError`.
 
 The empirical distribution may be given as distinct values ``z`` with
 ``counts``, the multiplicity of each.  The dual's mean then weights each
@@ -29,8 +29,7 @@ writes ``u = (z - beta) / gamma`` into the workspace, and when the inner
 solve stops on its root tolerance, ``h`` is read from that same ``u`` (on
 any other exit ``u`` is first recomputed at the returned ``beta``).  So
 evaluating ``h(t)`` costs the inner solve's passes plus one conjugate pass,
-in :func:`dual_objective`'s order of operations and with its bits; that
-function stays public for the fallback.
+in :func:`dual_objective`'s order of operations and with its bits.
 
 Extended-real arithmetic is used throughout: out-of-domain conjugate values
 propagate ``+inf`` as a barrier and no NaN ever escapes.
@@ -43,7 +42,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .divergences import _GENERATORS, DivergenceKind, conjugate_derivative
 from .estimators import BanditLog, WeightedCosts, _check_policy_matches, _weighted_by
@@ -91,10 +89,15 @@ class DualSolverOptions:
 
     ``bracket_tol`` is in log-gamma units; the objective error at
     termination is quadratic in it, so the default certifies values to
-    roughly 1e-8 relative.
+    roughly 1e-8 relative.  Below 1e-12 the bracket falls under float64
+    resolution in log gamma and cannot certify, so it is rejected.
     """
 
     bracket_tol: float = 1e-4
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.bracket_tol) and self.bracket_tol >= 1e-12):
+            raise ValueError(f"bracket_tol must be finite and at least 1e-12, got {self.bracket_tol!r}")
 
 
 # the inner root tolerance, the golden-section cap and the outer log-gamma range
@@ -322,38 +325,6 @@ def _bracket_and_golden(h: _ReducedObjective, t0: float, bracket_tol: float, flo
     return t_best, beta, v_best, b - a
 
 
-def _softplus(x: float) -> float:
-    return math.log1p(math.exp(-abs(x))) + max(x, 0.0)
-
-
-def _solve_quasi_newton(
-    zv: np.ndarray, kind: DivergenceKind, epsilon: float, beta0: float, gamma0: float
-) -> DualPoint:
-    """Quasi-Newton fallback over (beta, softplus-parametrized gamma)."""
-
-    def pack(beta: float, gamma: float) -> np.ndarray:
-        psi = math.log(math.expm1(gamma)) if gamma > 1e-8 else math.log(gamma)
-        return np.array([beta, psi])
-
-    def fun(w: np.ndarray):
-        beta, psi = float(w[0]), float(w[1])
-        gamma = _softplus(psi)
-        if gamma <= 0:
-            return 1e12, np.array([0.0, -1.0])
-        val = dual_objective(zv, kind, epsilon, beta, gamma)
-        if not math.isfinite(val):
-            smax = float(zv.max()) - beta
-            viol = max(smax - gamma, 0.0) + 1e-6
-            return 1e10 + 1e6 * viol, np.array([-1e6, -1e6 / (1.0 + math.exp(-psi))])
-        gb, gg = dual_gradient(zv, kind, epsilon, beta, gamma)
-        return val, np.array([gb, gg / (1.0 + math.exp(-psi))])
-
-    res = sp_optimize.minimize(fun, pack(beta0, gamma0), jac=True, method="L-BFGS-B")
-    beta, psi = float(res.x[0]), float(res.x[1])
-    gamma = _softplus(psi)
-    return DualPoint(beta=beta, gamma=gamma, value=dual_objective(zv, kind, epsilon, beta, gamma))
-
-
 def robust_risk_dual(
     z,
     kind: DivergenceKind,
@@ -381,8 +352,9 @@ def robust_risk_dual(
     Raises
     ------
     SolverError
-        If neither the primary search nor the quasi-Newton fallback can
-        certify convergence.  The exception carries the best iterate found.
+        If the search cannot certify its point (a value that is not finite,
+        or a bracket wider than ``4 * bracket_tol`` after the iteration cap
+        away from the ``gamma`` floor).  The exception carries that point.
     """
     zv = _as_values(z)
     mean_of = _mean_under(None if counts is None else _masses(counts, zv.size))
@@ -390,30 +362,16 @@ def robust_risk_dual(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     mean = mean_of(zv)
-    if epsilon == 0.0:
-        return DualPoint(beta=mean, gamma=0.0, value=mean)
-    if float(np.ptp(zv)) == 0.0:
+    if epsilon == 0.0 or float(np.ptp(zv)) == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)
     h = _ReducedObjective(zv, kind, epsilon, mean_of)
     t0 = math.log(max(h.std, 1e-3))
     floor = max(math.log(1e-12 * h.scale), _GAMMA_LOG_FLOOR)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t_best, beta, value, width = _bracket_and_golden(h, t0, bracket_tol, floor)
-    gamma = math.exp(t_best)
-    point = DualPoint(beta=beta, gamma=gamma, value=value)
+    point = DualPoint(beta=beta, gamma=math.exp(t_best), value=value)
     if math.isfinite(value) and (width <= bracket_tol * 4.0 or t_best <= floor):
         return point
-    records = zv if counts is None else np.repeat(zv, counts)
-    fallback = _solve_quasi_newton(records, kind, epsilon, beta, max(gamma, 1e-6))
-    if math.isfinite(fallback.value) and fallback.value <= value + 1e-9:
-        try:
-            gb, gg = dual_gradient(records, kind, epsilon, fallback.beta, max(fallback.gamma, 1e-300))
-            certified = math.hypot(gb, gg) <= 1e-5 * max(1.0, abs(fallback.value))
-        except ValueError:
-            certified = False
-        if certified:
-            return fallback
-        point = fallback if fallback.value < value else point
     raise SolverError("dual solve failed to certify convergence", best=point)
 
 

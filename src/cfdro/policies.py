@@ -130,8 +130,10 @@ class LinearPolicy:
                 f"theta has {theta.shape[1]} columns but the action space "
                 f"needs {self.action_space.n_logits}"
             )
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
         object.__setattr__(self, "theta", theta)
 
     def _with_theta(self, theta_flat: np.ndarray) -> "LinearPolicy":

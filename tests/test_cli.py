@@ -6,9 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from cfdro import cli
+from cfdro import cli, dro
 from cfdro.cli import main
-from cfdro.data import read_bandit_log, write_bandit_log
+from cfdro.data import (
+    read_bandit_log,
+    synthetic_multilabel_dataset,
+    write_bandit_log,
+    write_libsvm_multilabel,
+)
 from cfdro.estimators import BanditLog, CostScale
 from cfdro.policies import LinearPolicy, Multiclass, save_policy
 
@@ -71,6 +76,16 @@ class TestConvert:
         ])
         assert code == 1
         assert "temperature must be positive" in capsys.readouterr().err
+
+    def test_infinite_temperature_is_a_validation_error(self, tmp_path, capsys):
+        # it would write a checkpoint of a uniform policy that load_policy rejects
+        code = main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
+            "--temperature", "inf",
+        ])
+        assert code == 1
+        assert "temperature must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def make_constant_cost_artifacts(tmp_path):
@@ -247,6 +262,9 @@ class TestEvaluate:
         ("action_space", None, "'action_space'"),
         ("temperature", None, "'temperature'"),
         ("temperature", "hot", "temperature must be a JSON number"),
+        # json writes and reads these as Infinity and NaN
+        ("temperature", float("inf"), "temperature must be positive and finite"),
+        ("theta", [[0.0, float("nan")], [0.0, 0.0], [0.0, 0.0]], "theta must be finite"),
     ])
     def test_malformed_policy_checkpoint_is_a_validation_error(
         self, tmp_path, capsys, key, value, named
@@ -485,6 +503,67 @@ class TestCoverage:
         rows = read_csv(out / "coverage.csv")
         assert len(rows) == 2 * 2 * 3  # two sizes, two replications, chi2 + two comparators
         assert {r["n"] for r in rows} == {"100", "200"}
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--target-subset-frac", "0", "error: --target-subset-frac must lie in (0, 1]"),
+        ("--target-perturbation", "nan", "error: --target-perturbation must be finite"),
+        ("--target-perturbation", "inf", "error: --target-perturbation must be finite"),
+        ("--target-policy", "missing.json", "missing.json"),
+    ])
+    def test_bad_target_flag_exits_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, flag, value, named
+    ):
+        fits = []
+        monkeypatch.setattr(cli, "train_logging_policy", lambda *args: fits.append(args))
+        monkeypatch.chdir(tmp_path)
+        code = main(["coverage", "--data", "bundled:synthetic", "--output-dir", "x", flag, value])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "x").exists()
+
+    def test_target_policy_checkpoint_is_evaluated(self, tmp_path):
+        converted = tmp_path / "run"
+        assert main([
+            "convert", "--data", "bundled:synthetic", "--output-dir", str(converted), "-P", "1",
+        ]) == 0
+        out = tmp_path / "cov"
+        assert main([
+            "coverage", "--data", "bundled:synthetic", "--output-dir", str(out),
+            "--replay-counts", "1", "-R", "1", "--divergence", "kl",
+            "--target-policy", str(converted / "logging_policy.json"),
+        ]) == 0
+        assert len(read_csv(out / "coverage.csv")) == 3  # kl + two comparators
+
+    def test_target_fitted_on_a_subset_of_train(self, tmp_path):
+        out = tmp_path / "cov"
+        assert main([
+            "coverage", "--data", "bundled:synthetic", "--output-dir", str(out),
+            "--replay-counts", "1", "-R", "1", "--divergence", "chi2",
+            "--target-subset-frac", "0.5",
+        ]) == 0
+        assert len(read_csv(out / "coverage.csv")) == 3
+
+    def test_solver_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        # one golden-section step cannot certify, so the first interval's solve raises
+        monkeypatch.setattr(dro, "_MAX_ITERS", 1)
+        code = main([
+            "coverage", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
+            "--replay-counts", "1", "-R", "1",
+        ])
+        assert code == 2
+        assert "solver failure" in capsys.readouterr().err
+
+
+def test_libsvm_file_gives_the_bytes_of_the_bundled_dataset(tmp_path):
+    data = tmp_path / "synthetic.svm"
+    write_libsvm_multilabel(synthetic_multilabel_dataset(), data)
+    logs = []
+    for name, source in (("file", str(data)), ("bundled", "bundled:synthetic")):
+        out = tmp_path / name
+        assert main(["convert", "--data", source, "--output-dir", str(out), "-P", "2"]) == 0
+        logs.append((out / "bandit_log.jsonl").read_bytes())
+    assert logs[0] == logs[1]
 
 
 def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 from cfdro import dro
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import (
+    DualSolverOptions,
+    SolverError,
     dual_gradient,
     dual_gradient_policy,
     dual_objective,
@@ -355,8 +357,8 @@ def test_solver_bits_are_pinned(vector, kind, side):
 
 
 def test_golden_section_values_come_from_the_inner_solve(monkeypatch):
-    # each h-evaluation whose inner solve stops on root_tol reuses that pass's u,
-    # so dual_objective is left to the fallback and the rare non-certified exit
+    # each h-evaluation reads h from the inner solve's u (recomputed off root_tol),
+    # so a solve never calls the public dual_objective
     calls = []
     objective = dro.dual_objective
 
@@ -370,6 +372,31 @@ def test_golden_section_values_come_from_the_inner_solve(monkeypatch):
             robust_risk_dual(z, kind, eps)
             optimistic_risk_dual(z, kind, eps)
     assert calls == []
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-4, math.nan, math.inf, 1e-13])
+def test_bracket_tol_below_float_resolution_is_rejected(tol):
+    with pytest.raises(ValueError, match="bracket_tol"):
+        DualSolverOptions(bracket_tol=tol)
+
+
+def test_finest_bracket_tol_certifies():
+    options = DualSolverOptions(bracket_tol=1e-12)
+    for z, eps in _pinned_vectors().values():
+        for kind in ALL_KINDS:
+            robust_risk_dual(z, kind, eps, options)
+            optimistic_risk_dual(z, kind, eps, options)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_uncertified_search_raises_with_its_best_point(monkeypatch, kind):
+    # one golden-section step leaves the bracket far wider than 4 * bracket_tol
+    monkeypatch.setattr(dro, "_MAX_ITERS", 1)
+    z, eps = _pinned_vectors()["normal"]
+    with pytest.raises(SolverError) as raised:
+        robust_risk_dual(z, kind, eps)
+    best = raised.value.best
+    assert all(math.isfinite(x) for x in (best.beta, best.gamma, best.value))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

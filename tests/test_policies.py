@@ -1,5 +1,6 @@
 """Policy probabilities, sampling, gradients, exact risks and checkpoints."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -285,6 +286,22 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
+        load_policy(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("temperature", math.inf),
+    ("temperature", math.nan),
+    ("theta", [[0.0, math.nan], [0.0, 0.0], [0.0, 0.0]]),
+    ("theta", [[0.0, 0.0], [-math.inf, 0.0], [0.0, 0.0]]),
+])
+def test_checkpoint_with_non_finite_values_is_rejected(tmp_path, key, value):
+    path = tmp_path / "policy.json"
+    save_policy(uniform_policy(Multiclass(2), dim=2), path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"{key} must be"):
         load_policy(path)
 
 
