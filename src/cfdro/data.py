@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 from scipy import optimize as sp_optimize
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
-from .estimators import BanditLog, CostScale, _RecordFault
+from .estimators import BanditLog, CostScale, _RecordFault, _byte_groups
 from .policies import (
     ActionSpace,
     FactorizedLabels,
@@ -45,6 +45,7 @@ from .policies import (
     LinearPolicy,
     Multiclass,
     _hamming_costs,
+    _logsumexp,
     _space_from_dict,
     _space_to_dict,
     _with_bias,
@@ -258,9 +259,9 @@ def train_logging_policy(
         classes = dataset.labels.astype(int) @ powers
 
         def data_term(scores: np.ndarray):
-            lse = logsumexp(scores, axis=1)
-            loss = float(np.mean(lse - scores[np.arange(m), classes]))
-            probs = np.exp(scores - lse[:, None])
+            lse = _logsumexp(scores)
+            loss = float(np.mean(lse[:, 0] - scores[np.arange(m), classes]))
+            probs = np.exp(scores - lse)
             probs[np.arange(m), classes] -= 1.0
             return loss, xb.T @ probs / m
 
@@ -342,8 +343,7 @@ def _shared_rows(features: np.ndarray) -> np.ndarray:
     n, d = features.shape
     if d == 0:
         return np.full(n, -1)
-    keys = np.ascontiguousarray(features).view(np.dtype((np.void, features.itemsize * d)))
-    _, group, counts = np.unique(keys.ravel(), return_inverse=True, return_counts=True)
+    _, group, counts = _byte_groups(features)
     return np.where(counts[group] > 1, group, -1)
 
 

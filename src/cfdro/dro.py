@@ -421,7 +421,8 @@ def kl_reduced_dual(z, epsilon: float, gamma: float) -> float:
 
 
 def _robust_value_grads(
-    kind: DivergenceKind, epsilon: float, z, beta: float, gamma: float, bound, grads: bool = True
+    kind: DivergenceKind, epsilon: float, z, beta: float, gamma: float, bound,
+    grads: bool = True, mean=_mean,
 ):
     """Value and analytic partials of the dual objective at ``gamma > 0``.
 
@@ -430,7 +431,8 @@ def _robust_value_grads(
     ``None`` when some ``u = (z - beta) / gamma`` reaches ``bound``: the
     conjugate's domain for the exact gradient, the overflow cap (``None``
     for no check) in the trainers.  Without ``grads`` it returns the value
-    alone and computes no derivative.
+    alone and computes no derivative.  ``mean`` takes every mean: the plain
+    one, or a :func:`_mean_under` for distinct records with masses.
     """
     gen = _GENERATORS[kind]
     u = (z - beta) / gamma
@@ -438,14 +440,11 @@ def _robust_value_grads(
         return None
     with np.errstate(over="ignore"):
         vals = gen.conjugate(u)
-        # np.add.reduce(x) / x.size is x.mean() without the method's overhead, bit for bit
-        value = beta + gamma * epsilon + gamma * float(np.add.reduce(vals) / vals.size)
+        value = beta + gamma * epsilon + gamma * mean(vals)
         if not grads:
             return value
         d1, _ = gen.derivatives(u, np.asarray)
-    g_beta = 1.0 - float(np.add.reduce(d1) / d1.size)
-    g_gamma = epsilon + float(np.add.reduce(vals - u * d1) / u.size)
-    return value, d1, g_beta, g_gamma
+    return value, d1, 1.0 - mean(d1), epsilon + mean(vals - u * d1)
 
 
 def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: float):

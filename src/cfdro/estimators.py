@@ -204,6 +204,15 @@ def _weighted_by(log: BanditLog, logp: np.ndarray, weight_clip: Optional[float])
     return WeightedCosts(values=weights * log.costs, weights=weights)
 
 
+def _byte_groups(rows: np.ndarray):
+    """``np.unique``'s first index, inverse and counts of a 2-D array's rows, compared by bytes.
+
+    Byte equality keeps ``-0.0`` and ``0.0`` apart, so rows in one group are identical.
+    """
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    return np.unique(keys.ravel(), return_index=True, return_inverse=True, return_counts=True)[1:]
+
+
 def ips_risk(log: BanditLog, policy: LinearPolicy, weight_clip: Optional[float] = None) -> float:
     """Importance-weighted empirical risk: the mean of the weighted costs."""
     return float(importance_weights(log, policy, weight_clip).values.mean())

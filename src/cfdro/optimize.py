@@ -10,7 +10,9 @@ problem and a monotone outer loop.  Every trainer runs on one of two
 shared solvers: batch mode is one L-BFGS-B scaffold whose trajectory reuses the
 evaluations L-BFGS-B already made, and stochastic mode is one projected,
 clipped mini-batch SGD loop over ``[theta, (beta, gamma)]`` to which each
-trainer supplies its per-step gradient.  Reports carry the iteration
+trainer supplies its per-step gradient.  A batch evaluation scores each
+distinct record once, weighted by its share of the log, and equals the
+per-record objective up to rounding.  Reports carry the iteration
 trajectory and can be serialized to CSV or JSON lines.
 """
 
@@ -28,8 +30,8 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from .divergences import _GENERATORS, DivergenceKind
-from .dro import DualPoint, SolverError, _robust_value_grads, robust_risk_dual
-from .estimators import BanditLog, _weighted_by, estimate_rho
+from .dro import DualPoint, SolverError, _mean_under, _robust_value_grads, robust_risk_dual
+from .estimators import BanditLog, _byte_groups, _weighted_by, estimate_rho
 from .intervals import calibrated_radius
 from .policies import LinearPolicy, Multiclass, _with_bias
 
@@ -174,6 +176,16 @@ def _scored(policy: LinearPolicy, rows, costs):
     return (*costs(logp, *rows[2:]), resid)
 
 
+def _distinct(rows):
+    """One of each distinct record of ``rows`` (all entries, by bytes) and masses ``counts / n``.
+
+    Grouping the feature rows first leaves the second grouping a narrow table to sort.
+    """
+    group = _byte_groups(rows[0])[1]
+    first, _, counts = _byte_groups(np.column_stack([group, *rows[1:]]))
+    return [a[first] for a in rows], counts / len(group)
+
+
 def _log_prob(policy: LinearPolicy, rows) -> np.ndarray:
     """The log-probabilities of the actions alone: one score pass and no residual."""
     return policy._log_prob_of(policy._log_scores(rows[0]), rows[1])
@@ -279,10 +291,10 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
 
 def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs):
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
-    xb = rows[0]
-    n = len(xb)
     cap = _GENERATORS[kind].cap
     start = time.perf_counter()
+    distinct, p = _distinct(rows)
+    xb, k, mean = distinct[0], len(p), _mean_under(p)
 
     def unpack(w: np.ndarray):
         beta = float(w[-2])
@@ -297,18 +309,18 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
         policy = policy_init._with_theta(theta_flat)
-        z, coef, resid = _scored(policy, rows, costs)
-        state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap)
+        z, coef, resid = _scored(policy, distinct, costs)
+        state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap, mean=mean)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
             imax = int(np.argmax(z))
             viol = (float(z[imax]) - beta) - cap * gamma
-            g_theta = policy.score_gradient(xb, resid, np.where(np.arange(n) == imax, coef, 0.0))
+            g_theta = policy.score_gradient(xb, resid, np.where(np.arange(k) == imax, coef, 0.0))
             g_duals = [-_PENALTY_SLOPE, -_PENALTY_SLOPE * cap * math.exp(psi)]
             g = np.concatenate([_PENALTY_SLOPE * g_theta.ravel(), g_duals])
             return _PENALTY_BASE + _PENALTY_SLOPE * viol, g
         value, d1, g_beta, g_gamma = state
-        g_theta = policy.score_gradient(xb, resid, d1 * coef) / n
+        g_theta = policy.score_gradient(xb, resid, p * d1 * coef)
         return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma * math.exp(psi)]])
 
     def record(iteration: int, w: np.ndarray, value: float, grad: np.ndarray) -> IterationRecord:
@@ -485,16 +497,19 @@ def train_poem(
         )
         return policy_init._with_theta(theta), report
 
+    distinct, p = _distinct(rows)
+    mean_of = _mean_under(p)
+
     def fun(theta_flat: np.ndarray):
         policy = policy_init._with_theta(theta_flat)
-        z, coef, resid = _scored(policy, rows, costs)
-        mean = float(z.mean())
-        grad = policy.score_gradient(rows[0], resid, coef) / n
-        variance = float(z.var(ddof=1))
+        z, coef, resid = _scored(policy, distinct, costs)
+        mean = mean_of(z)
+        grad = policy.score_gradient(distinct[0], resid, p * coef)
+        variance = n / (n - 1) * mean_of(np.square(z - mean))
         value = mean + lam * math.sqrt(variance / n)
         if lam > 0 and variance > 1e-18:
-            dv_coef = 2.0 / (n - 1) * (z - mean) * coef
-            grad_var = policy.score_gradient(rows[0], resid, dv_coef)
+            dv_coef = 2.0 * n / (n - 1) * p * (z - mean) * coef
+            grad_var = policy.score_gradient(distinct[0], resid, dv_coef)
             grad = grad + grad_var * (lam / (2.0 * math.sqrt(variance / n) * n))
         return value, grad.ravel()
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, log_expit, logsumexp
+from scipy.special import expit, log_expit
 
 __all__ = [
     "Multiclass",
@@ -101,6 +101,24 @@ def action_bitvectors(n_labels: int) -> np.ndarray:
     return ((ids >> np.arange(n_labels)[None, :]) & 1).astype(np.int8)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1, keepdims=True)`` by scipy's steps, bit for bit.
+
+    The row max's ties are set aside and counted, as scipy does; a row whose
+    result is not finite takes the direct ``log(sum(exp(a)))``, as there.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    tied = a == a_max
+    m = np.add.reduce(tied, axis=1, keepdims=True, dtype=float)
+    with np.errstate(all="ignore"):
+        s = np.add.reduce(np.exp(np.where(tied, -np.inf, a) - a_max), axis=1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.add.reduce(np.exp(a), axis=1, keepdims=True)))
+    return out
+
+
 def _with_bias(x: np.ndarray) -> np.ndarray:
     """One context or a batch as ``(n, d + 1)`` rows ending in a bias feature of 1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -154,7 +172,7 @@ class LinearPolicy:
         """Scores of bias-augmented rows: the logits, log-normalized for a multiclass space."""
         scores = xb @ self.theta / self.temperature
         if isinstance(self.action_space, Multiclass):
-            return scores - logsumexp(scores, axis=1, keepdims=True)
+            return scores - _logsumexp(scores)
         return scores
 
     def _log_prob_of(self, scores: np.ndarray, actions) -> np.ndarray:

@@ -15,7 +15,7 @@ from cfdro.data import (
     train_logging_policy,
 )
 from cfdro.divergences import DivergenceKind
-from cfdro.dro import dual_gradient_policy, robust_risk_dual
+from cfdro.dro import dual_gradient_policy, dual_objective, robust_risk_dual
 from cfdro.estimators import BanditLog, CostScale, importance_weights, ips_risk
 from cfdro.intervals import calibrated_radius
 from cfdro.optimize import (
@@ -25,7 +25,7 @@ from cfdro.optimize import (
     train_poem,
     write_report,
 )
-from cfdro.policies import LinearPolicy, Multiclass
+from cfdro.policies import LinearPolicy, Multiclass, _with_bias
 
 
 def one_context_log(n=20):
@@ -594,9 +594,10 @@ def test_log_trick_anchors_on_the_exact_risks_scores(monkeypatch):
     )
     assert len(report.trajectory) == 5
     # the start's exact risk, then per outer step the inner run's two dual
-    # solves and closing entry, and the candidate's exact risk: 21 before
-    # the anchor's scores were reused, one more per outer step
-    assert sum(calls) - inside[0] == 1 + 4 * 4
+    # solves and the candidate's exact risk: 21 before the anchor's scores
+    # were reused, one more per outer step; the inner run's closing entry
+    # scores the distinct records, which this replayed log has fewer of
+    assert sum(calls) - inside[0] == 1 + 4 * 3
 
 
 @pytest.mark.parametrize("trainer", ["dro", "poem"])
@@ -624,3 +625,119 @@ def test_intermediate_sgd_entries_average_the_step_values(monkeypatch, trainer):
         assert report.trajectory[1].objective == pytest.approx(total / 10, rel=1e-12)
     else:
         assert report.trajectory[1].objective == total / 10
+
+
+# ----------------------------------------------------------------------
+# batch evaluations on distinct records
+# ----------------------------------------------------------------------
+
+
+def _replayed_env(space):
+    """A log replaying each context three times, which repeats many whole records."""
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    config = LoggingPolicyConfig(action_space=space)
+    policy0 = train_logging_policy(dataset.subset(range(20)), config)
+    return collect_bandit_log(dataset, policy0, 3, seed=4), policy0
+
+
+def _batch_objective(monkeypatch, train):
+    """The ``fun`` a batch trainer hands to L-BFGS-B, captured without running the optimizer."""
+    funs = []
+
+    def capture(fun, x0, config, record):
+        funs.append(fun)
+        return x0, 0, True, [record(0, x0, *fun(x0))]
+
+    monkeypatch.setattr(optimize, "_lbfgs", capture)
+    train()
+    return funs[0]
+
+
+def _nearby_thetas(policy0):
+    rng = np.random.default_rng(8)
+    return [policy0.theta, policy0.theta + 0.3 * rng.normal(size=policy0.theta.shape)]
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("kind", list(DivergenceKind))
+def test_batch_dual_on_distinct_records_matches_the_per_record_api(monkeypatch, space, kind):
+    log, policy0 = _replayed_env(space)
+    assert len(optimize._distinct(optimize._weighted_costs(log)[0])[1]) < log.n
+    fun = _batch_objective(
+        monkeypatch, lambda: train_dro(log, kind, 0.05, policy0, OptimizerConfig(max_iters=5))
+    )
+    eps = calibrated_radius(kind, 0.05, log.n)
+    for theta in _nearby_thetas(policy0):
+        policy = replace(policy0, theta=theta)
+        z = importance_weights(log, policy).values
+        point = robust_risk_dual(z, kind, eps)
+        # off the optimum, so that the dual partials are not zero
+        beta, psi = point.beta + 0.01, math.log(1.1 * point.gamma)
+        gamma = optimize._GAMMA_MIN + math.exp(psi)
+        value, grad = fun(np.concatenate([theta.ravel(), [beta, psi]]))
+        assert value == pytest.approx(dual_objective(z, kind, eps, beta, gamma), rel=1e-12)
+        g_beta, g_gamma, g_theta = dual_gradient_policy(log, policy, kind, eps, beta, gamma)
+        want = np.concatenate([g_theta.ravel(), [g_beta, g_gamma * math.exp(psi)]])
+        np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_batch_poem_on_distinct_records_matches_the_per_record_formula(monkeypatch, space, lam):
+    log, policy0 = _replayed_env(space)
+    fun = _batch_objective(
+        monkeypatch, lambda: train_poem(log, lam, policy0, OptimizerConfig(max_iters=5))
+    )
+    n, xb = log.n, _with_bias(log.features)
+    for theta in _nearby_thetas(policy0):
+        policy = replace(policy0, theta=theta)
+        value, grad = fun(theta.ravel())
+        z = importance_weights(log, policy).values
+        mean, std = z.mean(), math.sqrt(z.var(ddof=1) / n)
+        assert value == pytest.approx(mean + lam * std, rel=1e-12)
+        # grad z_i = z_i grad log pi(a_i | x_i), through the mean and the standard error
+        coef = z / n + lam / (2.0 * std * n) * 2.0 / (n - 1) * (z - mean) * z
+        _, resid = policy.log_prob_and_residual(xb, log.actions)
+        want = policy.score_gradient(xb, resid, coef).ravel()
+        np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _record_bytes(rows, i):
+    return b"".join(np.ascontiguousarray(a[i]).tobytes() for a in rows)
+
+
+def test_distinct_records_cover_the_log_with_their_counts():
+    log, _ = _replayed_env("factorized")
+    rows = optimize._weighted_costs(log)[0]
+    distinct, p = optimize._distinct(rows)
+    counts = np.rint(p * log.n).astype(int)
+    np.testing.assert_array_equal(counts / log.n, p)
+    assert counts.sum() == log.n
+    tally = {}
+    for i in range(log.n):
+        key = _record_bytes(rows, i)
+        tally[key] = tally.get(key, 0) + 1
+    assert {_record_bytes(distinct, j): c for j, c in enumerate(counts)} == tally
+
+
+def test_distinct_records_differ_in_any_field_by_bytes():
+    # records 0 and 2 are equal, as are 3 and 6; record 1 differs from 0 only
+    # by the sign of a zero feature, 4 from 3 only in its propensity and 5
+    # from 3 only in its cost
+    features = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]] + [[0.5, 1.0]] * 4)
+    costs = np.array([-1.0, -1.0, -1.0, -0.5, -0.5, -0.25, -0.5])
+    log = BanditLog(
+        features=features,
+        actions=np.array([0, 0, 0, 1, 1, 1, 1]),
+        propensities=np.array([0.5, 0.5, 0.5, 0.5, 0.25, 0.5, 0.5]),
+        costs_raw=costs,
+        costs=costs,
+        action_space=Multiclass(2),
+        cost_scale=CostScale.identity(),
+    )
+    rows = optimize._weighted_costs(log)[0]
+    distinct, p = optimize._distinct(rows)
+    merged = {_record_bytes(distinct, j): q for j, q in enumerate(p)}
+    expected = {(0, 2), (1, 1), (3, 2), (4, 1), (5, 1)}
+    assert merged == {_record_bytes(rows, i): count / 7 for i, count in expected}
+    assert int(np.signbit(distinct[0][:, 0]).sum()) == 1

@@ -13,6 +13,7 @@ from cfdro.policies import (
     LabeledDataset,
     LinearPolicy,
     Multiclass,
+    _logsumexp,
     action_bitvectors,
     greedy_risk,
     load_policy,
@@ -188,6 +189,25 @@ def test_kernel_agrees_bit_for_bit_with_log_prob_and_gradient(space):
     np.testing.assert_array_equal(
         pol.score_gradient(xb, resid, coefs), xb.T @ (coefs[:, None] * expected_resid) / 0.7
     )
+
+
+def test_log_normalizer_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    cases = []
+    for scale in (1e-3, 1.0, 40.0, 1e6, 1e300):
+        scores = scale * rng.normal(size=(50, 6))
+        cases += [scores, np.round(scores / scale) * scale]  # the second ties often
+    tied = rng.normal(size=(50, 64))
+    tied[:, 5:9] = tied.max(axis=1, keepdims=True)  # several entries at the row max
+    cases.append(tied)
+    big, inf = 1.7e308, np.inf
+    cases.append(np.array([[big, big, -big], [-big, -big, -big], [0.0, 0.0, 0.0], [-1e300, 0.0, 1e300]]))
+    # scores that overflowed: rows whose result is not finite take scipy's direct form
+    cases.append(np.array([[inf, 0.0, 1.0], [inf, inf, -inf], [-inf, -inf, -inf], [-inf, 0.0, 0.0]]))
+    for scores in cases:
+        with np.errstate(over="ignore", invalid="ignore"):  # scipy's own -big - big, inf - inf
+            want = logsumexp(scores, axis=1, keepdims=True)
+        assert _logsumexp(scores).tobytes() == want.tobytes()
 
 
 def test_weighted_grad_sum_matches_loop():
