@@ -34,8 +34,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sp_optimize
-from scipy.special import expit
 
 from .estimators import BanditLog, CostScale, _RecordFault, _byte_groups
 from .policies import (
@@ -105,10 +103,10 @@ def parse_libsvm_multilabel(
     """Parse a multilabel LibSVM text file into dense features and label bit-vectors.
 
     Dimensions are inferred from the file when not given; explicit values
-    may only enlarge them.  Malformed lines and duplicate feature indices
-    raise with the offending line number.
+    may only enlarge them.  Malformed lines, duplicate feature indices and
+    non-finite feature values raise with the offending line number.
     """
-    rows: list[tuple[list[int], dict[int, float]]] = []
+    rows: list[tuple[list[int], dict[int, float], int]] = []
     max_feat = 0
     max_label = -1
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -144,7 +142,7 @@ def parse_libsvm_multilabel(
                 if idx in feats:
                     raise ValueError(f"line {lineno}: duplicate feature index {idx}")
                 feats[idx] = val
-            rows.append((labels, feats))
+            rows.append((labels, feats, lineno))
             if feats:
                 max_feat = max(max_feat, max(feats))
             if labels:
@@ -160,11 +158,15 @@ def parse_libsvm_multilabel(
     n_lab = max(n_lab, 1)
     features = np.zeros((len(rows), dim))
     labels = np.zeros((len(rows), n_lab), dtype=np.int8)
-    for i, (labs, feats) in enumerate(rows):
+    for i, (labs, feats, _) in enumerate(rows):
         for idx, val in feats.items():
             features[i, idx - 1] = val
         for lab in labs:
             labels[i, lab] = 1
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"line {rows[i][2]}: feature {j + 1} must be finite, got {features[i, j]}")
     return LabeledDataset(features, labels)
 
 
@@ -239,6 +241,8 @@ def train_logging_policy(
     spaces use a softmax cross-entropy against the integer encoding of the
     label bit-vector.  Weight decay excludes the bias row.
     """
+    from scipy import optimize as sp_optimize
+    from scipy.special import expit
     xb = _with_bias(dataset.features)
     m, d1 = xb.shape
     if config.action_space == "factorized":

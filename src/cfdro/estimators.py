@@ -208,9 +208,18 @@ def _byte_groups(rows: np.ndarray):
     """``np.unique``'s first index, inverse and counts of a 2-D array's rows, compared by bytes.
 
     Byte equality keeps ``-0.0`` and ``0.0`` apart, so rows in one group are identical.
+    Items are 8 bytes wide: neighbours in np.unique's stable void-key order compare as words.
     """
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    return np.unique(keys.ravel(), return_index=True, return_inverse=True, return_counts=True)[1:]
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    words = rows.view(np.uint64)[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return order[starts], inverse, np.diff(starts, append=len(order))
 
 
 def ips_risk(log: BanditLog, policy: LinearPolicy, weight_clip: Optional[float] = None) -> float:

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _mean_under, _robust_value_grads, robust_risk_dual
@@ -208,6 +207,7 @@ def _lbfgs(fun, x0: np.ndarray, config: OptimizerConfig, record):
     evaluation L-BFGS-B already made at that iterate; ``fun`` is called again
     only if the iterate is not the last point evaluated.
     """
+    from scipy import optimize as sp_optimize
     trajectory: "list[IterationRecord]" = []
     last: list = [None, None, None]  # x, value, gradient of the latest evaluation
 

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 __all__ = [
     "Multiclass",
@@ -178,6 +177,7 @@ class LinearPolicy:
     def _log_prob_of(self, scores: np.ndarray, actions) -> np.ndarray:
         if isinstance(self.action_space, Multiclass):
             return scores[np.arange(scores.shape[0]), np.atleast_1d(np.asarray(actions, dtype=int))]
+        from scipy.special import log_expit
         # log sigma(s) for set bits and log sigma(-s) for clear ones; negation is exact
         bits = np.asarray(actions)
         return np.add.reduce(log_expit(np.where(bits == 1, scores, -scores)), axis=1)
@@ -187,6 +187,7 @@ class LinearPolicy:
             resid = -np.exp(scores)
             resid[np.arange(scores.shape[0]), np.asarray(actions, dtype=int)] += 1.0
             return resid
+        from scipy.special import expit
         return np.asarray(actions, dtype=float) - expit(scores)
 
     def log_prob_and_residual(self, xb: np.ndarray, actions):
@@ -226,6 +227,7 @@ class LinearPolicy:
         """Per-label Bernoulli probabilities (factorized spaces only)."""
         if not isinstance(self.action_space, FactorizedLabels):
             raise ValueError("label_probabilities is only defined for factorized spaces")
+        from scipy.special import expit
         single = np.ndim(x) == 1
         probs = expit(self._log_scores(_with_bias(x)))
         return probs[0] if single else probs

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,14 @@ class TestConvert:
         ])
         assert code == 1
         assert "temperature must be positive" in capsys.readouterr().err
+
+    def test_non_finite_libsvm_value_is_a_validation_error_with_its_line(self, tmp_path, capsys):
+        data = tmp_path / "data.svm"
+        data.write_text("0 1:0.5 2:1.0\n1 1:0.25 2:nan\n0,1 2:2.0\n")
+        code = main(["convert", "--data", str(data), "--output-dir", str(tmp_path / "x")])
+        assert code == 1
+        assert "line 2: feature 2 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_infinite_temperature_is_a_validation_error(self, tmp_path, capsys):
         # it would write a checkpoint of a uniform policy that load_policy rejects
@@ -597,3 +609,37 @@ def test_divergence_list_with_no_names_is_a_validation_error(tmp_path, capsys, c
 def test_usage_errors_exit_one():
     assert main(["evaluate"]) == 1  # missing required flags
     assert main(["no-such-command"]) == 1
+
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new Python process that imports this ``cfdro``; returns its stdout."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    loaded = _fresh_interpreter(
+        "import sys, cfdro, cfdro.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert loaded.strip() == "[]"
+
+
+def test_evaluate_in_a_fresh_process_never_loads_scipy_optimize(tmp_path):
+    run = tmp_path / "run"
+    assert main([
+        "convert", "--data", "bundled:synthetic", "--output-dir", str(run), "-P", "2",
+    ]) == 0
+    argv = [
+        "evaluate", "--log", str(run / "bandit_log.jsonl"),
+        "--policy", str(run / "logging_policy.json"), "--output", str(tmp_path / "intervals.csv"),
+    ]
+    out = _fresh_interpreter(
+        f"import sys, cfdro.cli\ncode = cfdro.cli.main({argv!r})\n"
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    assert out.splitlines()[-1] == "0 False"

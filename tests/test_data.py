@@ -64,6 +64,15 @@ class TestLibsvmParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_libsvm_multilabel(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN"])
+    def test_non_finite_value_reports_its_line_and_index(self, tmp_path, value):
+        # the blank line keeps the line number apart from the row number
+        path = tmp_path / "data.svm"
+        path.write_text(f"0 1:0.5\n\n1 1:0.25 2:{value}\n0 2:1.0\n")
+        message = r"^line 3: feature 2 must be finite, got -?(nan|inf)$"
+        with pytest.raises(ValueError, match=message):
+            parse_libsvm_multilabel(path)
+
     def test_duplicate_feature_index_rejected(self, tmp_path):
         path = tmp_path / "data.svm"
         path.write_text("0 1:0.5 1:0.7\n")

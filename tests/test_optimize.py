@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cfdro import optimize
 from cfdro.data import (
@@ -16,7 +17,7 @@ from cfdro.data import (
 )
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import dual_gradient_policy, dual_objective, robust_risk_dual
-from cfdro.estimators import BanditLog, CostScale, importance_weights, ips_risk
+from cfdro.estimators import BanditLog, CostScale, _byte_groups, importance_weights, ips_risk
 from cfdro.intervals import calibrated_radius
 from cfdro.optimize import (
     OptimizerConfig,
@@ -360,7 +361,7 @@ def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 2, seed=4)
     counts = {"kernel": 0, "nfev": 0}
-    kernel, minimize = LinearPolicy.log_prob_and_residual, optimize.sp_optimize.minimize
+    kernel, minimize = LinearPolicy.log_prob_and_residual, scipy.optimize.minimize
 
     def counted_kernel(self, *args):
         counts["kernel"] += 1
@@ -372,7 +373,7 @@ def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
         return result
 
     monkeypatch.setattr(LinearPolicy, "log_prob_and_residual", counted_kernel)
-    monkeypatch.setattr(optimize.sp_optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
     surplus = []
     for max_iters in (5, 20):
         counts.update(kernel=0, nfev=0)
@@ -718,6 +719,36 @@ def test_distinct_records_cover_the_log_with_their_counts():
         key = _record_bytes(rows, i)
         tally[key] = tally.get(key, 0) + 1
     assert {_record_bytes(distinct, j): c for j, c in enumerate(counts)} == tally
+
+
+def _with_signed_zero_twins(table, column):
+    """``table``, then its first 8 rows with ``0.0``, then ``-0.0``, then ``0.0`` at ``column``."""
+    zero = table[:8].copy()
+    zero[:, column] = 0.0
+    negative = zero.copy()
+    negative[:, column] = -0.0
+    return np.vstack([table, zero, negative, zero])
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_byte_groups_match_np_unique_on_both_callers_tables(space):
+    # the feature table of data._shared_rows and the narrow record table of
+    # optimize._distinct, each with repeated rows and rows that differ only
+    # in the sign of a zero
+    log, _ = _replayed_env(space)
+    rows = optimize._weighted_costs(log)[0]
+    features = _with_signed_zero_twins(log.features, 0)
+    narrow = np.column_stack([_byte_groups(rows[0])[1], *rows[1:]])
+    narrow = _with_signed_zero_twins(narrow, narrow.shape[1] - 1)
+    for table in (features, narrow):
+        keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+        want = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
+        got = _byte_groups(table)
+        assert len(want[2]) < len(table) - 8  # the replays repeat rows
+        assert len(np.unique(table, axis=0)) < len(want[2])  # value-equal rows stay apart
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 def test_distinct_records_differ_in_any_field_by_bytes():
