@@ -287,24 +287,33 @@ def train_logging_policy(
     return LinearPolicy(theta=theta, action_space=space, temperature=config.temperature)
 
 
+def _fitted_table(dataset: LabeledDataset, policy: LinearPolicy, n: int):
+    """``policy``'s row table on the dataset for ``n`` records, once the policy fits the dataset."""
+    space, dim, labels = policy.action_space, dataset.feature_dim, dataset.n_labels
+    if policy.feature_dim != dim:
+        raise ValueError(f"feature_dim: the policy has {policy.feature_dim}, the dataset {dim}")
+    if isinstance(space, FactorizedLabels) and space.n_labels != labels:
+        raise ValueError(f"n_labels: the policy has {space.n_labels}, the dataset {labels}")
+    if isinstance(space, Multiclass) and space.n_actions != 1 << labels:
+        raise ValueError(f"n_actions: the policy has {space.n_actions}, {labels} labels need {1 << labels}")
+    x = dataset.features  # for more than one record, a lone row is scored as a batch's row
+    return policy._row_table(x if len(x) > 1 or n == 1 else np.repeat(x, 2, axis=0))
+
+
+def _records(dataset: LabeledDataset, policy0: LinearPolicy, table, row_idx, rng: np.random.Generator):
+    """The actions, propensities, raw and scaled costs, in BanditLog's order, drawn on rows ``row_idx``."""
+    actions = policy0._sample_rows(table, row_idx, rng)
+    propensities = np.exp(policy0._log_prob_rows(table, row_idx, actions))
+    raw = _hamming_costs(actions, dataset.labels.take(row_idx, 0), policy0.action_space)
+    return actions, propensities, raw, CostScale.for_hamming(dataset.n_labels).apply(raw)
+
+
 def _log_from_rows(
     dataset: LabeledDataset, policy0: LinearPolicy, row_idx: np.ndarray, rng: np.random.Generator
 ) -> BanditLog:
-    feats = dataset.features[row_idx]
-    labels = dataset.labels[row_idx]
-    actions = policy0.sample_actions(feats, rng)
-    propensities = np.exp(policy0.log_prob(feats, actions))
-    raw = _hamming_costs(actions, labels, policy0.action_space)
-    scale = CostScale.for_hamming(dataset.n_labels)
-    return BanditLog(
-        features=feats,
-        actions=actions,
-        propensities=propensities,
-        costs_raw=raw,
-        costs=scale.apply(raw),
-        action_space=policy0.action_space,
-        cost_scale=scale,
-    )
+    records = _records(dataset, policy0, _fitted_table(dataset, policy0, len(row_idx)), row_idx, rng)
+    space, scale = policy0.action_space, CostScale.for_hamming(dataset.n_labels)
+    return BanditLog(dataset.features[row_idx], *records, action_space=space, cost_scale=scale)
 
 
 def collect_bandit_log(
@@ -315,8 +324,8 @@ def collect_bandit_log(
     Produces ``replay_count * n_rows`` records; each stores the exact
     probability the logging policy assigned to its sampled action.
     """
-    if replay_count < 1:
-        raise ValueError("replay count must be a positive integer")
+    if isinstance(replay_count, bool) or not isinstance(replay_count, (int, np.integer)) or replay_count < 1:
+        raise ValueError(f"replay_count must be a positive integer, got {replay_count!r}")
     rng = np.random.default_rng(seed)
     row_idx = np.tile(np.arange(dataset.n_rows), replay_count)
     return _log_from_rows(dataset, policy0, row_idx, rng)
@@ -326,11 +335,11 @@ def sample_bandit_log(
     dataset: LabeledDataset, policy0: LinearPolicy, n: int, seed: int = 0
 ) -> BanditLog:
     """Collect ``n`` records with contexts drawn independently and uniformly from the rows."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
-    row_idx = rng.integers(0, dataset.n_rows, size=n)
-    return _log_from_rows(dataset, policy0, row_idx, rng)
+    drawn, inverse = np.unique(rng.integers(0, dataset.n_rows, size=n), return_inverse=True)
+    return _log_from_rows(dataset.subset(drawn), policy0, inverse, rng)
 
 
 _LOG_FORMAT = "cfdro-banditlog"

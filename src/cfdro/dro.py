@@ -223,41 +223,39 @@ class _ReducedObjective:
         iteration is globally safe.  Returns ``beta`` and whether it stopped
         on ``_ROOT_TOL``, in which case ``self.u`` holds its ``u``.
         """
-        zmax = self.zmax
-        hi = zmax  # mean derivative <= (phi*)'(0) = 1 here
-        domain = self.gen.domain
-        if domain < math.inf:
-            lo = zmax - gamma * (domain - 1e-9)
-        else:
-            step = gamma + self.std + 1e-3 * self.scale
-            lo = zmax - step
-            for _ in range(200):
-                m, _ = self._mean_stats(lo, gamma)
-                if m > 1.0:
-                    break
-                step *= 3.0
+        hi = zmax = self.zmax  # mean derivative <= (phi*)'(0) = 1 here
+        # chi-square and KL expand the lower end in passes over z, so only when a test
+        # needs it; until then ``lo`` is their first trial point, at or above the end
+        step, exact = gamma + self.std + 1e-3 * self.scale, self.gen.domain < math.inf
+        lo = zmax - gamma * (self.gen.domain - 1e-9) if exact else zmax - step
+
+        def lower() -> float:
+            nonlocal lo, exact, step
+            while not exact and step < math.inf:  # the first zmax - step * 3**k with mean (phi*)' > 1
                 lo = zmax - step
-            else:  # pragma: no cover - derivative grows without bound
-                return zmax, False
-        beta = warm if warm is not None and lo < warm < hi else 0.5 * (lo + hi)
+                exact = self._mean_stats(lo, gamma)[0] > 1.0
+                step *= 3.0
+            return lo
+
+        inside = warm is not None and warm < hi and (lo < warm or lower() < warm)
+        beta = warm if inside else 0.5 * (lower() + hi)
         for _ in range(100):
             m, md = self._mean_stats(beta, gamma)
             if abs(m - 1.0) <= _ROOT_TOL:
                 return beta, True
             if m > 1.0:
-                lo = beta
+                lo, exact = beta, True
             else:
                 hi = beta
             # Newton on log(m): exact for the exponential conjugate and far
-            # better conditioned than Newton on m in its tail
-            if m > 0 and math.isfinite(m) and math.isfinite(md) and md > 0:
-                candidate = beta + math.log(m) * gamma * m / md
-            else:
-                candidate = 0.5 * (lo + hi)
-            if not (lo < candidate < hi):
-                candidate = 0.5 * (lo + hi)
+            # better conditioned than Newton on m in its tail; else the midpoint
+            newton = m > 0 and math.isfinite(m) and math.isfinite(md) and md > 0
+            candidate = beta + math.log(m) * gamma * m / md if newton else math.nan
+            if not (candidate < hi and (lo < candidate or lower() < candidate)):
+                candidate = 0.5 * (lower() + hi)
             beta = candidate
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            tol = 1e-15 * max(1.0, abs(hi))
+            if hi - lo <= tol and hi - lower() <= tol:
                 break
         return beta, False
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, curvature_at_one
 from .dro import optimistic_risk_dual, robust_risk_dual
-from .estimators import BanditLog, importance_weights
+from .estimators import BanditLog, CostScale, importance_weights
 from .policies import LinearPolicy
 
 __all__ = [
@@ -205,10 +205,14 @@ def risk_intervals(
     weight_bound: Optional[float] = None,
 ) -> "list[RiskInterval]":
     """The DRO interval of each kind, then Hoeffding and Bernstein, from one weights pass."""
-    z = importance_weights(log, policy)
-    support = np.unique(z.values, return_counts=True)
+    return _intervals_of(importance_weights(log, policy).values, kinds, delta, weight_bound)
+
+
+def _intervals_of(z: np.ndarray, kinds, delta: float, weight_bound: Optional[float]):
+    """:func:`risk_intervals` on the weighted costs ``z``."""
+    support = np.unique(z, return_counts=True)
     intervals = [_dro_bounds(*support, kind, delta) for kind in kinds]
-    return intervals + [fn(z.values, delta, weight_bound) for fn in (_hoeffding_bounds, _bernstein_bounds)]
+    return intervals + [fn(z, delta, weight_bound) for fn in (_hoeffding_bounds, _bernstein_bounds)]
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +258,7 @@ def coverage_experiment(
     cost units, matching the estimators.
     """
     # imported here: the data module sits above this one in the layering
-    from .data import collect_bandit_log, sample_bandit_log
+    from .data import _fitted_table, _records
     from .policies import true_risk as exact_risk
 
     if (n_values is None) == (replay_counts is None):
@@ -265,22 +269,29 @@ def coverage_experiment(
     if replications < 1:
         raise ValueError("replications must be positive")
 
-    raw_risk = exact_risk(policy, dataset)
+    # each policy scores every row once, for all the study's logs
+    tables = (_fitted_table(dataset, logging_policy, 2), _fitted_table(dataset, policy, 2))
+    if policy.action_space != logging_policy.action_space:  # both fit: one is multiclass
+        raise ValueError("action_space: the policy and the logging policy are of different kinds")
+    truth = float(CostScale.for_hamming(dataset.n_labels).apply(exact_risk(policy, dataset)))
+
+    def replication(size: int, seed: int):
+        """``sample_bandit_log`` or ``collect_bandit_log``, then ``risk_intervals``, bit for bit."""
+        rng, m = np.random.default_rng(seed), dataset.n_rows
+        row_idx = rng.integers(0, m, size=size) if n_values is not None else np.tile(np.arange(m), size)
+        actions, propensities, _, costs = _records(dataset, logging_policy, tables[0], row_idx, rng)
+        z = np.exp(policy._log_prob_rows(tables[1], row_idx, actions) - np.log(propensities)) * costs
+        return len(z), _intervals_of(z, kinds, delta, weight_bound)  # the log's arrays go on return
+
     rows: list[CoverageRow] = []
     seeds = np.random.SeedSequence(seed).spawn(len(sizes) * replications)
     for si, size in enumerate(sizes):
         for rep in range(replications):
-            child = int(seeds[si * replications + rep].generate_state(1)[0])
-            if n_values is not None:
-                log = sample_bandit_log(dataset, logging_policy, size, seed=child)
-            else:
-                log = collect_bandit_log(dataset, logging_policy, size, seed=child)
-            truth = float(log.cost_scale.apply(raw_risk))
-            intervals = risk_intervals(log, policy, kinds, delta, weight_bound)
+            n, intervals = replication(size, int(seeds[si * replications + rep].generate_state(1)[0]))
             for iv, kind in zip(intervals, [k.value for k in kinds] + ["", ""]):
                 method = "dro" if kind else iv.method
                 rows.append(
-                    CoverageRow(method, kind, log.n, rep, iv.lower, iv.upper, truth, int(iv.contains(truth)))
+                    CoverageRow(method, kind, n, rep, iv.lower, iv.upper, truth, int(iv.contains(truth)))
                 )
     return rows
 

@@ -175,12 +175,13 @@ def _scored(policy: LinearPolicy, rows, costs):
     return (*costs(logp, *rows[2:]), resid)
 
 
-def _distinct(rows):
+def _distinct(rows, group=None):
     """One of each distinct record of ``rows`` (all entries, by bytes) and masses ``counts / n``.
 
-    Grouping the feature rows first leaves the second grouping a narrow table to sort.
+    Grouping the feature rows first (``group``, their group index, unless None)
+    leaves the second grouping a narrow table to sort.
     """
-    group = _byte_groups(rows[0])[1]
+    group = _byte_groups(rows[0])[1] if group is None else group
     first, _, counts = _byte_groups(np.column_stack([group, *rows[1:]]))
     return [a[first] for a in rows], counts / len(group)
 
@@ -289,11 +290,11 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     return (w[:-2] if duals else w), report
 
 
-def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs):
+def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs, group):
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
     cap = _GENERATORS[kind].cap
     start = time.perf_counter()
-    distinct, p = _distinct(rows)
+    distinct, p = _distinct(rows, group)
     xb, k, mean = distinct[0], len(p), _mean_under(p)
 
     def unpack(w: np.ndarray):
@@ -372,7 +373,7 @@ def train_dro(
         return train_dro_stochastic(log, kind, delta, policy_init, config, rho)
     rows, costs = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
-    return _robust_batch(kind, eps, policy_init, config, rows, costs)
+    return _robust_batch(kind, eps, policy_init, config, rows, costs, None)
 
 
 def train_dro_stochastic(
@@ -550,6 +551,7 @@ def train_log_trick(
     anchor = policy_init
     trajectory: "list[IterationRecord]" = []
     rows, costs = _weighted_costs(log)
+    group = _byte_groups(rows[0])[1]  # every surrogate shares the run's feature matrix
 
     def note(outer: int, point: DualPoint) -> None:
         elapsed = time.perf_counter() - start
@@ -563,7 +565,7 @@ def train_log_trick(
     reached_fixed_point = False
     for outer in range(1, outer_iters + 1):
         candidate, inner_report = _robust_batch(
-            kind, eps, anchor, config, *_log_trick_costs(log, anchor_lp, rows)
+            kind, eps, anchor, config, *_log_trick_costs(log, anchor_lp, rows), group
         )
         total_inner += inner_report.iterations
         cand_point, cand_lp = _exact_dual(candidate, rows, costs, kind, eps)

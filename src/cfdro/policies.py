@@ -246,23 +246,43 @@ class LinearPolicy:
         p = self.label_probabilities(x)
         return np.prod(np.where(bits == 1, p[None, :], 1.0 - p[None, :]), axis=1)
 
+    def _row_table(self, x: np.ndarray):
+        """What sampling and log-probabilities read per row of ``x``, from one score pass.
+
+        A multiclass space's log-normalized scores and CDF (1 at the top), or ``log sigma(s)``,
+        ``log sigma(-s)`` and ``sigma(s)``.  Read by row index, they give the per-record bits:
+        numpy scores a row alike in any batch of two or more rows.
+        """
+        s = self._log_scores(_with_bias(x))
+        if isinstance(self.action_space, Multiclass):
+            cdf = np.cumsum(np.exp(s), axis=1)
+            cdf[:, -1] = 1.0
+            return s, cdf
+        from scipy.special import expit, log_expit
+        # log sigma(+-s) by scipy's steps, which share log1p(exp(-|s|)); -0.0 and 0.0 keep every bit
+        low = log_expit(np.abs(s))
+        return low + np.minimum(s, -0.0), low - np.maximum(s, 0.0), expit(s)
+
+    def _sample_rows(self, table, rows, rng: np.random.Generator):
+        """One action per record, drawn on the table's row ``rows[i]`` (on each row for None)."""
+        drawn = table[-1] if rows is None else table[-1].take(rows, axis=0)  # the CDF, or sigma(s)
+        if isinstance(self.action_space, Multiclass):
+            return (rng.random(len(drawn))[:, None] < drawn).argmax(axis=1)
+        return (rng.random(drawn.shape) < drawn).astype(np.int8)
+
+    def _log_prob_rows(self, table, rows, actions) -> np.ndarray:
+        """Log-probability of each record's action on the table's row ``rows[i]``."""
+        if isinstance(self.action_space, Multiclass):
+            return table[0].take(rows * table[0].shape[1] + actions)
+        return np.add.reduce(np.where(actions == 1, table[0].take(rows, 0), table[1].take(rows, 0)), axis=1)
+
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
 
     def sample_actions(self, x: np.ndarray, rng: np.random.Generator):
         """Draw one action per context row; deterministic given the generator state."""
-        xs = np.atleast_2d(np.asarray(x, dtype=float))
-        n = xs.shape[0]
-        if isinstance(self.action_space, Multiclass):
-            probs = self.class_probabilities(xs)
-            cdf = np.cumsum(probs, axis=1)
-            u = rng.random(n)
-            # guard against cumulative rounding at the top end
-            cdf[:, -1] = 1.0
-            return (u[:, None] < cdf).argmax(axis=1)
-        probs = self.label_probabilities(xs)
-        return (rng.random(probs.shape) < probs).astype(np.int8)
+        return self._sample_rows(self._row_table(x), None, rng)
 
     def greedy_actions(self, x: np.ndarray):
         """Highest-probability action per context; ties resolve to the lowest index."""
@@ -369,7 +389,7 @@ def _hamming_costs(actions, labels: np.ndarray, space: ActionSpace) -> np.ndarra
     """Per-row Hamming distance between ``actions`` of ``space`` and the 0/1 ``labels`` rows."""
     if isinstance(space, Multiclass):
         actions = action_bitvectors(space.n_actions.bit_length() - 1)[np.asarray(actions, dtype=int)]
-    return np.sum(np.abs(np.asarray(actions, dtype=float) - labels.astype(float)), axis=1)
+    return np.add.reduce(np.asarray(actions) != labels, axis=1, dtype=float)  # exact: a count
 
 
 _CHECKPOINT_FORMAT = "cfdro-policy"

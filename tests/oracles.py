@@ -6,19 +6,21 @@ generator formulas, independent of the library's generator table;
 scaled conjugate and its analytic partials check the dual's building block.
 ``write_bandit_log_by_records`` and ``write_libsvm_by_index`` are the plain
 writers, one ``json.dumps`` per record and one numpy index per value, whose
-bytes the library's writers must reproduce.
+bytes the library's writers must reproduce.  ``eager_solve_beta`` is the
+dual solver's inner solve with its lower bracket end expanded up front.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from cfdro.data import _LOG_FORMAT, _LOG_VERSION
 from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
-from cfdro.dro import _as_values
+from cfdro.dro import _ROOT_TOL, _as_values
 from cfdro.estimators import BanditLog
 from cfdro.policies import LabeledDataset, Multiclass, _space_to_dict
 
@@ -206,3 +208,42 @@ def primal_oracle(z, kind: DivergenceKind, epsilon: float, grid_resolution: floa
     count = int(np.searchsorted(d_sorted, epsilon + 1e-12, side="right"))
     # the uniform point has divergence 0, so the feasible set is never empty
     return float(prefix[count - 1])
+
+
+def eager_solve_beta(h, gamma: float, warm):
+    """``_ReducedObjective.solve_beta`` that expands the lower end before its first step.
+
+    Chi-square and KL (an unbounded conjugate domain) triple the step below
+    ``zmax`` until the mean derivative exceeds 1; the library defers that
+    expansion until a test reads the end, and must return these bits.
+    """
+    zmax = h.zmax
+    hi = zmax
+    domain = h.gen.domain
+    if domain < math.inf:
+        lo = zmax - gamma * (domain - 1e-9)
+    else:
+        step = gamma + h.std + 1e-3 * h.scale
+        lo = zmax - step
+        while h._mean_stats(lo, gamma)[0] <= 1.0:
+            step *= 3.0
+            lo = zmax - step
+    beta = warm if warm is not None and lo < warm < hi else 0.5 * (lo + hi)
+    for _ in range(100):
+        m, md = h._mean_stats(beta, gamma)
+        if abs(m - 1.0) <= _ROOT_TOL:
+            return beta, True
+        if m > 1.0:
+            lo = beta
+        else:
+            hi = beta
+        if m > 0 and math.isfinite(m) and math.isfinite(md) and md > 0:
+            candidate = beta + math.log(m) * gamma * m / md
+        else:
+            candidate = 0.5 * (lo + hi)
+        if not (lo < candidate < hi):
+            candidate = 0.5 * (lo + hi)
+        beta = candidate
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    return beta, False

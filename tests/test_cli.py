@@ -547,6 +547,24 @@ class TestCoverage:
         ]) == 0
         assert len(read_csv(out / "coverage.csv")) == 3  # kl + two comparators
 
+    @pytest.mark.parametrize("features,labels,field", [(7, 4, "feature_dim"), (5, 3, "n_labels")])
+    def test_target_checkpoint_from_another_dataset_names_the_field(
+        self, tmp_path, capsys, features, labels, field
+    ):
+        # the bundled dataset has 5 features and 4 labels
+        other = tmp_path / "other.svm"
+        write_libsvm_multilabel(synthetic_multilabel_dataset(60, labels, features, seed=1), other)
+        converted = tmp_path / "run"
+        assert main(["convert", "--data", str(other), "--output-dir", str(converted)]) == 0
+        capsys.readouterr()
+        code = main([
+            "coverage", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "cov"),
+            "--replay-counts", "1", "-R", "1", "--target-policy", str(converted / "logging_policy.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: the policy has ")
+        assert not (tmp_path / "cov").exists()
+
     def test_target_fitted_on_a_subset_of_train(self, tmp_path):
         out = tmp_path / "cov"
         assert main([

@@ -240,6 +240,122 @@ class TestCollection:
         np.testing.assert_array_equal(a.costs, b.costs)
 
 
+def _per_record_log(dataset, policy, row_idx, rng):
+    """The log arrays by the per-record formulas: draws, then ``log_prob``, on the gathered rows."""
+    feats, labels = dataset.features[row_idx], dataset.labels[row_idx]
+    if isinstance(policy.action_space, Multiclass):
+        cdf = np.cumsum(policy.class_probabilities(feats), axis=1)
+        u = rng.random(len(feats))
+        cdf[:, -1] = 1.0
+        actions = (u[:, None] < cdf).argmax(axis=1)
+        bits = ((actions[:, None] >> np.arange(dataset.n_labels)) & 1).astype(float)
+    else:
+        probs = policy.label_probabilities(feats)
+        actions = (rng.random(probs.shape) < probs).astype(np.int8)
+        bits = actions.astype(float)
+    raw = np.sum(np.abs(bits - labels.astype(float)), axis=1)
+    propensities = np.exp(policy.log_prob(feats, actions))
+    scaled = CostScale.for_hamming(dataset.n_labels).apply(raw)
+    return feats, actions, propensities, raw, scaled
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        g = np.asarray(g)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def _collection_env(space, m):
+    """``m`` dataset rows from row 1 on, and the logging policy of ``space``.
+
+    Scored alone, row 1 gets other bits than in a batch, under either logging policy.
+    """
+    ds = synthetic_multilabel_dataset(40, 3, 5, seed=30)
+    policy = train_logging_policy(ds.subset(range(20)), LoggingPolicyConfig(action_space=space))
+    return ds.subset(np.roll(np.arange(40), -1)[:m]), policy
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("m,replay", [(40, 1), (40, 3), (1, 1), (1, 4), (2, 5)])
+def test_collect_matches_the_per_record_formulas_bit_for_bit(space, m, replay):
+    # a one-row dataset replayed more than once is scored as a batch's row
+    ds, policy = _collection_env(space, m)
+    log = collect_bandit_log(ds, policy, replay, seed=31)
+    rng = np.random.default_rng(31)
+    want = _per_record_log(ds, policy, np.tile(np.arange(m), replay), rng)
+    _assert_same_bits((log.features, log.actions, log.propensities, log.costs_raw, log.costs), want)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("m,n", [(40, 1), (40, 7), (40, 500), (1, 50), (3, 2)])
+def test_sample_matches_the_per_record_formulas_bit_for_bit(space, m, n):
+    ds, policy = _collection_env(space, m)
+    log = sample_bandit_log(ds, policy, n, seed=32)
+    rng = np.random.default_rng(32)
+    want = _per_record_log(ds, policy, rng.integers(0, m, size=n), rng)
+    _assert_same_bits((log.features, log.actions, log.propensities, log.costs_raw, log.costs), want)
+
+
+def test_standalone_sample_scores_only_the_rows_it_draws(monkeypatch):
+    ds, policy = _collection_env("factorized", 40)
+    scored = []
+    log_scores = LinearPolicy._log_scores
+
+    def counted(self, xb):
+        scored.append(len(xb))
+        return log_scores(self, xb)
+
+    monkeypatch.setattr(LinearPolicy, "_log_scores", counted)
+    sample_bandit_log(ds, policy, 5, seed=33)
+    assert len(scored) == 1 and scored[0] <= 5
+    scored.clear()
+    collect_bandit_log(ds, policy, 7, seed=33)
+    assert scored == [40]
+
+
+def _misfits(ds):
+    """Policies that do not fit ``ds`` (5 features, 3 labels), with the field each names."""
+    return [
+        (LinearPolicy(np.zeros((5, 3)), FactorizedLabels(3)), "feature_dim"),
+        (LinearPolicy(np.zeros((7, 3)), FactorizedLabels(3)), "feature_dim"),
+        (LinearPolicy(np.zeros((6, 4)), FactorizedLabels(4)), "n_labels"),
+        (LinearPolicy(np.zeros((6, 4)), Multiclass(4)), "n_actions"),
+        (LinearPolicy(np.zeros((6, 16)), Multiclass(16)), "n_actions"),
+    ]
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_collection_rejects_a_policy_that_does_not_fit_naming_the_field(monkeypatch, collect):
+    ds, _ = _collection_env("factorized", 40)
+
+    def no_scores(self, xb):
+        raise AssertionError("a policy that does not fit was scored")
+
+    monkeypatch.setattr(LinearPolicy, "_log_scores", no_scores)
+    for policy, field in _misfits(ds):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            if collect:
+                collect_bandit_log(ds, policy, 2, seed=34)
+            else:
+                sample_bandit_log(ds, policy, 10, seed=34)
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, 2.0, 0, -1, "2", None])
+def test_collection_counts_must_be_positive_integers(count):
+    ds, policy = _collection_env("factorized", 10)
+    with pytest.raises(ValueError, match="replay_count must be a positive integer"):
+        collect_bandit_log(ds, policy, count, seed=35)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        sample_bandit_log(ds, policy, count, seed=35)
+
+
+def test_collection_counts_take_numpy_integers():
+    ds, policy = _collection_env("factorized", 10)
+    assert collect_bandit_log(ds, policy, np.int64(2), seed=36).n == 20
+    assert sample_bandit_log(ds, policy, np.int32(3), seed=36).n == 3
+
+
 class TestLogSerialization:
     def test_round_trip(self, tmp_path):
         ds = synthetic_multilabel_dataset(20, 3, 4, seed=24)

@@ -21,7 +21,7 @@ from cfdro.dro import (
 from cfdro.estimators import importance_weights
 
 from conftest import make_two_record_log, make_two_record_policy
-from oracles import kl_softmax_risk, primal_oracle
+from oracles import eager_solve_beta, kl_softmax_risk, primal_oracle
 
 ALL_KINDS = list(DivergenceKind)
 
@@ -354,6 +354,61 @@ def test_solver_bits_are_pinned(vector, kind, side):
     point = solve(z, DivergenceKind.from_name(kind), eps)
     got = tuple(float(x).hex() for x in (point.beta, point.gamma, point.value))
     assert got == PINNED_SOLVES[vector, kind, side]
+
+
+@pytest.mark.parametrize("kind,robust,optimistic", [("chi2", 45, 46), ("kl", 62, 62)])
+def test_inner_solves_expand_the_lower_end_only_when_read(monkeypatch, kind, robust, optimistic):
+    # chi-square and KL find the lower end of the inner bracket by passes over z;
+    # a warm Newton step inside the bracket never reads it (71/72 and 89/89
+    # passes when every h-evaluation expanded it), and the bits stay pinned above
+    passes = []
+    mean_stats = dro._ReducedObjective._mean_stats
+
+    def counted(self, beta, gamma):
+        passes.append(beta)
+        return mean_stats(self, beta, gamma)
+
+    monkeypatch.setattr(dro._ReducedObjective, "_mean_stats", counted)
+    z, eps = _pinned_vectors()["normal"]
+    counts = []
+    for solve in (robust_risk_dual, optimistic_risk_dual):
+        passes.clear()
+        solve(z, DivergenceKind.from_name(kind), eps)
+        counts.append(len(passes))
+    assert counts == [robust, optimistic]
+
+
+@pytest.mark.parametrize("kind", [DivergenceKind.CHI_SQUARE, DivergenceKind.KL])
+def test_deferred_lower_end_keeps_the_eager_solves_bits(monkeypatch, kind):
+    # seeded vectors (trials 1 and 4 for KL, 20 and 32 for chi-square) on which a
+    # Newton candidate falls below the first trial point, so that a solve that
+    # read the unexpanded end there would differ
+    rng = np.random.default_rng(123)
+    cases = []
+    for trial in range(33):
+        n = int(rng.integers(2, 3000))
+        if trial % 3 == 0:
+            z = rng.normal(size=n)
+        elif trial % 3 == 1:
+            z = -rng.exponential(size=n) * rng.uniform(size=n)
+        else:
+            z = np.round(rng.normal(size=n) * 4) / 4
+        eps = float(10 ** rng.uniform(-4, 0))
+        if trial in (1, 4, 20, 32):
+            cases.append((z, eps))
+
+    def solves():
+        out = []
+        for z, eps in cases:
+            values, counts = np.unique(z, return_counts=True)
+            for solve in (robust_risk_dual, optimistic_risk_dual):
+                for point in (solve(z, kind, eps), solve(values, kind, eps, counts=counts)):
+                    out.append(tuple(float(x).hex() for x in (point.beta, point.gamma, point.value)))
+        return out
+
+    deferred = solves()
+    monkeypatch.setattr(dro._ReducedObjective, "solve_beta", eager_solve_beta)
+    assert solves() == deferred
 
 
 def test_golden_section_values_come_from_the_inner_solve(monkeypatch):

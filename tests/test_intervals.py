@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from cfdro.data import sample_bandit_log, synthetic_multilabel_dataset, train_logging_policy
+from cfdro.data import (
+    LoggingPolicyConfig,
+    collect_bandit_log,
+    sample_bandit_log,
+    synthetic_multilabel_dataset,
+    train_logging_policy,
+)
 from cfdro.divergences import DivergenceKind
 from cfdro.estimators import BanditLog, CostScale, ips_risk
 from cfdro.intervals import (
@@ -19,9 +25,10 @@ from cfdro.intervals import (
     coverage_experiment,
     dro_interval,
     hoeffding_interval,
+    risk_intervals,
     write_coverage_csv,
 )
-from cfdro.policies import LinearPolicy, Multiclass, true_risk
+from cfdro.policies import FactorizedLabels, LinearPolicy, Multiclass, true_risk
 
 ALL_KINDS = list(DivergenceKind)
 
@@ -224,3 +231,65 @@ class TestCoverageExperiment:
         assert np.mean([r.covered for r in dro_rows]) >= 0.90
         finite_rows = [r for r in rows if r.method in ("hoeffding", "bernstein")]
         assert np.mean([r.covered for r in finite_rows]) == 1.0
+
+
+def _study_env(space):
+    ds = synthetic_multilabel_dataset(50, 3, 5, seed=21)
+    p0 = train_logging_policy(ds.subset(range(20)), LoggingPolicyConfig(action_space=space))
+    target = replace(p0, theta=p0.theta + 0.3 * np.random.default_rng(22).normal(size=p0.theta.shape))
+    return ds, p0, target
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("by", ["replay_counts", "n_values"])
+@pytest.mark.parametrize("one_row", [False, True])
+def test_coverage_rows_equal_the_per_replication_logs_and_intervals(space, by, one_row):
+    # the study reads its logs from row tables; each row must be what the
+    # public collection and interval functions give on the same seed, bit for
+    # bit, also on one row (row 0, whose scores alone differ in bits from a batch's)
+    ds, p0, target = _study_env(space)
+    ds = ds.subset([0]) if one_row else ds
+    sizes, replications, kinds = ([1 + one_row, 3] if by == "replay_counts" else [7, 120]), 2, ALL_KINDS[1:3]
+    rows = coverage_experiment(ds, target, p0, replications=replications, kinds=kinds, seed=23, **{by: sizes})
+    seeds = np.random.SeedSequence(23).spawn(len(sizes) * replications)
+    truth = float(CostScale.for_hamming(ds.n_labels).apply(true_risk(target, ds)))
+    want = []
+    for si, size in enumerate(sizes):
+        for rep in range(replications):
+            child = int(seeds[si * replications + rep].generate_state(1)[0])
+            collect = collect_bandit_log if by == "replay_counts" else sample_bandit_log
+            log = collect(ds, p0, size, seed=child)
+            intervals = risk_intervals(log, target, kinds, 0.05)
+            for iv, kind in zip(intervals, [k.value for k in kinds] + ["", ""]):
+                method = "dro" if kind else iv.method
+                want.append((method, kind, log.n, rep, iv.lower, iv.upper, truth, int(iv.contains(truth))))
+    assert [tuple(vars(r).values()) for r in rows] == want
+
+
+def test_a_study_scores_each_row_once_whatever_its_replications(monkeypatch):
+    ds, p0, target = _study_env("factorized")
+    calls = []
+    log_scores = LinearPolicy._log_scores
+
+    def counted(self, xb):
+        calls.append(len(xb))
+        return log_scores(self, xb)
+
+    monkeypatch.setattr(LinearPolicy, "_log_scores", counted)
+    for replications in (1, 3):
+        calls.clear()
+        coverage_experiment(ds, target, p0, replications=replications, replay_counts=[1, 2], seed=24)
+        # the two row tables and the exact risk, each over the dataset's rows
+        assert calls == [ds.n_rows] * 3
+
+
+def test_coverage_rejects_a_target_that_does_not_fit_naming_the_field():
+    ds, p0, _ = _study_env("factorized")
+    wide = LinearPolicy(np.zeros((8, 3)), FactorizedLabels(3))
+    with pytest.raises(ValueError, match="^feature_dim: "):
+        coverage_experiment(ds, wide, p0, replications=1, replay_counts=[1], seed=25)
+    with pytest.raises(ValueError, match="^feature_dim: "):
+        coverage_experiment(ds, p0, wide, replications=1, replay_counts=[1], seed=25)
+    other_kind = LinearPolicy(np.zeros((6, 8)), Multiclass(8))
+    with pytest.raises(ValueError, match="^action_space: "):
+        coverage_experiment(ds, other_kind, p0, replications=1, replay_counts=[1], seed=25)

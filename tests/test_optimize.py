@@ -452,6 +452,32 @@ def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
     assert built == [True]
 
 
+def test_log_trick_groups_the_feature_matrix_once_per_run(monkeypatch):
+    # each outer step regroups only the narrow table of its surrogate's records;
+    # theta is the same as when every step regrouped the features too
+    dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)))
+    log = collect_bandit_log(dataset, policy0, 3, seed=4)
+    config = OptimizerConfig(max_iters=10)
+    distinct = optimize._distinct
+    monkeypatch.setattr(optimize, "_distinct", lambda rows, group: distinct(rows))
+    regrouped, _ = train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
+    monkeypatch.setattr(optimize, "_distinct", distinct)
+    shapes, byte_groups = [], optimize._byte_groups
+
+    def counted(rows):
+        shapes.append(rows.shape)
+        return byte_groups(rows)
+
+    monkeypatch.setattr(optimize, "_byte_groups", counted)
+    policy, report = train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
+    outer = len(report.trajectory) - 1
+    assert outer >= 3
+    assert shapes.count((log.n, log.feature_dim + 1)) == 1
+    assert len(shapes) == 1 + outer
+    assert policy.theta.tobytes() == regrouped.theta.tobytes()
+
+
 def test_log_trick_scores_the_anchor_on_the_runs_matrix(monkeypatch):
     # each outer step scores its anchor on the bias-augmented matrix built once
     # per run, never through the public log_prob and its own hstack
