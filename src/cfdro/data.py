@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import BanditLog, CostScale, _RecordFault, _byte_groups
+from .estimators import BanditLog, CostScale, _RecordFault, _byte_groups, _runs
 from .policies import (
     ActionSpace,
     FactorizedLabels,
@@ -296,24 +296,42 @@ def _fitted_table(dataset: LabeledDataset, policy: LinearPolicy, n: int):
         raise ValueError(f"n_labels: the policy has {space.n_labels}, the dataset {labels}")
     if isinstance(space, Multiclass) and space.n_actions != 1 << labels:
         raise ValueError(f"n_actions: the policy has {space.n_actions}, {labels} labels need {1 << labels}")
-    x = dataset.features  # for more than one record, a lone row is scored as a batch's row
-    return policy._row_table(x if len(x) > 1 or n == 1 else np.repeat(x, 2, axis=0))
+    return policy._row_table(_with_bias(dataset.features), n)
 
 
 def _records(dataset: LabeledDataset, policy0: LinearPolicy, table, row_idx, rng: np.random.Generator):
-    """The actions, propensities, raw and scaled costs, in BanditLog's order, drawn on rows ``row_idx``."""
-    actions = policy0._sample_rows(table, row_idx, rng)
-    propensities = np.exp(policy0._log_prob_rows(table, row_idx, actions))
-    raw = _hamming_costs(actions, dataset.labels.take(row_idx, 0), policy0.action_space)
-    return actions, propensities, raw, CostScale.for_hamming(dataset.n_labels).apply(raw)
+    """Actions drawn on rows ``row_idx``; the inverse and counts of their (row, action) pairs; each
+    pair's row and action; and each pair's propensity, raw and scaled cost.  The pairs sort by
+    ``np.lexsort`` of narrow keys (radix): the row, then the action id or its packed bits' bytes."""
+    space, actions = policy0.action_space, policy0._sample_rows(table, row_idx, rng)
+    keys = [row_idx.astype(np.min_scalar_type(dataset.n_rows))]
+    if isinstance(space, Multiclass):
+        keys.append(actions.astype(np.min_scalar_type(space.n_actions)))
+    else:  # packbits is fast on a flat array, so each record's bits are padded to whole bytes
+        bits = np.zeros((len(actions), -(-space.n_labels // 8) * 8), dtype=bool)
+        bits[:, : space.n_labels] = actions
+        keys.extend(np.packbits(bits).reshape(len(actions), -1).T)
+    first, inverse, counts = _runs(np.lexsort(keys), keys)
+    rows, acts = row_idx.take(first), actions.take(first, 0)
+    propensities = np.exp(policy0._log_prob_rows(table, rows, acts))
+    raw = _hamming_costs(acts, dataset.labels.take(rows, 0), space)
+    scaled = CostScale.for_hamming(dataset.n_labels).apply(raw)
+    return actions, (inverse, counts), (rows, acts), (propensities, raw, scaled)
 
 
 def _log_from_rows(
     dataset: LabeledDataset, policy0: LinearPolicy, row_idx: np.ndarray, rng: np.random.Generator
 ) -> BanditLog:
-    records = _records(dataset, policy0, _fitted_table(dataset, policy0, len(row_idx)), row_idx, rng)
+    table = _fitted_table(dataset, policy0, len(row_idx))
+    actions, (inverse, _), _, pairs = _records(dataset, policy0, table, row_idx, rng)
     space, scale = policy0.action_space, CostScale.for_hamming(dataset.n_labels)
-    return BanditLog(dataset.features[row_idx], *records, action_space=space, cost_scale=scale)
+    records = dataset.features[row_idx], actions, *(a[inverse] for a in pairs)  # each from its pair
+    return BanditLog(*records, action_space=space, cost_scale=scale)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def collect_bandit_log(
@@ -324,8 +342,7 @@ def collect_bandit_log(
     Produces ``replay_count * n_rows`` records; each stores the exact
     probability the logging policy assigned to its sampled action.
     """
-    if isinstance(replay_count, bool) or not isinstance(replay_count, (int, np.integer)) or replay_count < 1:
-        raise ValueError(f"replay_count must be a positive integer, got {replay_count!r}")
+    _check_count("replay_count", replay_count)
     rng = np.random.default_rng(seed)
     row_idx = np.tile(np.arange(dataset.n_rows), replay_count)
     return _log_from_rows(dataset, policy0, row_idx, rng)
@@ -335,8 +352,7 @@ def sample_bandit_log(
     dataset: LabeledDataset, policy0: LinearPolicy, n: int, seed: int = 0
 ) -> BanditLog:
     """Collect ``n`` records with contexts drawn independently and uniformly from the rows."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_count("n", n)
     rng = np.random.default_rng(seed)
     drawn, inverse = np.unique(rng.integers(0, dataset.n_rows, size=n), return_inverse=True)
     return _log_from_rows(dataset.subset(drawn), policy0, inverse, rng)

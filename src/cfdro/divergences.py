@@ -90,9 +90,9 @@ class _Generator:
     ``conjugate(s, ws)`` gives ``phi*(s)`` inside the domain.  ``derivatives(u, reduce, ws)``
     gives ``(reduce((phi*)'(u)), reduce((phi*)''(u)))`` there: ``reduce`` is ``np.asarray`` for
     pointwise values and a mean in the dual solver, and gets chi-square's second derivative as
-    a boolean mask (half an indicator) to count it.  Both write into ``ws``, two rows shaped
-    like their argument, or let each ufunc allocate when ``ws`` is None; they never write
-    into their argument.
+    a boolean mask (half an indicator) to count it; with ``second=False`` the second is None,
+    left uncomputed.  Both write into ``ws``, two rows shaped like their argument, or let each
+    ufunc allocate when ``ws`` is None; they never write into their argument.
     """
 
     phi: Callable  # phi(t) for t > 0
@@ -121,19 +121,19 @@ def _chi2_conjugate(s, ws=None):
     return np.add(m, sq, out=out)
 
 
-def _chi2_derivatives(u, reduce, ws=None):
+def _chi2_derivatives(u, reduce, ws=None, second=True):
     out, flat = _outs(ws)
     d1 = np.maximum(np.add(np.multiply(u, 0.5, out=out), 1.0, out=out), 0.0, out=out)
-    return reduce(d1), 0.5 * reduce(np.greater(u, -2.0, out=_mask(flat)))
+    return reduce(d1), 0.5 * reduce(np.greater(u, -2.0, out=_mask(flat))) if second else None
 
 
 def _kl_conjugate(s, ws=None):
     return np.expm1(s, out=_outs(ws)[0])
 
 
-def _kl_derivatives(u, reduce, ws=None):
+def _kl_derivatives(u, reduce, ws=None, second=True):
     m = reduce(np.exp(u, out=_outs(ws)[0]))
-    return m, m
+    return m, m if second else None
 
 
 def _burg_conjugate(s, ws=None):
@@ -141,10 +141,10 @@ def _burg_conjugate(s, ws=None):
     return np.negative(np.log1p(np.negative(s, out=out), out=out), out=out)
 
 
-def _burg_derivatives(u, reduce, ws=None):
+def _burg_derivatives(u, reduce, ws=None, second=True):
     out, sq = _outs(ws)
     r = np.divide(1.0, np.subtract(1.0, u, out=out), out=out)
-    return reduce(r), reduce(np.multiply(r, r, out=sq))
+    return reduce(r), reduce(np.multiply(r, r, out=sq)) if second else None
 
 
 def _hellinger_conjugate(s, ws=None):
@@ -152,12 +152,12 @@ def _hellinger_conjugate(s, ws=None):
     return np.divide(s, np.subtract(1.0, s, out=out), out=out)
 
 
-def _hellinger_derivatives(u, reduce, ws=None):
+def _hellinger_derivatives(u, reduce, ws=None, second=True):
     out, sq = _outs(ws)
     r = np.divide(1.0, np.subtract(1.0, u, out=out), out=out)
     r2 = np.multiply(r, r, out=sq)
     first = reduce(r2)
-    return first, 2.0 * reduce(np.multiply(r2, r, out=out))
+    return first, 2.0 * reduce(np.multiply(r2, r, out=out)) if second else None
 
 
 # the KL cap: beyond u = 500 the exponential conjugate overflows float64 anyway

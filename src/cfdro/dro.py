@@ -441,7 +441,7 @@ def _robust_value_grads(
         value = beta + gamma * epsilon + gamma * mean(vals)
         if not grads:
             return value
-        d1, _ = gen.derivatives(u, np.asarray)
+        d1, _ = gen.derivatives(u, np.asarray, second=False)
     return value, d1, 1.0 - mean(d1), epsilon + mean(vals - u * d1)
 
 

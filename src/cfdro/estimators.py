@@ -212,14 +212,20 @@ def _byte_groups(rows: np.ndarray):
     """
     rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    words = rows.view(np.uint64)[order]
-    new = np.ones(len(order), dtype=bool)
-    np.any(words[1:] != words[:-1], axis=1, out=new[1:])
+    return _runs(np.argsort(keys, kind="stable"), rows.view(np.uint64).T)
+
+
+def _runs(order: np.ndarray, keys):
+    """``np.unique``'s first index, inverse and counts of the records that ``order`` sorts, whose
+    neighbours differ where a key column does; a column at a time, so no sorted copy is made."""
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    return order[starts], inverse, np.diff(starts, append=len(order))
+    return order[new], inverse, np.bincount(inverse)
 
 
 def ips_risk(log: BanditLog, policy: LinearPolicy, weight_clip: Optional[float] = None) -> float:

@@ -17,8 +17,8 @@ curvature at 1.  :func:`calibrated_radius` applies that correction, which
 makes all four generators produce interchangeable intervals.
 
 Each log's weighted costs are compressed once to their distinct values and
-counts, on which every DRO interval is solved; replayed logs repeat each
-(row, action) pair's cost.  The radius still uses the number of records.
+counts, on which every DRO interval is solved; a coverage study weighs each
+(row, action) pair of its logs once.  The radius uses the number of records.
 """
 
 from __future__ import annotations
@@ -205,12 +205,12 @@ def risk_intervals(
     weight_bound: Optional[float] = None,
 ) -> "list[RiskInterval]":
     """The DRO interval of each kind, then Hoeffding and Bernstein, from one weights pass."""
-    return _intervals_of(importance_weights(log, policy).values, kinds, delta, weight_bound)
+    z = importance_weights(log, policy).values
+    return _intervals_of(z, np.unique(z, return_counts=True), kinds, delta, weight_bound)
 
 
-def _intervals_of(z: np.ndarray, kinds, delta: float, weight_bound: Optional[float]):
-    """:func:`risk_intervals` on the weighted costs ``z``."""
-    support = np.unique(z, return_counts=True)
+def _intervals_of(z: np.ndarray, support, kinds, delta: float, weight_bound: Optional[float]):
+    """:func:`risk_intervals` on the weighted costs ``z`` and their distinct values and counts."""
     intervals = [_dro_bounds(*support, kind, delta) for kind in kinds]
     return intervals + [fn(z, delta, weight_bound) for fn in (_hoeffding_bounds, _bernstein_bounds)]
 
@@ -258,19 +258,20 @@ def coverage_experiment(
     cost units, matching the estimators.
     """
     # imported here: the data module sits above this one in the layering
-    from .data import _fitted_table, _records
+    from .data import _check_count, _fitted_table, _records
     from .policies import true_risk as exact_risk
 
     if (n_values is None) == (replay_counts is None):
         raise ValueError("specify exactly one of n_values or replay_counts")
-    sizes = list(n_values) if n_values is not None else list(replay_counts)
-    if not sizes or min(sizes) < 1:
-        raise ValueError("log sizes must be positive")
-    if replications < 1:
-        raise ValueError("replications must be positive")
+    field = "n_values" if n_values is not None else "replay_counts"
+    sizes = list(n_values if n_values is not None else replay_counts)
+    _check_count(f"len({field})", len(sizes))
+    for i, size in enumerate(sizes):
+        _check_count(f"{field}[{i}]", size)
+    _check_count("replications", replications)
 
     # each policy scores every row once, for all the study's logs
-    tables = (_fitted_table(dataset, logging_policy, 2), _fitted_table(dataset, policy, 2))
+    logged, target = [(p, _fitted_table(dataset, p, 2)) for p in (logging_policy, policy)]
     if policy.action_space != logging_policy.action_space:  # both fit: one is multiclass
         raise ValueError("action_space: the policy and the logging policy are of different kinds")
     truth = float(CostScale.for_hamming(dataset.n_labels).apply(exact_risk(policy, dataset)))
@@ -279,9 +280,12 @@ def coverage_experiment(
         """``sample_bandit_log`` or ``collect_bandit_log``, then ``risk_intervals``, bit for bit."""
         rng, m = np.random.default_rng(seed), dataset.n_rows
         row_idx = rng.integers(0, m, size=size) if n_values is not None else np.tile(np.arange(m), size)
-        actions, propensities, _, costs = _records(dataset, logging_policy, tables[0], row_idx, rng)
-        z = np.exp(policy._log_prob_rows(tables[1], row_idx, actions) - np.log(propensities)) * costs
-        return len(z), _intervals_of(z, kinds, delta, weight_bound)  # the log's arrays go on return
+        _, (inverse, counts), pairs, (props, _, costs) = _records(dataset, *logged, row_idx, rng)
+        # each (row, action) pair's weighted cost; the support sums the counts of equal values
+        z = np.exp(policy._log_prob_rows(target[1], *pairs) - np.log(props)) * costs
+        values, index = np.unique(z, return_inverse=True)
+        support = values, np.bincount(index, counts).astype(counts.dtype)
+        return len(row_idx), _intervals_of(z[inverse], support, kinds, delta, weight_bound)
 
     rows: list[CoverageRow] = []
     seeds = np.random.SeedSequence(seed).spawn(len(sizes) * replications)

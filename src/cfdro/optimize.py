@@ -11,9 +11,9 @@ shared solvers: batch mode is one L-BFGS-B scaffold whose trajectory reuses the
 evaluations L-BFGS-B already made, and stochastic mode is one projected,
 clipped mini-batch SGD loop over ``[theta, (beta, gamma)]`` to which each
 trainer supplies its per-step gradient.  A batch evaluation scores each
-distinct record once, weighted by its share of the log, and equals the
-per-record objective up to rounding.  Reports carry the iteration
-trajectory and can be serialized to CSV or JSON lines.
+distinct context once and sums over the distinct records by their shares
+of the log, equal to the per-record objective up to rounding.  Reports
+carry the iteration trajectory and can be serialized to CSV or JSON lines.
 """
 
 from __future__ import annotations
@@ -133,11 +133,12 @@ def write_report(report: TrainReport, path) -> None:
 # no kernel call has to cast), and ``costs(logp, *rows[2:])`` returns (z, coef)
 # from the policy's log-probabilities of the actions; the gradient of
 # sum_i d_i z_i is ``policy.score_gradient(xb, resid, d * coef)``.  A mini-batch
-# slices every array in ``rows`` with the same indices.
+# slices every array in ``rows`` with the same indices.  A run's ``contexts`` are
+# its distinct feature rows (by bytes) and each record's index among them.
 
 
 def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
-    """Builder of the weighted costs ``(c - rho) w + rho``; ``rho`` may be ``"mean"``."""
+    """Builder of the weighted costs ``(c - rho) w + rho`` with the contexts; ``rho`` may be ``"mean"``."""
     if isinstance(rho, str):
         if rho != "mean":
             raise ValueError("rho must be a number or 'mean'")
@@ -149,7 +150,9 @@ def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
         return coef + rho, coef
 
     acts = log.actions if isinstance(log.action_space, Multiclass) else log.actions.astype(float)
-    return (_with_bias(log.features), acts, np.log(log.propensities), log.costs - rho), costs
+    xb = _with_bias(log.features)
+    first, index, _ = _byte_groups(xb)
+    return (xb, acts, np.log(log.propensities), log.costs - rho), costs, (xb[first], index)
 
 
 def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
@@ -169,9 +172,14 @@ def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
     return (rows[0], rows[1], anchor_lp, w0c), costs
 
 
-def _scored(policy: LinearPolicy, rows, costs):
-    """``(z, coef, resid)`` on ``rows`` from one kernel call."""
-    logp, resid = policy.log_prob_and_residual(rows[0], rows[1])
+def _scored(policy: LinearPolicy, rows, costs, contexts=None):
+    """``(z, coef, resid)`` on ``rows`` from one score pass, over ``contexts`` if given."""
+    if contexts is None:
+        logp, resid = policy.log_prob_and_residual(rows[0], rows[1])
+    else:
+        table = policy._row_table(contexts[0], len(rows[0]))
+        logp = policy._log_prob_rows(table, contexts[1], rows[1])
+        resid = policy._residual_rows(table, contexts[1], rows[1])
     return (*costs(logp, *rows[2:]), resid)
 
 
@@ -186,14 +194,14 @@ def _distinct(rows, group=None):
     return [a[first] for a in rows], counts / len(group)
 
 
-def _log_prob(policy: LinearPolicy, rows) -> np.ndarray:
-    """The log-probabilities of the actions alone: one score pass and no residual."""
-    return policy._log_prob_of(policy._log_scores(rows[0]), rows[1])
+def _log_prob(policy: LinearPolicy, rows, contexts) -> np.ndarray:
+    """The log-probabilities of the actions alone, from one score pass over the ``contexts``."""
+    return policy._log_prob_rows(policy._row_table(contexts[0], len(rows[0])), contexts[1], rows[1])
 
 
-def _exact_dual(policy, rows, costs, kind, epsilon):
+def _exact_dual(policy, rows, costs, kind, epsilon, contexts):
     """The exact dual point of ``policy``'s costs and its log-probabilities, from one score pass."""
-    logp = _log_prob(policy, rows)
+    logp = _log_prob(policy, rows, contexts)
     return robust_risk_dual(costs(logp, *rows[2:])[0], kind, epsilon), logp
 
 
@@ -290,12 +298,12 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     return (w[:-2] if duals else w), report
 
 
-def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs, group):
+def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs, contexts):
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
     cap = _GENERATORS[kind].cap
     start = time.perf_counter()
-    distinct, p = _distinct(rows, group)
-    xb, k, mean = distinct[0], len(p), _mean_under(p)
+    (*distinct, index), p = _distinct([*rows, contexts[1]], contexts[1])  # with each one's context
+    xb, k, mean, scoring = distinct[0], len(p), _mean_under(p), (contexts[0], index)
 
     def unpack(w: np.ndarray):
         beta = float(w[-2])
@@ -310,7 +318,7 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
         policy = policy_init._with_theta(theta_flat)
-        z, coef, resid = _scored(policy, distinct, costs)
+        z, coef, resid = _scored(policy, distinct, costs, scoring)
         state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap, mean=mean)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
@@ -332,12 +340,12 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
 
     # initialize the dual pair exactly at the starting policy, so a warm
     # start from a previous optimum is a fixed point of the joint solve
-    point0, _ = _exact_dual(policy_init, rows, costs, kind, epsilon)
+    point0, _ = _exact_dual(policy_init, rows, costs, kind, epsilon, contexts)
     w, iterations, converged, trajectory = _lbfgs(
         fun, pack(policy_init.theta.ravel(), point0), config, record
     )
     policy = policy_init._with_theta(w[:-2])
-    final_point, _ = _exact_dual(policy, rows, costs, kind, epsilon)
+    final_point, _ = _exact_dual(policy, rows, costs, kind, epsilon, contexts)
     w_final = pack(w[:-2], final_point)
     trajectory.append(record(iterations, w_final, *fun(w_final)))
     report = TrainReport(
@@ -371,9 +379,8 @@ def train_dro(
     """
     if config.mode == "stochastic":
         return train_dro_stochastic(log, kind, delta, policy_init, config, rho)
-    rows, costs = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
-    return _robust_batch(kind, eps, policy_init, config, rows, costs, None)
+    return _robust_batch(kind, eps, policy_init, config, *_weighted_costs(log, rho))
 
 
 def train_dro_stochastic(
@@ -393,10 +400,10 @@ def train_dro_stochastic(
     abort the run.
     """
     start = time.perf_counter()
-    rows, costs = _weighted_costs(log, rho)
+    rows, costs, contexts = _weighted_costs(log, rho)  # a mini-batch is scored per record
     eps = calibrated_radius(kind, delta, log.n)
     cap = _GENERATORS[kind].cap
-    point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps)
+    point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps, contexts)
     w0 = np.concatenate(
         [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, _GAMMA_MIN)]]
     )
@@ -427,7 +434,7 @@ def train_dro_stochastic(
         return math.inf if value is None else value
 
     def objective(w: np.ndarray) -> float:
-        return value_at(_log_prob(policy_init._with_theta(w[:-2]), rows), w)
+        return value_at(_log_prob(policy_init._with_theta(w[:-2]), rows, contexts), w)
 
     value0 = value_at(logp0, w0)
     theta, report = _sgd(rows, w0, config, step, objective, value0, duals=True, start=start)
@@ -459,11 +466,11 @@ def train_poem(
     if n < 2:
         raise ValueError("the penalized objective needs at least 2 records")
     start = time.perf_counter()
-    rows, costs = _weighted_costs(log)
+    rows, costs, contexts = _weighted_costs(log)
     theta0 = policy_init.theta.ravel().copy()
 
     def full_costs(theta: np.ndarray) -> np.ndarray:
-        return costs(_log_prob(policy_init._with_theta(theta), rows), *rows[2:])[0]
+        return costs(_log_prob(policy_init._with_theta(theta), rows, contexts), *rows[2:])[0]
 
     def penalized(z: np.ndarray) -> float:
         return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
@@ -498,12 +505,12 @@ def train_poem(
         )
         return policy_init._with_theta(theta), report
 
-    distinct, p = _distinct(rows)
-    mean_of = _mean_under(p)
+    (*distinct, index), p = _distinct([*rows, contexts[1]], contexts[1])  # with each one's context
+    mean_of, scoring = _mean_under(p), (contexts[0], index)
 
     def fun(theta_flat: np.ndarray):
         policy = policy_init._with_theta(theta_flat)
-        z, coef, resid = _scored(policy, distinct, costs)
+        z, coef, resid = _scored(policy, distinct, costs, scoring)
         mean = mean_of(z)
         grad = policy.score_gradient(distinct[0], resid, p * coef)
         variance = n / (n - 1) * mean_of(np.square(z - mean))
@@ -550,8 +557,7 @@ def train_log_trick(
     start = time.perf_counter()
     anchor = policy_init
     trajectory: "list[IterationRecord]" = []
-    rows, costs = _weighted_costs(log)
-    group = _byte_groups(rows[0])[1]  # every surrogate shares the run's feature matrix
+    rows, costs, contexts = _weighted_costs(log)  # every surrogate shares the run's contexts
 
     def note(outer: int, point: DualPoint) -> None:
         elapsed = time.perf_counter() - start
@@ -559,16 +565,16 @@ def train_log_trick(
         trajectory.append(record)
 
     # each exact risk's score pass gives the log-probabilities the next surrogate is anchored on
-    current, anchor_lp = _exact_dual(anchor, rows, costs, kind, eps)
+    current, anchor_lp = _exact_dual(anchor, rows, costs, kind, eps, contexts)
     note(0, current)
     total_inner = 0
     reached_fixed_point = False
     for outer in range(1, outer_iters + 1):
         candidate, inner_report = _robust_batch(
-            kind, eps, anchor, config, *_log_trick_costs(log, anchor_lp, rows), group
+            kind, eps, anchor, config, *_log_trick_costs(log, anchor_lp, rows), contexts
         )
         total_inner += inner_report.iterations
-        cand_point, cand_lp = _exact_dual(candidate, rows, costs, kind, eps)
+        cand_point, cand_lp = _exact_dual(candidate, rows, costs, kind, eps, contexts)
         note(outer, cand_point)
         improved = cand_point.value <= current.value + 1e-12
         if improved:

@@ -246,14 +246,15 @@ class LinearPolicy:
         p = self.label_probabilities(x)
         return np.prod(np.where(bits == 1, p[None, :], 1.0 - p[None, :]), axis=1)
 
-    def _row_table(self, x: np.ndarray):
-        """What sampling and log-probabilities read per row of ``x``, from one score pass.
+    def _row_table(self, xb: np.ndarray, n: int):
+        """What ``n`` records read per row of the bias-augmented ``xb``, from one score pass.
 
         A multiclass space's log-normalized scores and CDF (1 at the top), or ``log sigma(s)``,
         ``log sigma(-s)`` and ``sigma(s)``.  Read by row index, they give the per-record bits:
-        numpy scores a row alike in any batch of two or more rows.
+        numpy scores a row alike in any batch of two or more rows, so a lone row is scored twice
+        when more than one record reads it.
         """
-        s = self._log_scores(_with_bias(x))
+        s = self._log_scores(xb if len(xb) > 1 or n == 1 else np.repeat(xb, 2, axis=0))
         if isinstance(self.action_space, Multiclass):
             cdf = np.cumsum(np.exp(s), axis=1)
             cdf[:, -1] = 1.0
@@ -276,13 +277,20 @@ class LinearPolicy:
             return table[0].take(rows * table[0].shape[1] + actions)
         return np.add.reduce(np.where(actions == 1, table[0].take(rows, 0), table[1].take(rows, 0)), axis=1)
 
+    def _residual_rows(self, table, rows, actions) -> np.ndarray:
+        """:meth:`_residual_of` of each record's action on the table's row ``rows[i]``."""
+        if isinstance(self.action_space, Multiclass):
+            return self._residual_of(table[0].take(rows, 0), actions)
+        return actions - table[2].take(rows, 0)
+
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
 
     def sample_actions(self, x: np.ndarray, rng: np.random.Generator):
         """Draw one action per context row; deterministic given the generator state."""
-        return self._sample_rows(self._row_table(x), None, rng)
+        xb = _with_bias(x)
+        return self._sample_rows(self._row_table(xb, len(xb)), None, rng)
 
     def greedy_actions(self, x: np.ndarray):
         """Highest-probability action per context; ties resolve to the lowest index."""

@@ -8,6 +8,11 @@ scaled conjugate and its analytic partials check the dual's building block.
 writers, one ``json.dumps`` per record and one numpy index per value, whose
 bytes the library's writers must reproduce.  ``eager_solve_beta`` is the
 dual solver's inner solve with its lower bracket end expanded up front.
+``log_by_records`` and ``replication_by_records`` are a collection and a
+coverage replication that weigh every record on its own, and
+``scored_by_records`` and ``log_prob_by_records`` are the trainers' score
+passes over every record; the library weighs each distinct (row, action)
+pair once and scores each distinct context once, and must give these bits.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from cfdro.data import _LOG_FORMAT, _LOG_VERSION
+from cfdro.data import _LOG_FORMAT, _LOG_VERSION, _fitted_table
 from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
 from cfdro.dro import _ROOT_TOL, _as_values
-from cfdro.estimators import BanditLog
-from cfdro.policies import LabeledDataset, Multiclass, _space_to_dict
+from cfdro.estimators import BanditLog, CostScale
+from cfdro.intervals import _intervals_of
+from cfdro.policies import LabeledDataset, Multiclass, _hamming_costs, _space_to_dict
 
 
 def write_bandit_log_by_records(log: BanditLog, path) -> None:
@@ -247,3 +253,41 @@ def eager_solve_beta(h, gamma: float, warm):
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return beta, False
+
+
+def log_by_records(dataset, policy0, row_idx, rng, table_records=None):
+    """A log's arrays in ``BanditLog``'s order, drawn on rows ``row_idx``, every record weighed on its own.
+
+    The row table is built for ``table_records`` records (default: the log's), as collection does.
+    """
+    n = len(row_idx) if table_records is None else table_records
+    table = _fitted_table(dataset, policy0, n)
+    actions = policy0._sample_rows(table, row_idx, rng)
+    propensities = np.exp(policy0._log_prob_rows(table, row_idx, actions))
+    raw = _hamming_costs(actions, dataset.labels.take(row_idx, 0), policy0.action_space)
+    costs = CostScale.for_hamming(dataset.n_labels).apply(raw)
+    return dataset.features[row_idx], actions, propensities, raw, costs
+
+
+def replication_by_records(dataset, policy, logging_policy, row_idx, rng, kinds, delta=0.05):
+    """One coverage replication on rows ``row_idx``, every record weighed on its own.
+
+    Returns the log's arrays, the weighted costs ``z``, their support
+    ``np.unique(z, return_counts=True)`` and the intervals.
+    """
+    table = _fitted_table(dataset, policy, 2)
+    log = log_by_records(dataset, logging_policy, row_idx, rng, table_records=2)
+    z = np.exp(policy._log_prob_rows(table, row_idx, log[1]) - np.log(log[2])) * log[4]
+    support = np.unique(z, return_counts=True)
+    return log, z, support, _intervals_of(z, support, kinds, delta, None)
+
+
+def scored_by_records(policy, rows, costs, contexts=None):
+    """A trainer's ``(z, coef, resid)`` with every record of ``rows`` scored; ``contexts`` unused."""
+    logp, resid = policy.log_prob_and_residual(rows[0], rows[1])
+    return (*costs(logp, *rows[2:]), resid)
+
+
+def log_prob_by_records(policy, rows, contexts=None):
+    """A trainer's full-log log-probabilities with every record scored; ``contexts`` unused."""
+    return policy._log_prob_of(policy._log_scores(rows[0]), rows[1])

@@ -34,7 +34,7 @@ from cfdro.policies import (
     true_risk,
 )
 
-from oracles import write_bandit_log_by_records, write_libsvm_by_index
+from oracles import log_by_records, write_bandit_log_by_records, write_libsvm_by_index
 
 # floats whose shortest repr takes each of Python's forms: subnormal, the
 # smallest normal, the largest, exponent notation on both sides, and -0.0
@@ -294,6 +294,26 @@ def test_sample_matches_the_per_record_formulas_bit_for_bit(space, m, n):
     log = sample_bandit_log(ds, policy, n, seed=32)
     rng = np.random.default_rng(32)
     want = _per_record_log(ds, policy, rng.integers(0, m, size=n), rng)
+    _assert_same_bits((log.features, log.actions, log.propensities, log.costs_raw, log.costs), want)
+
+
+@pytest.mark.parametrize(
+    "space,n_labels", [("multiclass", 4), ("factorized", 4), ("factorized", 9), ("factorized", 70)]
+)
+@pytest.mark.parametrize("m,size", [(40, 1), (40, 4), (1, 1), (1, 6)])
+def test_collection_weighs_each_pair_once_with_the_per_record_bits(space, n_labels, m, size):
+    # P = 1 repeats no (row, action) pair; 9 labels sum each log-probability pairwise, and
+    # 70 labels pack into 9 bytes
+    ds = synthetic_multilabel_dataset(40, n_labels, 5, seed=37)
+    policy = train_logging_policy(ds.subset(range(20)), LoggingPolicyConfig(action_space=space))
+    ds = ds.subset(range(m))
+    log = collect_bandit_log(ds, policy, size, seed=38)
+    want = log_by_records(ds, policy, np.tile(np.arange(m), size), np.random.default_rng(38))
+    _assert_same_bits((log.features, log.actions, log.propensities, log.costs_raw, log.costs), want)
+    log = sample_bandit_log(ds, policy, 5 * size, seed=39)
+    rng = np.random.default_rng(39)
+    drawn, inverse = np.unique(rng.integers(0, m, size=5 * size), return_inverse=True)
+    want = log_by_records(ds.subset(drawn), policy, inverse, rng)
     _assert_same_bits((log.features, log.actions, log.propensities, log.costs_raw, log.costs), want)
 
 

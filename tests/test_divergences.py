@@ -258,6 +258,19 @@ def test_table_formulas_agree_with_and_without_a_workspace(kind):
         assert fresh[0] == -1.0 and d1[0] == 0.0 and d2[0] == 0.0
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_first_derivative_alone_keeps_its_bits(kind):
+    # the trainers ask for (phi*)' alone; it is the pair's first, and the second is not computed
+    gen = _GENERATORS[kind]
+    u = np.minimum(np.linspace(-40.0, 30.0, 1001), gen.domain)
+    with np.errstate(over="ignore", divide="ignore"):
+        d1, _ = gen.derivatives(u, np.asarray)
+        reduced = []
+        first, second = gen.derivatives(u, lambda x: reduced.append(x) or x, second=False)
+    assert second is None and len(reduced) == 1
+    assert first.tobytes() == d1.tobytes()
+
+
 def test_curvature_values():
     assert curvature_at_one(DivergenceKind.CHI_SQUARE) == 2.0
     assert curvature_at_one(DivergenceKind.KL) == 1.0

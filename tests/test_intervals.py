@@ -30,6 +30,9 @@ from cfdro.intervals import (
 )
 from cfdro.policies import FactorizedLabels, LinearPolicy, Multiclass, true_risk
 
+import cfdro.intervals as intervals_module
+from oracles import replication_by_records
+
 ALL_KINDS = list(DivergenceKind)
 
 
@@ -293,3 +296,74 @@ def test_coverage_rejects_a_target_that_does_not_fit_naming_the_field():
     other_kind = LinearPolicy(np.zeros((6, 8)), Multiclass(8))
     with pytest.raises(ValueError, match="^action_space: "):
         coverage_experiment(ds, other_kind, p0, replications=1, replay_counts=[1], seed=25)
+
+
+def _pairs_env(space, n_labels, one_row):
+    """A 40-row dataset of ``n_labels`` labels (or its row 0 alone), a logging policy and a target."""
+    ds = synthetic_multilabel_dataset(40, n_labels, 5, seed=26)
+    p0 = train_logging_policy(ds.subset(range(20)), LoggingPolicyConfig(action_space=space))
+    target = replace(p0, theta=p0.theta + 0.3 * np.random.default_rng(27).normal(size=p0.theta.shape))
+    return (ds.subset([0]) if one_row else ds), p0, target
+
+
+@pytest.mark.parametrize(
+    "space,n_labels", [("multiclass", 4), ("factorized", 4), ("factorized", 9), ("factorized", 70)]
+)
+@pytest.mark.parametrize("by", ["replay_counts", "n_values"])
+@pytest.mark.parametrize("one_row", [False, True])
+def test_coverage_weighs_each_pair_once_with_the_per_record_bits(monkeypatch, space, n_labels, by, one_row):
+    # each replication's weighted costs, their support (values, counts, dtypes) and its rows are
+    # those of weighing every record on its own; 9 labels sum each log-probability pairwise,
+    # and 70 labels pack into 9 bytes
+    ds, p0, target = _pairs_env(space, n_labels, one_row)
+    # P = 1 repeats no pair; an interval needs two records, so one row is replayed twice at least
+    sizes = ([2, 5] if one_row else [1, 3]) if by == "replay_counts" else [7, 200]
+    seen, intervals_of = [], intervals_module._intervals_of
+
+    def spy(z, support, *args):
+        seen.append((z, support))
+        return intervals_of(z, support, *args)
+
+    monkeypatch.setattr(intervals_module, "_intervals_of", spy)
+    rows = coverage_experiment(ds, target, p0, replications=2, kinds=ALL_KINDS, seed=28, **{by: sizes})
+    seeds = np.random.SeedSequence(28).spawn(len(sizes) * 2)
+    truth = float(CostScale.for_hamming(ds.n_labels).apply(true_risk(target, ds)))
+    want, repeated = [], False
+    for si, size in enumerate(sizes):
+        for rep in range(2):
+            rng = np.random.default_rng(int(seeds[si * 2 + rep].generate_state(1)[0]))
+            m = ds.n_rows
+            row_idx = rng.integers(0, m, size=size) if by == "n_values" else np.tile(np.arange(m), size)
+            log, z, support, ivs = replication_by_records(ds, target, p0, row_idx, rng, ALL_KINDS)
+            got_z, got_support = seen[si * 2 + rep]
+            for g, w in zip((got_z, *got_support), (z, *support)):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            actions = log[1].reshape(len(row_idx), -1)
+            repeated |= len(np.unique(np.column_stack([row_idx, actions]), axis=0)) < len(row_idx)
+            for iv, kind in zip(ivs, [k.value for k in ALL_KINDS] + ["", ""]):
+                method = "dro" if kind else iv.method
+                covered = int(iv.contains(truth))
+                want.append((method, kind, len(row_idx), rep, iv.lower, iv.upper, truth, covered))
+    assert [tuple(vars(r).values()) for r in rows] == want
+    assert repeated or n_labels == 70  # the study had pairs to share
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, 0, -1, "2", None])
+def test_coverage_counts_must_be_positive_integers_naming_the_field(bad):
+    ds, p0, target = _study_env("factorized")
+    with pytest.raises(ValueError, match=r"^replications must be a positive integer, got "):
+        coverage_experiment(ds, target, p0, replications=bad, replay_counts=[1])
+    with pytest.raises(ValueError, match=r"^replay_counts\[1\] must be a positive integer, got "):
+        coverage_experiment(ds, target, p0, replications=1, replay_counts=[1, bad])
+    with pytest.raises(ValueError, match=r"^n_values\[0\] must be a positive integer, got "):
+        coverage_experiment(ds, target, p0, replications=1, n_values=[bad])
+
+
+def test_coverage_counts_take_numpy_integers_and_need_a_size():
+    ds, p0, target = _study_env("factorized")
+    rows = coverage_experiment(
+        ds, target, p0, replications=np.int64(2), replay_counts=[np.int32(1)], kinds=ALL_KINDS[:1]
+    )
+    assert [r.n for r in rows] == [ds.n_rows] * 6
+    with pytest.raises(ValueError, match=r"^len\(n_values\) must be a positive integer, got 0"):
+        coverage_experiment(ds, target, p0, replications=1, n_values=[])

@@ -16,7 +16,7 @@ from cfdro.data import (
     train_logging_policy,
 )
 from cfdro.divergences import DivergenceKind
-from cfdro.dro import dual_gradient_policy, dual_objective, robust_risk_dual
+from cfdro.dro import DualPoint, dual_gradient_policy, dual_objective, robust_risk_dual
 from cfdro.estimators import BanditLog, CostScale, _byte_groups, importance_weights, ips_risk
 from cfdro.intervals import calibrated_radius
 from cfdro.optimize import (
@@ -27,6 +27,8 @@ from cfdro.optimize import (
     write_report,
 )
 from cfdro.policies import LinearPolicy, Multiclass, _with_bias
+
+from oracles import log_prob_by_records, scored_by_records
 
 
 def one_context_log(n=20):
@@ -355,13 +357,14 @@ def test_config_validation():
 
 @pytest.mark.parametrize("trainer", ["poem", "dro"])
 def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
-    # every kernel call beyond the optimizer's own evaluations is fixed
-    # set-up or wrap-up work, so the surplus must not grow with the iterations
+    # every kernel call (a score pass over the distinct contexts) beyond the optimizer's
+    # own evaluations is fixed set-up or wrap-up work, so the surplus must not grow with
+    # the iterations
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 2, seed=4)
     counts = {"kernel": 0, "nfev": 0}
-    kernel, minimize = LinearPolicy.log_prob_and_residual, scipy.optimize.minimize
+    kernel, minimize = LinearPolicy._row_table, scipy.optimize.minimize
 
     def counted_kernel(self, *args):
         counts["kernel"] += 1
@@ -372,7 +375,7 @@ def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
         counts["nfev"] += result.nfev
         return result
 
-    monkeypatch.setattr(LinearPolicy, "log_prob_and_residual", counted_kernel)
+    monkeypatch.setattr(LinearPolicy, "_row_table", counted_kernel)
     monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
     surplus = []
     for max_iters in (5, 20):
@@ -392,13 +395,14 @@ def test_trajectory_reuses_the_optimizer_evaluations(monkeypatch, trainer):
 def test_one_kernel_call_per_batch_evaluation(monkeypatch, trainer):
     # the scores are computed once per objective evaluation: the value, the
     # mean gradient and (for poem) the variance gradient share one kernel call,
-    # and no other method makes a second score pass
+    # the row table of the distinct contexts, and no other method makes a
+    # second score pass
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 2, seed=4)
     calls, per_evaluation = {"kernel": 0, "scores": 0}, []
     kernel, scores, lbfgs = (
-        LinearPolicy.log_prob_and_residual, LinearPolicy._log_scores, optimize._lbfgs
+        LinearPolicy._row_table, LinearPolicy._log_scores, optimize._lbfgs
     )
 
     def counted_kernel(self, *args):
@@ -418,7 +422,7 @@ def test_one_kernel_call_per_batch_evaluation(monkeypatch, trainer):
 
         return lbfgs(counted_fun, x0, config, record)
 
-    monkeypatch.setattr(LinearPolicy, "log_prob_and_residual", counted_kernel)
+    monkeypatch.setattr(LinearPolicy, "_row_table", counted_kernel)
     monkeypatch.setattr(LinearPolicy, "_log_scores", counted_scores)
     monkeypatch.setattr(optimize, "_lbfgs", counted_lbfgs)
     config = OptimizerConfig(max_iters=5)
@@ -573,14 +577,15 @@ def test_stochastic_gamma_doubling_is_pinned_bit_for_bit(monkeypatch):
 
 
 def _count_full_log_scores(monkeypatch, n):
+    # a full-log pass scores the log's distinct contexts once, in a row table that its n records read
     calls = []
-    scores = LinearPolicy._log_scores
+    table = LinearPolicy._row_table
 
-    def counted(self, xb):
-        calls.append(len(xb) == n)
-        return scores(self, xb)
+    def counted(self, xb, records):
+        calls.append(records == n)
+        return table(self, xb, records)
 
-    monkeypatch.setattr(LinearPolicy, "_log_scores", counted)
+    monkeypatch.setattr(LinearPolicy, "_row_table", counted)
     return calls
 
 
@@ -798,3 +803,61 @@ def test_distinct_records_differ_in_any_field_by_bytes():
     expected = {(0, 2), (1, 1), (3, 2), (4, 1), (5, 1)}
     assert merged == {_record_bytes(rows, i): count / 7 for i, count in expected}
     assert int(np.signbit(distinct[0][:, 0]).sum()) == 1
+
+
+# ----------------------------------------------------------------------
+# score passes over distinct contexts
+# ----------------------------------------------------------------------
+
+
+def _contexts_env(space, env):
+    """A replayed log; one dataset row replayed (one context, several records); or one record repeated."""
+    dataset = synthetic_multilabel_dataset(n_rows=60, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)), LoggingPolicyConfig(action_space=space))
+    if env == "replayed":
+        return collect_bandit_log(dataset, policy0, 3, seed=4), policy0
+    log = collect_bandit_log(dataset.subset([5]), policy0, 12, seed=4)
+    if env == "one record":  # one context and one distinct record: its scores are a lone row's
+        log = BanditLog(
+            np.repeat(log.features[:1], 5, axis=0), np.repeat(log.actions[:1], 5, axis=0),
+            np.repeat(log.propensities[:1], 5), np.repeat(log.costs_raw[:1], 5),
+            np.repeat(log.costs[:1], 5), log.action_space, log.cost_scale,
+        )
+    return log, policy0
+
+
+def _train(trainer, log, policy0):
+    batch, sgd = OptimizerConfig(max_iters=8), OptimizerConfig(mode="stochastic", max_iters=150, batch_size=4)
+    if trainer == "poem":
+        return train_poem(log, 0.3, policy0, batch)
+    if trainer == "poem-sgd":
+        return train_poem(log, 0.3, policy0, sgd)
+    if trainer == "dro":
+        return train_dro(log, DivergenceKind.HELLINGER, 0.05, policy0, batch, rho="mean")
+    if trainer == "dro-sgd":
+        return train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, sgd)
+    return train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, batch, outer_iters=3)
+
+
+def _run_bits(policy, report):
+    """theta, the final value, the dual point and the trajectory but its wall times, as bytes."""
+    dual = report.dual or DualPoint(math.nan, math.nan, math.nan)
+    steps = [(r.iteration, r.objective, r.gradient_norm, r.beta, r.gamma) for r in report.trajectory]
+    values = [report.final_value, report.iterations, dual.beta, dual.gamma, dual.value]
+    return policy.theta.tobytes(), np.array(values).tobytes(), np.array(steps).tobytes()
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("env", ["replayed", "one context", "one record"])
+@pytest.mark.parametrize("trainer", ["poem", "dro", "logtrick", "poem-sgd", "dro-sgd"])
+def test_trainers_score_each_context_once_with_the_per_record_bits(monkeypatch, space, env, trainer):
+    # every batch evaluation and full-log pass scores the distinct contexts once; theta and
+    # the trajectory are those of scoring every record, also where a lone context is scored
+    # as a batch's row (one context) or as a lone row (one distinct record, in evaluations)
+    log, policy0 = _contexts_env(space, env)
+    contexts = optimize._weighted_costs(log)[2]
+    assert len(contexts[0]) == (60 if env == "replayed" else 1)
+    got = _run_bits(*_train(trainer, log, policy0))
+    monkeypatch.setattr(optimize, "_scored", scored_by_records)
+    monkeypatch.setattr(optimize, "_log_prob", log_prob_by_records)
+    assert got == _run_bits(*_train(trainer, log, policy0))
