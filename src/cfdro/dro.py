@@ -479,9 +479,9 @@ def dual_gradient_policy(
     """
     _check_policy_matches(log, policy)
     xb = _with_bias(log.features)
-    logp, resid = policy.log_prob_and_residual(xb, log.actions)
-    z = _weighted_by(log, logp, None).values
+    table = policy._row_table(xb, log.n)
+    z = _weighted_by(log, policy._log_prob_rows(table, None, log.actions), None).values
     g_beta, g_gamma = dual_gradient(z, kind, epsilon, beta, gamma)
     d1 = conjugate_derivative(kind, (z - beta) / gamma)
-    g_theta = policy.score_gradient(xb, resid, d1 * z) / log.n
+    g_theta = policy.score_gradient(xb, policy._residual_rows(table, None, log.actions), d1 * z) / log.n
     return g_beta, g_gamma, g_theta

@@ -71,9 +71,14 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("batch", "stochastic"):
             raise ValueError("mode must be 'batch' or 'stochastic'")
+        for name in ("max_iters", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("max_iters", "batch_size", "step_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -172,15 +177,11 @@ def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
     return (rows[0], rows[1], anchor_lp, w0c), costs
 
 
-def _scored(policy: LinearPolicy, rows, costs, contexts=None):
-    """``(z, coef, resid)`` on ``rows`` from one score pass, over ``contexts`` if given."""
-    if contexts is None:
-        logp, resid = policy.log_prob_and_residual(rows[0], rows[1])
-    else:
-        table = policy._row_table(contexts[0], len(rows[0]))
-        logp = policy._log_prob_rows(table, contexts[1], rows[1])
-        resid = policy._residual_rows(table, contexts[1], rows[1])
-    return (*costs(logp, *rows[2:]), resid)
+def _scored(policy: LinearPolicy, rows, costs, contexts):
+    """``(z, coef, resid)`` on ``rows`` from one pass over ``contexts``, per record if ``(rows[0], None)``."""
+    table = policy._row_table(contexts[0], len(rows[0]))
+    logp = policy._log_prob_rows(table, contexts[1], rows[1])
+    return (*costs(logp, *rows[2:]), policy._residual_rows(table, contexts[1], rows[1]))
 
 
 def _distinct(rows, group=None):
@@ -254,13 +255,14 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     every ``_EVAL_EVERY`` steps in between hold the mean mini-batch value of
     the steps since the previous entry (NaN if every one was skipped), so the
     loop scores the full log once whatever ``max_iters`` is.  With ``duals``
-    ``gamma = w[-1]`` is kept at or above ``_GAMMA_MIN``.
+    ``gamma = w[-1]`` is kept at or above ``_GAMMA_MIN``.  The run reports
+    converged only if every step's gradient norm and ``final_value`` are finite.
     """
     n = len(rows[0])
     batch_size = min(config.batch_size, n)
     rng = np.random.default_rng(config.seed)
     trajectory: "list[IterationRecord]" = []
-    last_norm = 0.0
+    last_norm, finite = 0.0, True
     total, count = 0.0, 0
 
     def record(t: int, value: float) -> None:
@@ -282,6 +284,7 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
         total, count = total + value, count + 1
         # the bits of np.linalg.norm, without its dispatch
         norm = last_norm = math.sqrt(grad @ grad)
+        finite = finite and math.isfinite(norm)
         if norm > _CLIP_NORM:
             grad *= _CLIP_NORM / norm
         w -= config.step_size / math.sqrt(1.0 + t / _STEP_DECAY) * grad
@@ -293,7 +296,7 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     dual = DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=final_value) if duals else None
     report = TrainReport(
         final_value=final_value, iterations=config.max_iters, wall_time=time.perf_counter() - start,
-        trajectory=trajectory, dual=dual, converged=math.isfinite(final_value),
+        trajectory=trajectory, dual=dual, converged=finite and math.isfinite(final_value),
     )
     return (w[:-2] if duals else w), report
 
@@ -400,7 +403,7 @@ def train_dro_stochastic(
     abort the run.
     """
     start = time.perf_counter()
-    rows, costs, contexts = _weighted_costs(log, rho)  # a mini-batch is scored per record
+    rows, costs, contexts = _weighted_costs(log, rho)  # a mini-batch's table has a row per record
     eps = calibrated_radius(kind, delta, log.n)
     cap = _GENERATORS[kind].cap
     point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps, contexts)
@@ -412,7 +415,7 @@ def train_dro_stochastic(
     def step(t: int, w: np.ndarray, batch):
         nonlocal inflations
         policy = policy_init._with_theta(w[:-2])
-        z, coef, resid = _scored(policy, batch, costs)
+        z, coef, resid = _scored(policy, batch, costs, (batch[0], None))
         state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         if state is None:
             w[-1] *= 2.0
@@ -490,7 +493,7 @@ def train_poem(
                 # the bound's constant: it equals the objective at the anchor
                 offset = lam * math.sqrt(v0 / n) + scale * ((n / (n - 1)) * m0 * m0 - v0)
             policy = policy_init._with_theta(theta)
-            z, coef, resid = _scored(policy, batch, costs)
+            z, coef, resid = _scored(policy, batch, costs, (batch[0], None))
             mult = 1.0 + scale * (n / (n - 1)) * (2.0 * z - 2.0 * m0)
             grad = policy.score_gradient(batch[0], resid, mult * coef)
             bound = z * (1.0 + scale * (n / (n - 1)) * (z - 2.0 * m0))

@@ -118,6 +118,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _at(a: np.ndarray, rows) -> np.ndarray:
+    """``a``'s rows ``rows``, or ``a`` itself for None."""
+    return a if rows is None else a.take(rows, axis=0)
+
+
 def _with_bias(x: np.ndarray) -> np.ndarray:
     """One context or a batch as ``(n, d + 1)`` rows ending in a bias feature of 1."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -174,31 +179,6 @@ class LinearPolicy:
             return scores - _logsumexp(scores)
         return scores
 
-    def _log_prob_of(self, scores: np.ndarray, actions) -> np.ndarray:
-        if isinstance(self.action_space, Multiclass):
-            return scores[np.arange(scores.shape[0]), np.atleast_1d(np.asarray(actions, dtype=int))]
-        from scipy.special import log_expit
-        # log sigma(s) for set bits and log sigma(-s) for clear ones; negation is exact
-        bits = np.asarray(actions)
-        return np.add.reduce(log_expit(np.where(bits == 1, scores, -scores)), axis=1)
-
-    def _residual_of(self, scores: np.ndarray, actions) -> np.ndarray:
-        if isinstance(self.action_space, Multiclass):
-            resid = -np.exp(scores)
-            resid[np.arange(scores.shape[0]), np.asarray(actions, dtype=int)] += 1.0
-            return resid
-        from scipy.special import expit
-        return np.asarray(actions, dtype=float) - expit(scores)
-
-    def log_prob_and_residual(self, xb: np.ndarray, actions):
-        """Log-probabilities of the actions and the score residual from one pass over ``xb``.
-
-        ``xb`` holds the contexts with their bias column (``_with_bias``); the residual,
-        ``onehot(a) - softmax`` or ``bits - sigmoid``, feeds :meth:`score_gradient`.
-        """
-        scores = self._log_scores(xb)
-        return self._log_prob_of(scores, actions), self._residual_of(scores, actions)
-
     def score_gradient(self, xb: np.ndarray, resid: np.ndarray, coefficients) -> np.ndarray:
         """``sum_i coefficients[i] * grad_theta log pi(a_i | x_i)`` from the kernel's residual."""
         coef = np.asarray(coefficients, dtype=float)
@@ -211,9 +191,9 @@ class LinearPolicy:
         are integer ids for a multiclass space and ``(..., L)`` bit-vectors
         for a factorized one.
         """
-        single = np.ndim(x) == 1
-        out = self._log_prob_of(self._log_scores(_with_bias(x)), actions)
-        return float(out[0]) if single else out
+        xb = _with_bias(x)
+        out = self._log_prob_rows(self._row_table(xb, len(xb)), None, actions)
+        return float(out[0]) if np.ndim(x) == 1 else out
 
     def class_probabilities(self, x: np.ndarray) -> np.ndarray:
         """Softmax probabilities over actions (multiclass spaces only)."""
@@ -249,39 +229,44 @@ class LinearPolicy:
     def _row_table(self, xb: np.ndarray, n: int):
         """What ``n`` records read per row of the bias-augmented ``xb``, from one score pass.
 
-        A multiclass space's log-normalized scores and CDF (1 at the top), or ``log sigma(s)``,
-        ``log sigma(-s)`` and ``sigma(s)``.  Read by row index, they give the per-record bits:
-        numpy scores a row alike in any batch of two or more rows, so a lone row is scored twice
-        when more than one record reads it.
+        A multiclass space's log-normalized scores alone, or ``log sigma(s)``, ``log sigma(-s)``
+        and ``sigma(s)``.  Read by row index, they give the per-record bits: numpy scores a row
+        alike in any batch of two or more rows, so a lone row is scored twice when more than one
+        record reads it.  The readers take ``rows=None`` for one record per row, ``n = len(xb)``.
         """
         s = self._log_scores(xb if len(xb) > 1 or n == 1 else np.repeat(xb, 2, axis=0))
         if isinstance(self.action_space, Multiclass):
-            cdf = np.cumsum(np.exp(s), axis=1)
-            cdf[:, -1] = 1.0
-            return s, cdf
+            return (s,)
         from scipy.special import expit, log_expit
         # log sigma(+-s) by scipy's steps, which share log1p(exp(-|s|)); -0.0 and 0.0 keep every bit
         low = log_expit(np.abs(s))
         return low + np.minimum(s, -0.0), low - np.maximum(s, 0.0), expit(s)
 
     def _sample_rows(self, table, rows, rng: np.random.Generator):
-        """One action per record, drawn on the table's row ``rows[i]`` (on each row for None)."""
-        drawn = table[-1] if rows is None else table[-1].take(rows, axis=0)  # the CDF, or sigma(s)
-        if isinstance(self.action_space, Multiclass):
-            return (rng.random(len(drawn))[:, None] < drawn).argmax(axis=1)
-        return (rng.random(drawn.shape) < drawn).astype(np.int8)
+        """One action per record, drawn on the table's row ``rows[i]`` (on row ``i`` for None)."""
+        if not isinstance(self.action_space, Multiclass):
+            drawn = _at(table[2], rows)  # sigma(s)
+            return (rng.random(drawn.shape) < drawn).astype(np.int8)
+        cdf = np.cumsum(np.exp(table[0]), axis=1)  # on every row of the table, 1 at the top
+        cdf[:, -1] = 1.0
+        drawn = _at(cdf, rows)
+        return (rng.random(len(drawn))[:, None] < drawn).argmax(axis=1)
 
     def _log_prob_rows(self, table, rows, actions) -> np.ndarray:
-        """Log-probability of each record's action on the table's row ``rows[i]``."""
+        """Log-probability of each record's action on the table's row ``rows[i]`` (row ``i`` for None)."""
         if isinstance(self.action_space, Multiclass):
-            return table[0].take(rows * table[0].shape[1] + actions)
-        return np.add.reduce(np.where(actions == 1, table[0].take(rows, 0), table[1].take(rows, 0)), axis=1)
+            s = table[0]
+            return s.take((np.arange(len(s)) if rows is None else rows) * s.shape[1] + actions)
+        set_bits = np.equal(actions, 1)  # not ==, which a list of bit-vectors answers with False
+        return np.add.reduce(np.where(set_bits, _at(table[0], rows), _at(table[1], rows)), axis=1)
 
     def _residual_rows(self, table, rows, actions) -> np.ndarray:
-        """:meth:`_residual_of` of each record's action on the table's row ``rows[i]``."""
+        """Each record's ``onehot(a) - softmax`` or ``bits - sigmoid`` on the table's row ``rows[i]``."""
         if isinstance(self.action_space, Multiclass):
-            return self._residual_of(table[0].take(rows, 0), actions)
-        return actions - table[2].take(rows, 0)
+            resid = -np.exp(_at(table[0], rows))
+            resid[np.arange(len(resid)), actions] += 1.0
+            return resid
+        return actions - _at(table[2], rows)
 
     # ------------------------------------------------------------------
     # decisions
@@ -310,7 +295,8 @@ class LinearPolicy:
     ) -> np.ndarray:
         """Compute ``sum_i coefficients[i] * grad_theta log pi(a_i | x_i)`` in one pass."""
         xb = _with_bias(x)
-        return self.score_gradient(xb, self._residual_of(self._log_scores(xb), actions), coefficients)
+        resid = self._residual_rows(self._row_table(xb, len(xb)), None, actions)
+        return self.score_gradient(xb, resid, coefficients)
 
 
 @dataclass(frozen=True)

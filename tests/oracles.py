@@ -13,6 +13,9 @@ coverage replication that weigh every record on its own, and
 ``scored_by_records`` and ``log_prob_by_records`` are the trainers' score
 passes over every record; the library weighs each distinct (row, action)
 pair once and scores each distinct context once, and must give these bits.
+``log_prob_and_residual_by_records`` and ``sample_by_records`` are the
+per-record log-linear policy formulas, written with scipy's ``logsumexp``,
+``log_expit`` and ``expit``, that the library's row-table readers must match.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit, log_expit, logsumexp
 
 from cfdro.data import _LOG_FORMAT, _LOG_VERSION, _fitted_table
 from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
@@ -282,12 +286,36 @@ def replication_by_records(dataset, policy, logging_policy, row_idx, rng, kinds,
     return log, z, support, _intervals_of(z, support, kinds, delta, None)
 
 
+def log_prob_and_residual_by_records(policy, xb, actions):
+    """Each record's log-probability and score residual, ``onehot(a) - softmax`` or ``bits - sigmoid``,
+    from its own row of the bias-augmented ``xb`` by the textbook formulas."""
+    scores = xb @ policy.theta / policy.temperature
+    if isinstance(policy.action_space, Multiclass):
+        ids = np.atleast_1d(np.asarray(actions, dtype=int))
+        log_softmax = scores - logsumexp(scores, axis=1, keepdims=True)
+        return log_softmax[np.arange(len(ids)), ids], np.eye(scores.shape[1])[ids] - np.exp(log_softmax)
+    bits = np.asarray(actions, dtype=float)
+    logp = np.sum(bits * log_expit(scores) + (1.0 - bits) * log_expit(-scores), axis=1)
+    return logp, bits - expit(scores)
+
+
+def sample_by_records(policy, xb, rng):
+    """One action per row of the bias-augmented ``xb``: a uniform draw against each row's
+    softmax CDF (its top set to 1), or one per label against its sigmoid."""
+    scores = xb @ policy.theta / policy.temperature
+    if isinstance(policy.action_space, Multiclass):
+        cdf = np.cumsum(np.exp(scores - logsumexp(scores, axis=1, keepdims=True)), axis=1)
+        cdf[:, -1] = 1.0
+        return np.argmax(rng.random(len(cdf))[:, None] < cdf, axis=1)
+    return (rng.random(scores.shape) < expit(scores)).astype(np.int8)
+
+
 def scored_by_records(policy, rows, costs, contexts=None):
     """A trainer's ``(z, coef, resid)`` with every record of ``rows`` scored; ``contexts`` unused."""
-    logp, resid = policy.log_prob_and_residual(rows[0], rows[1])
+    logp, resid = log_prob_and_residual_by_records(policy, rows[0], rows[1])
     return (*costs(logp, *rows[2:]), resid)
 
 
 def log_prob_by_records(policy, rows, contexts=None):
     """A trainer's full-log log-probabilities with every record scored; ``contexts`` unused."""
-    return policy._log_prob_of(policy._log_scores(rows[0]), rows[1])
+    return log_prob_and_residual_by_records(policy, rows[0], rows[1])[0]

@@ -424,6 +424,7 @@ class TestOptimize:
         (["--algos", ","], "--algos"),
         (["--batch-size", "0"], "--batch-size"),
         (["--step-size", "-1"], "step_size must be positive"),
+        (["--step-size", "inf"], "step_size must be positive and finite"),
     ])
     def test_bad_flag_values_are_validation_errors(self, tmp_path, capsys, flags, named):
         code = main([

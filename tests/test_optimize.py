@@ -28,7 +28,7 @@ from cfdro.optimize import (
 )
 from cfdro.policies import LinearPolicy, Multiclass, _with_bias
 
-from oracles import log_prob_by_records, scored_by_records
+from oracles import log_prob_and_residual_by_records, log_prob_by_records, scored_by_records
 
 
 def one_context_log(n=20):
@@ -353,6 +353,27 @@ def test_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValueError, match="batch_size must be positive"):
         OptimizerConfig(batch_size=0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("max_iters", 2.5), ("max_iters", True), ("batch_size", 2.5), ("batch_size", False), ("seed", 1.5)],
+)
+def test_config_rejects_bool_and_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_step(step):
+    with pytest.raises(ValueError, match="^step_size must be positive and finite$"):
+        OptimizerConfig(step_size=step)
+
+
+def test_config_takes_numpy_integer_counts_as_ints():
+    config = OptimizerConfig(max_iters=np.int64(3), batch_size=np.int32(2), seed=np.uint8(0))
+    assert [type(v) for v in (config.max_iters, config.batch_size, config.seed)] == [int, int, int]
+    assert config == OptimizerConfig(max_iters=3, batch_size=2, seed=0)
 
 
 @pytest.mark.parametrize("trainer", ["poem", "dro"])
@@ -729,8 +750,8 @@ def test_batch_poem_on_distinct_records_matches_the_per_record_formula(monkeypat
         assert value == pytest.approx(mean + lam * std, rel=1e-12)
         # grad z_i = z_i grad log pi(a_i | x_i), through the mean and the standard error
         coef = z / n + lam / (2.0 * std * n) * 2.0 / (n - 1) * (z - mean) * z
-        _, resid = policy.log_prob_and_residual(xb, log.actions)
-        want = policy.score_gradient(xb, resid, coef).ravel()
+        _, resid = log_prob_and_residual_by_records(policy, xb, log.actions)
+        want = (xb.T @ (coef[:, None] * resid) / policy.temperature).ravel()
         np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -861,3 +882,39 @@ def test_trainers_score_each_context_once_with_the_per_record_bits(monkeypatch, 
     monkeypatch.setattr(optimize, "_scored", scored_by_records)
     monkeypatch.setattr(optimize, "_log_prob", log_prob_by_records)
     assert got == _run_bits(*_train(trainer, log, policy0))
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("trainer", ["poem", "dro"])
+def test_one_record_mini_batches_keep_the_per_record_bits(monkeypatch, space, trainer):
+    # a 1-row mini-batch's table is that lone row's scores, as the per-record formulas take it
+    log, policy0 = _contexts_env(space, "replayed")
+    config = OptimizerConfig(mode="stochastic", max_iters=120, batch_size=1, seed=3)
+
+    def run():
+        if trainer == "poem":
+            return train_poem(log, 0.3, policy0, config)
+        return train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
+
+    got = _run_bits(*run())
+    monkeypatch.setattr(optimize, "_scored", scored_by_records)
+    monkeypatch.setattr(optimize, "_log_prob", log_prob_by_records)
+    assert got == _run_bits(*run())
+
+
+def test_stochastic_run_with_an_infinite_gradient_norm_reports_no_convergence():
+    # KL on one replayed context drives gamma to its floor and grad @ grad overflows;
+    # the iterates keep their recorded bits, but the run no longer reports success
+    log, policy0 = _contexts_env("multiclass", "one context")
+    config = OptimizerConfig(mode="stochastic", max_iters=150, batch_size=4)
+    with np.errstate(over="ignore"):
+        policy, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+    assert math.isinf(max(r.gradient_norm for r in report.trajectory))
+    assert math.isfinite(report.final_value) and report.final_value > 1e160
+    assert not report.converged
+    assert _run_digest(policy, report) == "a3bab5dbb68e417f"
+    # the factorized logging policy's run stays finite and still converges
+    log, policy0 = _contexts_env("factorized", "one context")
+    policy, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+    assert all(math.isfinite(r.gradient_norm) for r in report.trajectory) and report.converged
+    assert _run_digest(policy, report) == "66107beb4c4e2d22"

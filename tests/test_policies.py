@@ -14,12 +14,15 @@ from cfdro.policies import (
     LinearPolicy,
     Multiclass,
     _logsumexp,
+    _with_bias,
     action_bitvectors,
     greedy_risk,
     load_policy,
     save_policy,
     true_risk,
 )
+
+from oracles import log_prob_and_residual_by_records, sample_by_records
 
 
 def uniform_policy(space, dim=3):
@@ -170,7 +173,8 @@ def test_kernel_agrees_bit_for_bit_with_log_prob_and_gradient(space):
     xb = np.hstack([xs, np.ones((200, 1))])
     scores = xb @ pol.theta / pol.temperature
     assert np.abs(scores).max() > 30
-    logp, resid = pol.log_prob_and_residual(xb, acts)
+    table = pol._row_table(xb, 200)
+    logp, resid = pol._log_prob_rows(table, None, acts), pol._residual_rows(table, None, acts)
     # reference formulas, written out independently of the policy module
     if isinstance(space, Multiclass):
         log_softmax = scores - logsumexp(scores, axis=1, keepdims=True)
@@ -189,6 +193,44 @@ def test_kernel_agrees_bit_for_bit_with_log_prob_and_gradient(space):
     np.testing.assert_array_equal(
         pol.score_gradient(xb, resid, coefs), xb.T @ (coefs[:, None] * expected_resid) / 0.7
     )
+
+
+def _policy_cases(space, rng):
+    """(policy, contexts, actions): saturating scores past 30, theta = 0, and a 1-row batch."""
+    wild = replace(random_policy(space, 2, rng, scale=20.0), temperature=0.7)
+    cases = [(wild, rng.normal(size=(50, 2))), (uniform_policy(space, 2), rng.normal(size=(50, 2))),
+             (random_policy(space, 2, rng), rng.normal(size=(1, 2)))]
+    out = []
+    for pol, xs in cases:
+        if isinstance(space, Multiclass):
+            acts = rng.integers(0, space.n_actions, size=len(xs))
+        else:
+            acts = (rng.random((len(xs), space.n_labels)) < 0.5).astype(np.int8)
+        out.append((pol, xs, acts))
+    assert np.abs(_with_bias(out[0][1]) @ wild.theta / 0.7).max() > 30
+    return out
+
+
+@pytest.mark.parametrize("space", [Multiclass(4), FactorizedLabels(3)])
+def test_row_readers_on_every_row_match_the_per_record_formulas(space):
+    # rows=None reads one record per table row: every public reader and the trainers'
+    # mini-batches take this path, and it must give the textbook formulas' bits
+    rng = np.random.default_rng(21)
+    for pol, xs, acts in _policy_cases(space, rng):
+        xb = _with_bias(xs)
+        want_logp, want_resid = log_prob_and_residual_by_records(pol, xb, acts)
+        table = pol._row_table(xb, len(xb))
+        np.testing.assert_array_equal(pol._log_prob_rows(table, None, acts), want_logp)
+        np.testing.assert_array_equal(pol._residual_rows(table, None, acts), want_resid)
+        np.testing.assert_array_equal(pol.log_prob(xs, acts), want_logp)
+        np.testing.assert_array_equal(pol.log_prob(xs, acts.tolist()), want_logp)
+        assert pol.log_prob(xs[0], acts[0]) == log_prob_and_residual_by_records(pol, xb[:1], acts[:1])[0][0]
+        coefs = rng.normal(size=len(xs))
+        want_grad = xb.T @ (coefs[:, None] * want_resid) / pol.temperature
+        np.testing.assert_array_equal(pol.weighted_grad_log_prob_sum(xs, acts, coefs), want_grad)
+        seed = int(rng.integers(2**32))
+        drawn = pol.sample_actions(xs, np.random.default_rng(seed))
+        np.testing.assert_array_equal(drawn, sample_by_records(pol, xb, np.random.default_rng(seed)))
 
 
 def test_log_normalizer_matches_scipy_bit_for_bit():
