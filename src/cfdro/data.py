@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import BanditLog, CostScale, _RecordFault, _byte_groups, _runs
+from .estimators import BanditLog, CostScale, _RecordFault, _runs
 from .policies import (
     ActionSpace,
     FactorizedLabels,
@@ -364,18 +364,6 @@ _RECORD_KEYS = ("features", "action", "propensity", "cost_raw", "cost_scaled")
 _WRITE_CHUNK = 4096
 
 
-def _shared_rows(features: np.ndarray) -> np.ndarray:
-    """Per row, the index of its group of byte-equal rows if the group has more than one, else -1.
-
-    Rows are compared by their bytes, so ``-0.0`` and ``0.0`` stay apart.
-    """
-    n, d = features.shape
-    if d == 0:
-        return np.full(n, -1)
-    _, group, counts = _byte_groups(features)
-    return np.where(counts[group] > 1, group, -1)
-
-
 def write_bandit_log(log: BanditLog, path) -> None:
     """Serialize a bandit log as JSON lines: one metadata header, then one record per line.
 
@@ -393,8 +381,9 @@ def write_bandit_log(log: BanditLog, path) -> None:
         "action_space": _space_to_dict(log.action_space),
         "cost_scale": {"scale": log.cost_scale.scale, "offset": log.cost_scale.offset},
     }
+    _, group, counts = log._contexts
     columns = (
-        _shared_rows(log.features),
+        np.where(counts[group] > 1, group, -1),
         log.features,
         log.actions,
         log.propensities,

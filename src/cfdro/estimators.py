@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,7 +94,10 @@ class BanditLog:
     costs: ``(n,)`` rescaled costs in [-1, 0].
 
     A value that breaks a rule raises a ``ValueError`` whose ``index``
-    attribute is the first record that breaks it.
+    attribute is the first record that breaks it.  Each array is kept as a
+    read-only view, so writes through the log raise.  An input that already
+    has the stored dtype (float64 features, say) is not copied: the caller's
+    array stays writable, and the log sees what is written into it.
     """
 
     features: np.ndarray
@@ -136,11 +140,11 @@ class BanditLog:
         _check_records((props > 0) & (props <= 1.0 + 1e-9), "propensities must lie in (0, 1]")
         in_range = (scaled >= -1.0 - 1e-9) & (scaled <= 1e-9)
         _check_records(in_range, "rescaled costs must lie in [-1, 0]")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "actions", acts)
-        object.__setattr__(self, "propensities", props)
-        object.__setattr__(self, "costs_raw", raw)
-        object.__setattr__(self, "costs", scaled)
+        named = dict(features=feats, actions=acts, propensities=props, costs_raw=raw, costs=scaled)
+        for name, arr in named.items():
+            arr = arr.view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -149,6 +153,11 @@ class BanditLog:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def _contexts(self):
+        """The distinct feature rows (by bytes) as ``np.unique``'s first index, inverse and counts."""
+        return _byte_groups(self.features)
 
 
 @dataclass(frozen=True)
@@ -211,6 +220,8 @@ def _byte_groups(rows: np.ndarray):
     Items are 8 bytes wide: neighbours in np.unique's stable void-key order compare as words.
     """
     rows = np.ascontiguousarray(rows)
+    if not rows.shape[1]:  # rows of no bytes have no void keys; all are the one empty row
+        return _runs(np.arange(len(rows)), ())
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     return _runs(np.argsort(keys, kind="stable"), rows.view(np.uint64).T)
 

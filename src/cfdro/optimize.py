@@ -134,12 +134,12 @@ def write_report(report: TrainReport, path) -> None:
 # ----------------------------------------------------------------------
 
 # A builder is a pair (rows, costs): ``rows`` holds per-record arrays, the
-# bias-augmented features and the actions first (ids, or bits as floats that
-# no kernel call has to cast), and ``costs(logp, *rows[2:])`` returns (z, coef)
-# from the policy's log-probabilities of the actions; the gradient of
-# sum_i d_i z_i is ``policy.score_gradient(xb, resid, d * coef)``.  A mini-batch
-# slices every array in ``rows`` with the same indices.  A run's ``contexts`` are
-# its distinct feature rows (by bytes) and each record's index among them.
+# index of the record's context and the actions first (ids, or bits as floats
+# that no kernel call has to cast), and ``costs(logp, *rows[2:])`` returns
+# (z, coef) from the policy's log-probabilities of the actions; the gradient of
+# sum_i d_i z_i is ``policy.score_gradient(xb, resid, d * coef)``, ``xb`` the
+# records' contexts.  A mini-batch slices every array in ``rows`` with the same
+# indices.  A run's ``contexts`` are the log's, bias-augmented.
 
 
 def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
@@ -155,15 +155,14 @@ def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
         return coef + rho, coef
 
     acts = log.actions if isinstance(log.action_space, Multiclass) else log.actions.astype(float)
-    xb = _with_bias(log.features)
-    first, index, _ = _byte_groups(xb)
-    return (xb, acts, np.log(log.propensities), log.costs - rho), costs, (xb[first], index)
+    first, index, _ = log._contexts
+    return (index, acts, np.log(log.propensities), log.costs - rho), costs, _with_bias(log.features[first])
 
 
 def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
     """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))``.
 
-    It shares the matrix and actions of ``rows``, the run's exact-risk rows;
+    It shares the context index and actions of ``rows``, the run's exact-risk rows;
     ``anchor_lp`` holds the anchor's log-probabilities of the actions.
     """
     if np.any(np.isneginf(anchor_lp)):
@@ -177,27 +176,22 @@ def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
     return (rows[0], rows[1], anchor_lp, w0c), costs
 
 
-def _scored(policy: LinearPolicy, rows, costs, contexts):
-    """``(z, coef, resid)`` on ``rows`` from one pass over ``contexts``, per record if ``(rows[0], None)``."""
-    table = policy._row_table(contexts[0], len(rows[0]))
-    logp = policy._log_prob_rows(table, contexts[1], rows[1])
-    return (*costs(logp, *rows[2:]), policy._residual_rows(table, contexts[1], rows[1]))
+def _scored(policy: LinearPolicy, rows, costs, xb, at):
+    """``(z, coef, resid)`` on ``rows`` from one pass over ``xb``, record i on row ``at[i]`` (i if None)."""
+    table = policy._row_table(xb, len(rows[0]))
+    logp = policy._log_prob_rows(table, at, rows[1])
+    return (*costs(logp, *rows[2:]), policy._residual_rows(table, at, rows[1]))
 
 
-def _distinct(rows, group=None):
-    """One of each distinct record of ``rows`` (all entries, by bytes) and masses ``counts / n``.
-
-    Grouping the feature rows first (``group``, their group index, unless None)
-    leaves the second grouping a narrow table to sort.
-    """
-    group = _byte_groups(rows[0])[1] if group is None else group
-    first, _, counts = _byte_groups(np.column_stack([group, *rows[1:]]))
-    return [a[first] for a in rows], counts / len(group)
+def _distinct(rows):
+    """One of each distinct record of ``rows`` (all entries, by bytes) and masses ``counts / n``."""
+    first, _, counts = _byte_groups(np.column_stack(rows))
+    return [a[first] for a in rows], counts / len(rows[0])
 
 
 def _log_prob(policy: LinearPolicy, rows, contexts) -> np.ndarray:
     """The log-probabilities of the actions alone, from one score pass over the ``contexts``."""
-    return policy._log_prob_rows(policy._row_table(contexts[0], len(rows[0])), contexts[1], rows[1])
+    return policy._log_prob_rows(policy._row_table(contexts, len(rows[0])), rows[0], rows[1])
 
 
 def _exact_dual(policy, rows, costs, kind, epsilon, contexts):
@@ -305,8 +299,8 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     """Joint quasi-Newton minimization of the dual objective over (theta, beta, log-gamma)."""
     cap = _GENERATORS[kind].cap
     start = time.perf_counter()
-    (*distinct, index), p = _distinct([*rows, contexts[1]], contexts[1])  # with each one's context
-    xb, k, mean, scoring = distinct[0], len(p), _mean_under(p), (contexts[0], index)
+    distinct, p = _distinct(rows)
+    xb, k, mean = contexts.take(distinct[0], 0), len(p), _mean_under(p)
 
     def unpack(w: np.ndarray):
         beta = float(w[-2])
@@ -321,7 +315,7 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     def fun(w: np.ndarray):
         theta_flat, beta, psi, gamma = unpack(w)
         policy = policy_init._with_theta(theta_flat)
-        z, coef, resid = _scored(policy, distinct, costs, scoring)
+        z, coef, resid = _scored(policy, distinct, costs, contexts, distinct[0])
         state = _robust_value_grads(kind, epsilon, z, beta, gamma, cap, mean=mean)
         if state is None:
             # linear penalty pushing back inside the conjugate domain
@@ -403,7 +397,7 @@ def train_dro_stochastic(
     abort the run.
     """
     start = time.perf_counter()
-    rows, costs, contexts = _weighted_costs(log, rho)  # a mini-batch's table has a row per record
+    rows, costs, contexts = _weighted_costs(log, rho)
     eps = calibrated_radius(kind, delta, log.n)
     cap = _GENERATORS[kind].cap
     point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps, contexts)
@@ -414,8 +408,8 @@ def train_dro_stochastic(
 
     def step(t: int, w: np.ndarray, batch):
         nonlocal inflations
-        policy = policy_init._with_theta(w[:-2])
-        z, coef, resid = _scored(policy, batch, costs, (batch[0], None))
+        policy, xb = policy_init._with_theta(w[:-2]), contexts.take(batch[0], 0)
+        z, coef, resid = _scored(policy, batch, costs, xb, None)  # a table row per record
         state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
         if state is None:
             w[-1] *= 2.0
@@ -428,7 +422,7 @@ def train_dro_stochastic(
             return None
         inflations = 0
         value, d1, g_beta, g_gamma = state
-        g_theta = policy.score_gradient(batch[0], resid, d1 * coef) / len(z)
+        g_theta = policy.score_gradient(xb, resid, d1 * coef) / len(z)
         return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
 
     def value_at(logp: np.ndarray, w: np.ndarray) -> float:
@@ -492,10 +486,10 @@ def train_poem(
                 scale = 0.0 if lam == 0.0 else lam / (2.0 * math.sqrt(n * v0))
                 # the bound's constant: it equals the objective at the anchor
                 offset = lam * math.sqrt(v0 / n) + scale * ((n / (n - 1)) * m0 * m0 - v0)
-            policy = policy_init._with_theta(theta)
-            z, coef, resid = _scored(policy, batch, costs, (batch[0], None))
+            policy, xb = policy_init._with_theta(theta), contexts.take(batch[0], 0)
+            z, coef, resid = _scored(policy, batch, costs, xb, None)  # a table row per record
             mult = 1.0 + scale * (n / (n - 1)) * (2.0 * z - 2.0 * m0)
-            grad = policy.score_gradient(batch[0], resid, mult * coef)
+            grad = policy.score_gradient(xb, resid, mult * coef)
             bound = z * (1.0 + scale * (n / (n - 1)) * (z - 2.0 * m0))
             value = float(np.add.reduce(bound)) / len(z) + offset
             return value, (grad / len(z)).ravel()
@@ -508,19 +502,19 @@ def train_poem(
         )
         return policy_init._with_theta(theta), report
 
-    (*distinct, index), p = _distinct([*rows, contexts[1]], contexts[1])  # with each one's context
-    mean_of, scoring = _mean_under(p), (contexts[0], index)
+    distinct, p = _distinct(rows)
+    mean_of, xb = _mean_under(p), contexts.take(distinct[0], 0)
 
     def fun(theta_flat: np.ndarray):
         policy = policy_init._with_theta(theta_flat)
-        z, coef, resid = _scored(policy, distinct, costs, scoring)
+        z, coef, resid = _scored(policy, distinct, costs, contexts, distinct[0])
         mean = mean_of(z)
-        grad = policy.score_gradient(distinct[0], resid, p * coef)
+        grad = policy.score_gradient(xb, resid, p * coef)
         variance = n / (n - 1) * mean_of(np.square(z - mean))
         value = mean + lam * math.sqrt(variance / n)
         if lam > 0 and variance > 1e-18:
             dv_coef = 2.0 * n / (n - 1) * p * (z - mean) * coef
-            grad_var = policy.score_gradient(distinct[0], resid, dv_coef)
+            grad_var = policy.score_gradient(xb, resid, dv_coef)
             grad = grad + grad_var * (lam / (2.0 * math.sqrt(variance / n) * n))
         return value, grad.ravel()
 

@@ -310,12 +310,13 @@ def sample_by_records(policy, xb, rng):
     return (rng.random(scores.shape) < expit(scores)).astype(np.int8)
 
 
-def scored_by_records(policy, rows, costs, contexts=None):
-    """A trainer's ``(z, coef, resid)`` with every record of ``rows`` scored; ``contexts`` unused."""
-    logp, resid = log_prob_and_residual_by_records(policy, rows[0], rows[1])
+def scored_by_records(policy, rows, costs, xb, at):
+    """A trainer's ``(z, coef, resid)``, each record of ``rows`` gathering its row ``at[i]`` of ``xb``
+    (row ``i`` if ``at`` is None) and scored alone."""
+    logp, resid = log_prob_and_residual_by_records(policy, xb if at is None else xb[at], rows[1])
     return (*costs(logp, *rows[2:]), resid)
 
 
-def log_prob_by_records(policy, rows, contexts=None):
-    """A trainer's full-log log-probabilities with every record scored; ``contexts`` unused."""
-    return log_prob_and_residual_by_records(policy, rows[0], rows[1])[0]
+def log_prob_by_records(policy, rows, contexts):
+    """A trainer's full-log log-probabilities, each record gathering its context and scored alone."""
+    return log_prob_and_residual_by_records(policy, contexts[rows[0]], rows[1])[0]

@@ -495,6 +495,17 @@ def assert_same_bytes_and_round_trip(log, tmp_path):
     return back
 
 
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_a_log_with_no_features_writes_the_per_record_bytes(tmp_path, space):
+    # every record shares the one empty context, as from a LibSVM file with no feature tokens
+    ds = synthetic_multilabel_dataset(30, 3, 4, seed=32)
+    ds = LabeledDataset(ds.features[:, :0], ds.labels)
+    policy0 = train_logging_policy(ds, LoggingPolicyConfig(action_space=space))
+    log = collect_bandit_log(ds, policy0, 3, seed=33)
+    assert log.feature_dim == 0 and list(log._contexts[2]) == [log.n]
+    assert_same_bytes_and_round_trip(log, tmp_path)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -280,6 +280,21 @@ class TestControlVariateMonteCarlo:
         assert np.var(cv_est, ddof=1) <= np.var(ips_est, ddof=1)
 
 
+def test_a_logs_arrays_are_read_only_views_of_the_callers():
+    # the log does not copy its float64 or int inputs, and writes through it raise
+    costs = np.array([-1.0, 0.0])
+    arrays = dict(
+        features=np.array([[0.0], [3.0]]), actions=np.array([0, 1]),
+        propensities=np.array([0.5, 0.25]), costs_raw=costs, costs=costs.copy(),
+    )
+    log = BanditLog(**arrays, action_space=Multiclass(2), cost_scale=CostScale.identity())
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(log, name)[0] = 0
+        array[0] = array[1]  # the caller's array stays writable, and the log sees the write
+        np.testing.assert_array_equal(getattr(log, name)[0], array[1])
+
+
 def test_log_rejects_nonpositive_propensities():
     with pytest.raises(ValueError):
         BanditLog(

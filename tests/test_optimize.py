@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from cfdro.data import (
     collect_bandit_log,
     synthetic_multilabel_dataset,
     train_logging_policy,
+    write_bandit_log,
 )
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import DualPoint, dual_gradient_policy, dual_objective, robust_risk_dual
@@ -26,7 +28,7 @@ from cfdro.optimize import (
     train_poem,
     write_report,
 )
-from cfdro.policies import LinearPolicy, Multiclass, _with_bias
+from cfdro.policies import LabeledDataset, LinearPolicy, Multiclass, _with_bias
 
 from oracles import log_prob_and_residual_by_records, log_prob_by_records, scored_by_records
 
@@ -458,15 +460,16 @@ def test_one_kernel_call_per_batch_evaluation(monkeypatch, trainer):
 
 
 def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
-    # every outer step's surrogate reuses the matrix of the run's exact-risk builder
+    # every outer step's surrogate reuses the matrix of the run's exact-risk builder,
+    # built from the log's distinct feature rows
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 2, seed=4)
     built = []
-    with_bias = optimize._with_bias
+    with_bias, contexts = optimize._with_bias, log.features[log._contexts[0]]
 
     def counted(features):
-        built.append(features is log.features)
+        built.append(features.shape == contexts.shape and features.tobytes() == contexts.tobytes())
         return with_bias(features)
 
     monkeypatch.setattr(optimize, "_with_bias", counted)
@@ -477,30 +480,31 @@ def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
     assert built == [True]
 
 
-def test_log_trick_groups_the_feature_matrix_once_per_run(monkeypatch):
-    # each outer step regroups only the narrow table of its surrogate's records;
-    # theta is the same as when every step regrouped the features too
+def test_a_log_groups_its_feature_matrix_once(monkeypatch, tmp_path):
+    # writing the log and running every trainer on it find its contexts once, in
+    # BanditLog._contexts; the trainers group only the narrow tables of their records
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 3, seed=4)
-    config = OptimizerConfig(max_iters=10)
-    distinct = optimize._distinct
-    monkeypatch.setattr(optimize, "_distinct", lambda rows, group: distinct(rows))
-    regrouped, _ = train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
-    monkeypatch.setattr(optimize, "_distinct", distinct)
-    shapes, byte_groups = [], optimize._byte_groups
+    byte_groups, grouped = _byte_groups, []
 
     def counted(rows):
-        shapes.append(rows.shape)
+        grouped.append(rows.shape[0] == log.n and np.array_equal(rows[:, : log.feature_dim], log.features))
         return byte_groups(rows)
 
-    monkeypatch.setattr(optimize, "_byte_groups", counted)
-    policy, report = train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
-    outer = len(report.trajectory) - 1
-    assert outer >= 3
-    assert shapes.count((log.n, log.feature_dim + 1)) == 1
-    assert len(shapes) == 1 + outer
-    assert policy.theta.tobytes() == regrouped.theta.tobytes()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cfdro") and getattr(module, "_byte_groups", None) is byte_groups:
+            monkeypatch.setattr(module, "_byte_groups", counted)
+    write_bandit_log(log, tmp_path / "log.jsonl")
+    batch, sgd = OptimizerConfig(max_iters=5), OptimizerConfig(mode="stochastic", max_iters=50)
+    for config in (batch, sgd):
+        train_poem(log, 0.3, policy0, config)
+        train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
+    train_dro(log, DivergenceKind.HELLINGER, 0.05, policy0, batch, rho="mean")
+    _, report = train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, batch, outer_iters=3)
+    assert grouped.count(True) == 1
+    # one record table per batch run and per outer step's surrogate
+    assert grouped.count(False) == 3 + len(report.trajectory) - 1 >= 5
 
 
 def test_log_trick_scores_the_anchor_on_the_runs_matrix(monkeypatch):
@@ -782,25 +786,49 @@ def _with_signed_zero_twins(table, column):
     return np.vstack([table, zero, negative, zero])
 
 
+def _twins_log(space):
+    """The replayed log, then its first 8 records with feature 0 set to ``0.0``, ``-0.0`` and ``0.0``."""
+    log, _ = _replayed_env(space)
+    columns = (log.actions, log.propensities, log.costs_raw, log.costs)
+    tails = [np.concatenate([a, a[:8], a[:8], a[:8]]) for a in columns]
+    features = _with_signed_zero_twins(log.features, 0)
+    return BanditLog(features, *tails, log.action_space, log.cost_scale)
+
+
 @pytest.mark.parametrize("space", ["factorized", "multiclass"])
 def test_byte_groups_match_np_unique_on_both_callers_tables(space):
-    # the feature table of data._shared_rows and the narrow record table of
+    # the feature table of BanditLog._contexts and the narrow record table of
     # optimize._distinct, each with repeated rows and rows that differ only
     # in the sign of a zero
-    log, _ = _replayed_env(space)
-    rows = optimize._weighted_costs(log)[0]
-    features = _with_signed_zero_twins(log.features, 0)
-    narrow = np.column_stack([_byte_groups(rows[0])[1], *rows[1:]])
+    log = _twins_log(space)
+    narrow = np.column_stack(optimize._weighted_costs(_replayed_env(space)[0])[0])
     narrow = _with_signed_zero_twins(narrow, narrow.shape[1] - 1)
-    for table in (features, narrow):
+    for table, got in ((log.features, log._contexts), (narrow, _byte_groups(narrow))):
         keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
         want = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)[1:]
-        got = _byte_groups(table)
         assert len(want[2]) < len(table) - 8  # the replays repeat rows
         assert len(np.unique(table, axis=0)) < len(want[2])  # value-equal rows stay apart
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_a_logs_contexts_rebuild_its_bias_augmented_features(space):
+    # so the trainers' records may read their rows through the context index
+    log = _twins_log(space)
+    first, inverse, _ = log._contexts
+    assert _with_bias(log.features[first])[inverse].tobytes() == _with_bias(log.features).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_byte_groups_of_rows_with_no_columns_are_one_group(n):
+    # as np.unique over rows: every row is the one empty row
+    rows = np.empty((n, 0))
+    want = np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)[1:]
+    for got, w in zip(_byte_groups(rows), want):
+        assert got.dtype == w.dtype
+        np.testing.assert_array_equal(got, w)
 
 
 def test_distinct_records_differ_in_any_field_by_bytes():
@@ -823,7 +851,8 @@ def test_distinct_records_differ_in_any_field_by_bytes():
     merged = {_record_bytes(distinct, j): q for j, q in enumerate(p)}
     expected = {(0, 2), (1, 1), (3, 2), (4, 1), (5, 1)}
     assert merged == {_record_bytes(rows, i): count / 7 for i, count in expected}
-    assert int(np.signbit(distinct[0][:, 0]).sum()) == 1
+    contexts = optimize._weighted_costs(log)[2]
+    assert int(np.signbit(contexts[distinct[0], 0]).sum()) == 1
 
 
 # ----------------------------------------------------------------------
@@ -832,10 +861,13 @@ def test_distinct_records_differ_in_any_field_by_bytes():
 
 
 def _contexts_env(space, env):
-    """A replayed log; one dataset row replayed (one context, several records); or one record repeated."""
+    """A replayed log; one with no features (one empty context); one dataset row replayed (one
+    context, several records); or one record repeated."""
     dataset = synthetic_multilabel_dataset(n_rows=60, seed=3)
+    if env == "no features":  # as from a LibSVM file with no feature tokens
+        dataset = LabeledDataset(dataset.features[:, :0], dataset.labels)
     policy0 = train_logging_policy(dataset.subset(range(20)), LoggingPolicyConfig(action_space=space))
-    if env == "replayed":
+    if env in ("replayed", "no features"):
         return collect_bandit_log(dataset, policy0, 3, seed=4), policy0
     log = collect_bandit_log(dataset.subset([5]), policy0, 12, seed=4)
     if env == "one record":  # one context and one distinct record: its scores are a lone row's
@@ -869,7 +901,7 @@ def _run_bits(policy, report):
 
 
 @pytest.mark.parametrize("space", ["factorized", "multiclass"])
-@pytest.mark.parametrize("env", ["replayed", "one context", "one record"])
+@pytest.mark.parametrize("env", ["replayed", "no features", "one context", "one record"])
 @pytest.mark.parametrize("trainer", ["poem", "dro", "logtrick", "poem-sgd", "dro-sgd"])
 def test_trainers_score_each_context_once_with_the_per_record_bits(monkeypatch, space, env, trainer):
     # every batch evaluation and full-log pass scores the distinct contexts once; theta and
@@ -877,7 +909,7 @@ def test_trainers_score_each_context_once_with_the_per_record_bits(monkeypatch, 
     # as a batch's row (one context) or as a lone row (one distinct record, in evaluations)
     log, policy0 = _contexts_env(space, env)
     contexts = optimize._weighted_costs(log)[2]
-    assert len(contexts[0]) == (60 if env == "replayed" else 1)
+    assert len(contexts) == (60 if env == "replayed" else 1)
     got = _run_bits(*_train(trainer, log, policy0))
     monkeypatch.setattr(optimize, "_scored", scored_by_records)
     monkeypatch.setattr(optimize, "_log_prob", log_prob_by_records)
