@@ -29,13 +29,15 @@ import bisect
 import json
 import os
 import stat
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .estimators import BanditLog, CostScale, _RecordFault, _runs
+from .estimators import BanditLog, CostScale, _byte_groups, _RecordFault, _runs
 from .policies import (
     ActionSpace,
     FactorizedLabels,
@@ -105,16 +107,20 @@ def parse_libsvm_multilabel(
     Dimensions are inferred from the file when not given; explicit values
     may only enlarge them.  Malformed lines, duplicate feature indices and
     non-finite feature values raise with the offending line number.
+    Indices and values keep the grammar of Python's ``int()`` and
+    ``float()``.  The numbers are held in flat typed buffers until the
+    dense matrix is filled, so the parse costs a few words per number.
     """
-    rows: list[tuple[list[int], dict[int, float], int]] = []
+    columns, values, label_ids = array("q"), array("d"), array("q")
+    widths, label_widths, linenos = array("q"), array("q"), array("q")
+    ints = _Ints()
     max_feat = 0
     max_label = -1
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            tokens = raw.split()
+            if not tokens:
                 continue
-            tokens = line.split()
             label_token = tokens[0]
             feat_tokens = tokens[1:]
             if ":" in label_token:
@@ -127,27 +133,31 @@ def parse_libsvm_multilabel(
                     labels = [int(part) for part in label_token.split(",") if part != ""]
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad label field {label_token!r}") from exc
-                if any(lab < 0 for lab in labels):
-                    raise ValueError(f"line {lineno}: negative label")
-            feats: dict[int, float] = {}
-            for token in feat_tokens:
-                idx_str, _, val_str = token.partition(":")
+                if labels:
+                    if min(labels) < 0:
+                        raise ValueError(f"line {lineno}: negative label")
+                    max_label = max(max_label, max(labels))
+            idx: list[int] = []
+            if feat_tokens:
+                # a token without ':' has an empty value, which float() rejects
+                idx_strs, _, val_strs = zip(*map(str.partition, feat_tokens, repeat(":")))
                 try:
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: bad feature token {token!r}") from exc
-                if idx < 1:
-                    raise ValueError(f"line {lineno}: feature indices are 1-based")
-                if idx in feats:
-                    raise ValueError(f"line {lineno}: duplicate feature index {idx}")
-                feats[idx] = val
-            rows.append((labels, feats, lineno))
-            if feats:
-                max_feat = max(max_feat, max(feats))
-            if labels:
-                max_label = max(max_label, max(labels))
-    if not rows:
+                    idx = list(map(ints.__getitem__, idx_strs))
+                    values.extend(map(float, val_strs))
+                except ValueError:
+                    _token_fault(lineno, feat_tokens)
+                if min(idx) < 1 or len(set(idx)) < len(idx):
+                    _token_fault(lineno, feat_tokens)
+                max_feat = max(max_feat, max(idx))
+            try:
+                columns.extend(idx)
+                label_ids.extend(labels)
+            except OverflowError:
+                pass  # past int64, the index sizes a matrix that np.zeros below refuses
+            widths.append(len(idx))
+            label_widths.append(len(labels))
+            linenos.append(lineno)
+    if not linenos:
         raise ValueError("empty dataset file")
     dim = max_feat if n_features is None else n_features
     n_lab = (max_label + 1) if n_labels is None else n_labels
@@ -156,18 +166,43 @@ def parse_libsvm_multilabel(
     if n_lab < max_label + 1:
         raise ValueError(f"n_labels={n_lab} is smaller than the largest label {max_label}")
     n_lab = max(n_lab, 1)
-    features = np.zeros((len(rows), dim))
-    labels = np.zeros((len(rows), n_lab), dtype=np.int8)
-    for i, (labs, feats, _) in enumerate(rows):
-        for idx, val in feats.items():
-            features[i, idx - 1] = val
-        for lab in labs:
-            labels[i, lab] = 1
+    features = np.zeros((len(linenos), dim))
+    labels = np.zeros((len(linenos), n_lab), dtype=np.int8)
+    rows = np.arange(len(linenos))
+    cols = np.frombuffer(columns, dtype=np.int64)
+    cols -= 1  # in place, in the buffer: indices are 1-based
+    features[rows.repeat(widths), cols] = np.frombuffer(values)
+    labels[rows.repeat(label_widths), np.frombuffer(label_ids, dtype=np.int64)] = 1
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"line {rows[i][2]}: feature {j + 1} must be finite, got {features[i, j]}")
+        raise ValueError(f"line {linenos[i]}: feature {j + 1} must be finite, got {features[i, j]}")
     return LabeledDataset(features, labels)
+
+
+class _Ints(dict):
+    """Each distinct string's ``int()``, converted on first lookup."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
+def _token_fault(lineno: int, tokens: list[str]) -> None:
+    """Raise the first fault a walk over a line's feature tokens, in order, meets."""
+    seen: set[int] = set()
+    for token in tokens:
+        idx_str, _, val_str = token.partition(":")
+        try:
+            idx = int(idx_str)
+            float(val_str)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad feature token {token!r}") from exc
+        if idx < 1:
+            raise ValueError(f"line {lineno}: feature indices are 1-based")
+        if idx in seen:
+            raise ValueError(f"line {lineno}: duplicate feature index {idx}")
+        seen.add(idx)
 
 
 def write_libsvm_multilabel(dataset: LabeledDataset, path) -> None:
@@ -326,7 +361,25 @@ def _log_from_rows(
     actions, (inverse, _), _, pairs = _records(dataset, policy0, table, row_idx, rng)
     space, scale = policy0.action_space, CostScale.for_hamming(dataset.n_labels)
     records = dataset.features[row_idx], actions, *(a[inverse] for a in pairs)  # each from its pair
-    return BanditLog(*records, action_space=space, cost_scale=scale)
+    log = BanditLog(*records, action_space=space, cost_scale=scale)
+    # record i's context is dataset row row_idx[i], byte for byte: so the log's grouping
+    # follows from the dataset's m rows, with no sort of its n
+    vars(log)["_contexts"] = _picked_groups(dataset.features, row_idx)
+    return log
+
+
+def _picked_groups(rows: np.ndarray, row_idx: np.ndarray):
+    """``_byte_groups(rows[row_idx])`` from one grouping of ``rows``: the groups keep their
+    byte-key order, those no index picks drop out, and each group's first index is its smallest
+    position in ``row_idx``."""
+    first, row_group, _ = _byte_groups(rows)
+    counts = np.zeros(len(first), dtype=np.intp)  # counted per row, so no (n,) temporary
+    np.add.at(counts, row_group, np.bincount(row_idx, minlength=len(rows)))
+    used = counts > 0
+    inverse = (np.cumsum(used) - 1)[row_group][row_idx]
+    first = np.full(np.count_nonzero(used), len(row_idx))
+    np.minimum.at(first, inverse, np.arange(len(row_idx)))
+    return first, inverse, counts[used]
 
 
 def _check_count(name: str, value) -> None:
@@ -381,10 +434,9 @@ def write_bandit_log(log: BanditLog, path) -> None:
         "action_space": _space_to_dict(log.action_space),
         "cost_scale": {"scale": log.cost_scale.scale, "offset": log.cost_scale.offset},
     }
-    _, group, counts = log._contexts
+    first, inverse, counts = log._contexts
     columns = (
-        np.where(counts[group] > 1, group, -1),
-        log.features,
+        np.where(counts[inverse] > 1, inverse, -1),
         log.actions,
         log.propensities,
         log.costs_raw,
@@ -395,12 +447,16 @@ def write_bandit_log(log: BanditLog, path) -> None:
         fh.write(json.dumps(header) + "\n")
         # a chunk at a time, so the Python copies of the columns stay small
         for start in range(0, log.n, _WRITE_CHUNK):
-            chunk = (column[start : start + _WRITE_CHUNK].tolist() for column in columns)
-            for group, row, action, prop, raw, scaled in zip(*chunk):
+            end = min(start + _WRITE_CHUNK, log.n)
+            chunk = (column[start:end].tolist() for column in columns)
+            # only the rows formatted, in record order: each context's first record
+            fresh = first[inverse[start:end]] == np.arange(start, end)
+            rows = iter(log.features[start:end][fresh].tolist())
+            for group, action, prop, raw, scaled in zip(*chunk):
                 if group < 0:
-                    text = str(row)
+                    text = str(next(rows))
                 elif (text := texts.get(group)) is None:
-                    text = texts[group] = str(row)
+                    text = texts[group] = str(next(rows))
                 fh.write(
                     f'{{"features": {text}, "action": {action}, "propensity": {prop!r}, '
                     f'"cost_raw": {raw!r}, "cost_scaled": {scaled!r}}}\n'

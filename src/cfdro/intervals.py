@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -76,12 +77,13 @@ class RiskInterval:
         return self.lower <= value <= self.upper
 
 
+@lru_cache(maxsize=64)
 def chi2_quantile_1dof(p: float) -> float:
     """Quantile of the chi-square distribution with one degree of freedom.
 
     Computed by bisection on the closed-form CDF ``erf(sqrt(x / 2))`` to
     1e-9 absolute accuracy, keeping the calibration dependency-free and
-    bit-deterministic.
+    bit-deterministic.  Each ``p`` is bisected once; studies ask for a few.
     """
     if not 0 < p < 1:
         raise ValueError("p must lie in (0, 1)")

@@ -250,7 +250,8 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     the steps since the previous entry (NaN if every one was skipped), so the
     loop scores the full log once whatever ``max_iters`` is.  With ``duals``
     ``gamma = w[-1]`` is kept at or above ``_GAMMA_MIN``.  The run reports
-    converged only if every step's gradient norm and ``final_value`` are finite.
+    converged only if every step's gradient norm, every mini-batch mean in the
+    trajectory and ``final_value`` are finite, and gamma ends above its floor.
     """
     n = len(rows[0])
     batch_size = min(config.batch_size, n)
@@ -268,7 +269,9 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     record(0, value0)
     for t in range(config.max_iters):
         if t and t % _EVAL_EVERY == 0:
-            record(t, total / count if count else math.nan)
+            mean = total / count if count else math.nan
+            finite = finite and math.isfinite(mean)
+            record(t, mean)
             total, count = 0.0, 0
         idx = None if batch_size == n else rng.integers(0, n, size=batch_size)
         out = step(t, w, rows if idx is None else [a.take(idx, axis=0) for a in rows])
@@ -288,9 +291,10 @@ def _sgd(rows, w, config: OptimizerConfig, step, objective, value0: float, duals
     final_value = objective(w)
     record(config.max_iters, final_value)
     dual = DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=final_value) if duals else None
+    converged = finite and math.isfinite(final_value) and not (duals and w[-1] <= _GAMMA_MIN)
     report = TrainReport(
         final_value=final_value, iterations=config.max_iters, wall_time=time.perf_counter() - start,
-        trajectory=trajectory, dual=dual, converged=finite and math.isfinite(final_value),
+        trajectory=trajectory, dual=dual, converged=converged,
     )
     return (w[:-2] if duals else w), report
 

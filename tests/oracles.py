@@ -6,7 +6,9 @@ generator formulas, independent of the library's generator table;
 scaled conjugate and its analytic partials check the dual's building block.
 ``write_bandit_log_by_records`` and ``write_libsvm_by_index`` are the plain
 writers, one ``json.dumps`` per record and one numpy index per value, whose
-bytes the library's writers must reproduce.  ``eager_solve_beta`` is the
+bytes the library's writers must reproduce.  ``parse_libsvm_by_token`` is
+the plain LibSVM parser, a dict of floats per row, whose arrays and errors
+the library's parser must reproduce.  ``eager_solve_beta`` is the
 dual solver's inner solve with its lower bracket end expanded up front.
 ``log_by_records`` and ``replication_by_records`` are a collection and a
 coverage replication that weigh every record on its own, and
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
@@ -60,6 +63,76 @@ def write_bandit_log_by_records(log: BanditLog, path) -> None:
                 "cost_scaled": float(log.costs[i]),
             }
             fh.write(json.dumps(record) + "\n")
+
+
+def parse_libsvm_by_token(
+    path,
+    n_features: Optional[int] = None,
+    n_labels: Optional[int] = None,
+) -> LabeledDataset:
+    """Parse multilabel LibSVM text one token at a time, a dict of floats per row."""
+    rows: list[tuple[list[int], dict[int, float], int]] = []
+    max_feat = 0
+    max_label = -1
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            label_token = tokens[0]
+            feat_tokens = tokens[1:]
+            if ":" in label_token:
+                # empty label field: the line starts directly with features
+                feat_tokens = tokens
+                label_token = ""
+            labels: list[int] = []
+            if label_token:
+                try:
+                    labels = [int(part) for part in label_token.split(",") if part != ""]
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: bad label field {label_token!r}") from exc
+                if any(lab < 0 for lab in labels):
+                    raise ValueError(f"line {lineno}: negative label")
+            feats: dict[int, float] = {}
+            for token in feat_tokens:
+                idx_str, _, val_str = token.partition(":")
+                try:
+                    idx = int(idx_str)
+                    val = float(val_str)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: bad feature token {token!r}") from exc
+                if idx < 1:
+                    raise ValueError(f"line {lineno}: feature indices are 1-based")
+                if idx in feats:
+                    raise ValueError(f"line {lineno}: duplicate feature index {idx}")
+                feats[idx] = val
+            rows.append((labels, feats, lineno))
+            if feats:
+                max_feat = max(max_feat, max(feats))
+            if labels:
+                max_label = max(max_label, max(labels))
+    if not rows:
+        raise ValueError("empty dataset file")
+    dim = max_feat if n_features is None else n_features
+    n_lab = (max_label + 1) if n_labels is None else n_labels
+    if dim < max_feat:
+        raise ValueError(f"n_features={dim} is smaller than the largest index {max_feat}")
+    if n_lab < max_label + 1:
+        raise ValueError(f"n_labels={n_lab} is smaller than the largest label {max_label}")
+    n_lab = max(n_lab, 1)
+    features = np.zeros((len(rows), dim))
+    labels = np.zeros((len(rows), n_lab), dtype=np.int8)
+    for i, (labs, feats, _) in enumerate(rows):
+        for idx, val in feats.items():
+            features[i, idx - 1] = val
+        for lab in labs:
+            labels[i, lab] = 1
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"line {rows[i][2]}: feature {j + 1} must be finite, got {features[i, j]}")
+    return LabeledDataset(features, labels)
 
 
 def write_libsvm_by_index(dataset: LabeledDataset, path) -> None:

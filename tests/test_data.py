@@ -4,10 +4,11 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +25,9 @@ from cfdro.data import (
     write_bandit_log,
     write_libsvm_multilabel,
 )
-from cfdro.estimators import BanditLog, CostScale, ips_risk
+import cfdro.data as data_module
+import cfdro.estimators as estimators_module
+from cfdro.estimators import BanditLog, CostScale, _byte_groups, ips_risk
 from cfdro.policies import (
     FactorizedLabels,
     LabeledDataset,
@@ -34,7 +37,12 @@ from cfdro.policies import (
     true_risk,
 )
 
-from oracles import log_by_records, write_bandit_log_by_records, write_libsvm_by_index
+from oracles import (
+    log_by_records,
+    parse_libsvm_by_token,
+    write_bandit_log_by_records,
+    write_libsvm_by_index,
+)
 
 # floats whose shortest repr takes each of Python's forms: subnormal, the
 # smallest normal, the largest, exponent notation on both sides, and -0.0
@@ -104,6 +112,136 @@ class TestLibsvmParsing:
         write_libsvm_multilabel(ds, tmp_path / "new.svm")
         write_libsvm_by_index(ds, tmp_path / "old.svm")
         assert (tmp_path / "new.svm").read_bytes() == (tmp_path / "old.svm").read_bytes()
+
+
+def _parse_outcome(parse, path, **dims):
+    """A parse's arrays with their shapes and dtypes, or its exception's type and message."""
+    try:
+        ds = parse(path, **dims)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple((a.shape, a.dtype, a.tobytes()) for a in (ds.features, ds.labels))
+
+
+# spellings that Python's int() and float() accept besides the plain ones
+INDEX_SPELLINGS = [str, "+{}".format, "0{}".format, lambda i: "".join(chr(0x660 + int(c)) for c in str(i))]
+VALUE_SPELLINGS = ["+1.5", "1_000.25", "-0.0", "1E3", ".5", "5.", "\u0663.\u0665", "2e-310"]
+# one fault each, spliced into a line: the parsers must agree on the error and its line
+LINE_FAULTS = {
+    "no colon": lambda toks: toks + ["10"],
+    "two colons": lambda toks: toks + ["10:1.0:2"],
+    "empty index": lambda toks: toks + [":1.0"],
+    "empty value": lambda toks: toks + ["10:"],
+    "non-numeric value": lambda toks: toks + ["10:abc"],
+    "index 0": lambda toks: toks + ["0:1.0"],
+    "negative label": lambda toks: ["-1"] + toks[1:],
+    "duplicate index": lambda toks: toks + ["10:1.0", "010:2.0"],
+    "20-digit index": lambda toks: toks + ["12345678901234567890:1.0"],
+    "nan": lambda toks: toks + ["10:nan"],
+    "1e400": lambda toks: toks + ["10:1e400"],
+    "no-break space": lambda toks: [" ".join(toks) + "\u00a010:1.0"],
+    "zero-width space": lambda toks: [" ".join(toks) + "\u200b10:1.0"],
+    "underscore index": lambda toks: toks + ["1_0:1.0"],
+    "bad label": lambda toks: ["1;2"] + toks[1:],
+    "20-digit label": lambda toks: ["12345678901234567890"] + toks[1:],
+}
+ACCEPTED = ("no-break space", "underscore index")  # a separator and an index int() takes
+
+
+@st.composite
+def libsvm_files(draw):
+    """LibSVM text with blank lines, CRLF endings, label-only and feature-only lines, signed
+    zeros, extreme floats and other spellings; returns ``(text, n_features, n_labels, lines)``,
+    ``lines`` being each data line's tokens and its 0-based index in the text."""
+    out, lines = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        labels = draw(st.lists(st.integers(0, 5), max_size=3))
+        idx = draw(st.lists(st.integers(1, 9), unique=True, max_size=6))
+        toks = [",".join(map(str, labels))] if labels else []
+        for i in idx:
+            if draw(st.booleans()):
+                value = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+            else:
+                value = draw(st.sampled_from(VALUE_SPELLINGS + list(map(repr, EXTREME_FLOATS))))
+            toks.append(draw(st.sampled_from(INDEX_SPELLINGS))(i) + ":" + value)
+        if not toks:
+            toks = ["0"]
+        lines.append((toks, len(out)))
+        out.append(" ".join(toks))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(out), max_size=len(out)))
+    n_features = draw(st.sampled_from([None, 10, 12]))
+    n_labels = draw(st.sampled_from([None, 6, 8]))
+    return "".join(map(str.__add__, out, ends)), n_features, n_labels, lines
+
+
+def _same_parse(tmp_path, text, **dims):
+    path = tmp_path / "data.svm"
+    path.write_bytes(text.encode("utf-8"))
+    got = _parse_outcome(parse_libsvm_multilabel, path, **dims)
+    assert got == _parse_outcome(parse_libsvm_by_token, path, **dims)
+    return got
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(file=libsvm_files())
+def test_parse_matches_the_per_token_parser(tmp_path_factory, file):
+    text, n_features, n_labels, _ = file
+    got = _same_parse(tmp_path_factory.mktemp("svm"), text, n_features=n_features, n_labels=n_labels)
+    if not any(line.strip() for line in text.splitlines()):
+        assert got == (ValueError, "empty dataset file")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(file=libsvm_files(), fault=st.sampled_from(sorted(LINE_FAULTS)), data=st.data())
+def test_parse_faults_match_the_per_token_parser(tmp_path_factory, file, fault, data):
+    text, n_features, n_labels, lines = file
+    assume(lines)
+    rows = text.splitlines(keepends=True)
+    toks, at = data.draw(st.sampled_from(lines))
+    end = rows[at][len(rows[at].rstrip("\r\n")):]
+    if fault.endswith("label") and ":" in toks[0]:
+        toks = ["0"] + toks
+    rows[at] = " ".join(LINE_FAULTS[fault](toks)) + end
+    got = _same_parse(tmp_path_factory.mktemp("svm"), "".join(rows), n_features=n_features, n_labels=n_labels)
+    if fault not in ACCEPTED:
+        assert got[0] is ValueError
+
+
+@pytest.mark.parametrize("fault", sorted(LINE_FAULTS))
+def test_each_line_fault_meets_the_per_token_parsers_error(tmp_path, fault):
+    # the fault sits on line 3, after a valid line and a blank one, and before a bad line:
+    # the later line's error wins only over a fault that the end-of-file checks find
+    line = " ".join(LINE_FAULTS[fault](["1", "2:0.5", "4:-0.0"]))
+    got = _same_parse(tmp_path, f"0 1:1.0\n\n{line}\r\n2 3:x\n")
+    raised_at = 4 if fault in ACCEPTED + ("nan", "1e400", "20-digit index", "20-digit label") else 3
+    assert got[0] is ValueError and got[1].startswith(f"line {raised_at}: ")
+
+
+def test_dimensions_below_the_file_are_the_per_token_parsers_errors(tmp_path):
+    text = "0,5 1:1.0 12:2.0\n3 4:1.0\n"
+    assert _same_parse(tmp_path, text, n_features=11)[0] is ValueError
+    assert _same_parse(tmp_path, text, n_labels=5)[0] is ValueError
+    features, labels = _same_parse(tmp_path, text, n_features=12, n_labels=6)
+    assert features[0] == (2, 12) and labels[0] == (2, 6)
+
+
+def test_parse_holds_a_few_words_per_number(tmp_path):
+    # the parse's traced peak against the arrays it returns: the per-token parser, with a dict
+    # entry and a float object per number, peaks near 10 times them
+    rng = np.random.default_rng(40)
+    ds = LabeledDataset(rng.normal(size=(2000, 50)), rng.random((2000, 6)) < 0.4)
+    write_libsvm_multilabel(ds, tmp_path / "data.svm")
+    tracemalloc.start()
+    try:
+        back = parse_libsvm_multilabel(tmp_path / "data.svm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert peak < 6 * (back.features.nbytes + back.labels.nbytes)
 
 
 class TestSplitting:
@@ -315,6 +453,42 @@ def test_collection_weighs_each_pair_once_with_the_per_record_bits(space, n_labe
     drawn, inverse = np.unique(rng.integers(0, m, size=5 * size), return_inverse=True)
     want = log_by_records(ds.subset(drawn), policy, inverse, rng)
     _assert_same_bits((log.features, log.actions, log.propensities, log.costs_raw, log.costs), want)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_collected_logs_take_their_contexts_from_the_dataset(monkeypatch, tmp_path, space):
+    # byte-equal duplicate rows, and rows apart only by the sign of a zero
+    ds = synthetic_multilabel_dataset(30, 3, 4, seed=41)
+    feats = ds.features.copy()
+    feats[[4, 9, 17]] = feats[2]
+    feats[[5, 6, 7, 8]] = 0.0
+    feats[[6, 7], 1] = -0.0
+    feats[8] = -0.0
+    ds = LabeledDataset(feats, ds.labels)
+    assert len(_byte_groups(ds.features)[0]) == 26  # rows 6 and 7 are one; 5, 6 and 8 differ
+    policy = train_logging_policy(ds.subset(range(20)), LoggingPolicyConfig(action_space=space))
+    grouped = []
+
+    def counted(rows):
+        grouped.append(len(rows))
+        return _byte_groups(rows)
+
+    monkeypatch.setattr(data_module, "_byte_groups", counted)
+    monkeypatch.setattr(estimators_module, "_byte_groups", counted)
+    collected = (
+        lambda: collect_bandit_log(ds, policy, 3, seed=42),
+        lambda: sample_bandit_log(ds, policy, 50, seed=43),
+        lambda: sample_bandit_log(ds, policy, 1, seed=44),
+    )
+    for collect in collected:
+        grouped.clear()
+        log = collect()
+        assert len(grouped) == 1 and grouped[0] <= ds.n_rows  # the dataset's rows, once
+        write_bandit_log(log, tmp_path / "log.jsonl")
+        assert len(grouped) == 1
+        want = _byte_groups(log.features)
+        for got, expected in zip(log._contexts, want, strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_standalone_sample_scores_only_the_rows_it_draws(monkeypatch):

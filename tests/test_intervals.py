@@ -56,6 +56,22 @@ class TestChiSquareQuantile:
             with pytest.raises(ValueError):
                 chi2_quantile_1dof(bad)
 
+    def test_each_level_is_bisected_once(self, monkeypatch):
+        chi2_quantile_1dof.cache_clear()
+        erf, calls = math.erf, []
+
+        def counted(x):
+            calls.append(x)
+            return erf(x)
+
+        monkeypatch.setattr(math, "erf", counted)
+        first = calibrated_radius(DivergenceKind.KL, 0.07, 50)
+        bisection = len(calls)
+        assert bisection > 30
+        assert calibrated_radius(DivergenceKind.KL, 0.07, 50) == first
+        assert calibrated_radius(DivergenceKind.CHI_SQUARE, 0.07, 80) > 0
+        assert len(calls) == bisection
+
 
 def test_calibrated_radius_scales_with_curvature():
     base = chi2_quantile_1dof(0.95) / 100

@@ -481,20 +481,22 @@ def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
 
 
 def test_a_log_groups_its_feature_matrix_once(monkeypatch, tmp_path):
-    # writing the log and running every trainer on it find its contexts once, in
-    # BanditLog._contexts; the trainers group only the narrow tables of their records
+    # the collection groups the dataset's rows once and hands the log its contexts, so
+    # writing the log and running every trainer on it sort no (n, d) matrix; the
+    # trainers group only the narrow tables of their records
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
-    log = collect_bandit_log(dataset, policy0, 3, seed=4)
     byte_groups, grouped = _byte_groups, []
 
     def counted(rows):
-        grouped.append(rows.shape[0] == log.n and np.array_equal(rows[:, : log.feature_dim], log.features))
+        grouped.append(rows)
         return byte_groups(rows)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cfdro") and getattr(module, "_byte_groups", None) is byte_groups:
             monkeypatch.setattr(module, "_byte_groups", counted)
+    log = collect_bandit_log(dataset, policy0, 3, seed=4)
+    assert len(grouped) == 1 and grouped.pop() is dataset.features
     write_bandit_log(log, tmp_path / "log.jsonl")
     batch, sgd = OptimizerConfig(max_iters=5), OptimizerConfig(mode="stochastic", max_iters=50)
     for config in (batch, sgd):
@@ -502,9 +504,10 @@ def test_a_log_groups_its_feature_matrix_once(monkeypatch, tmp_path):
         train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
     train_dro(log, DivergenceKind.HELLINGER, 0.05, policy0, batch, rho="mean")
     _, report = train_log_trick(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, batch, outer_iters=3)
-    assert grouped.count(True) == 1
+    dim = log.feature_dim
+    assert not any(len(rows) == log.n and np.array_equal(rows[:, :dim], log.features) for rows in grouped)
     # one record table per batch run and per outer step's surrogate
-    assert grouped.count(False) == 3 + len(report.trajectory) - 1 >= 5
+    assert len(grouped) == 3 + len(report.trajectory) - 1 >= 5
 
 
 def test_log_trick_scores_the_anchor_on_the_runs_matrix(monkeypatch):
@@ -950,3 +953,39 @@ def test_stochastic_run_with_an_infinite_gradient_norm_reports_no_convergence():
     policy, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
     assert all(math.isfinite(r.gradient_norm) for r in report.trajectory) and report.converged
     assert _run_digest(policy, report) == "66107beb4c4e2d22"
+
+
+def _finite_steps(report):
+    return all(math.isfinite(r.gradient_norm) for r in report.trajectory) and math.isfinite(report.final_value)
+
+
+def test_stochastic_run_ending_with_gamma_at_its_floor_reports_no_convergence():
+    # one distinct record: the exact dual's gamma is 0, so the run starts at the floor,
+    # and one step leaves it there; every value and gradient norm stays finite
+    log, policy0 = _contexts_env("multiclass", "one record")
+    config = OptimizerConfig(mode="stochastic", max_iters=1, batch_size=4, step_size=0.01)
+    _, report = train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+    assert _finite_steps(report) and report.dual.gamma == optimize._GAMMA_MIN
+    assert not report.converged
+
+
+def test_stochastic_run_with_a_non_finite_mini_batch_mean_reports_no_convergence(monkeypatch):
+    # steps 100-199 leave the conjugate domain and are skipped, so the trajectory entry at
+    # step 200 averages no mini-batch: NaN; gamma doubles 100 times and stays finite
+    log, policy0 = _stochastic_env("factorized")
+    value_grads, steps = optimize._robust_value_grads, []
+
+    def skipping(*args, grads=True, **kwargs):
+        if grads:
+            steps.append(len(steps))
+            if 100 <= steps[-1] < 200:
+                return None
+        return value_grads(*args, grads=grads, **kwargs)
+
+    monkeypatch.setattr(optimize, "_robust_value_grads", skipping)
+    config = OptimizerConfig(mode="stochastic", max_iters=300, seed=1)
+    _, report = train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, policy0, config)
+    means = [r.objective for r in report.trajectory[1:-1]]
+    assert [math.isnan(m) for m in means] == [False, True]
+    assert _finite_steps(report) and report.dual.gamma > optimize._GAMMA_MIN
+    assert not report.converged
