@@ -23,7 +23,6 @@ from .data import (
 )
 from .divergences import (
     DivergenceKind,
-    divergence_value,
     phi,
     phi_conjugate,
 )
@@ -44,7 +43,6 @@ from .estimators import (
     WeightedCosts,
     crm_objective,
     cv_risk,
-    empirical_variance,
     estimate_rho,
     importance_weights,
     ips_risk,

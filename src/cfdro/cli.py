@@ -54,10 +54,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("CF_DRO_SEED")
-    return int(env) if env else 0
+    """``--seed``, else ``CF_DRO_SEED``, else 0; a bad seed is rejected naming its source."""
+    source, text = "--seed", value
+    if value is None:
+        source, text = "CF_DRO_SEED", os.environ.get("CF_DRO_SEED")
+        if not text:
+            return 0
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1  # rejected below, as a negative seed is
+    if seed < 0:
+        raise _CliError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _load_dataset(path: str):
@@ -256,6 +265,8 @@ def _optimize_one_rep(payload):
 def cmd_optimize(args) -> int:
     if not 0 < args.delta < 1:
         raise _CliError("delta must lie in (0, 1)")
+    if args.mode == "stochastic" and args.variant == "logtrick":
+        raise _CliError("--variant logtrick runs in batch mode only, not with --mode stochastic")
     for algo in args.algos:
         if algo not in _ALGO_CHOICES:
             raise _CliError(f"unknown algorithm {algo!r}; choose from {', '.join(_ALGO_CHOICES)}")

@@ -53,7 +53,6 @@ __all__ = [
     "phi_conjugate",
     "conjugate_derivative",
     "conjugate_second_derivative",
-    "divergence_value",
     "curvature_at_one",
 ]
 
@@ -240,38 +239,3 @@ def conjugate_derivative(kind: DivergenceKind, s) -> "float | np.ndarray":
 def conjugate_second_derivative(kind: DivergenceKind, s) -> "float | np.ndarray":
     """Second derivative of the conjugate where it is twice differentiable."""
     return _barrier(kind, s, lambda gen, u: gen.derivatives(u, np.asarray)[1])
-
-
-def divergence_value(kind: DivergenceKind, q, p) -> float:
-    """Divergence ``d(q, p) = sum_i p_i phi(q_i / p_i)`` between two discrete distributions.
-
-    Parameters
-    ----------
-    q, p:
-        Probability vectors of equal length.  ``q`` must be absolutely
-        continuous with respect to ``p``.
-
-    Returns
-    -------
-    float
-        Nonnegative, zero iff ``q == p``.  ``+inf`` is possible for the
-        Burg generator when some ``q_i = 0`` with ``p_i > 0``.
-    """
-    qa = np.asarray(q, dtype=float)
-    pa = np.asarray(p, dtype=float)
-    if qa.shape != pa.shape or qa.ndim != 1:
-        raise ValueError("q and p must be 1-D vectors of equal length")
-    for name, arr in (("q", qa), ("p", pa)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite")
-    if np.any(qa < -1e-12) or np.any(pa < -1e-12):
-        raise ValueError("distributions must be nonnegative")
-    if abs(qa.sum() - 1.0) > 1e-8 or abs(pa.sum() - 1.0) > 1e-8:
-        raise ValueError("distributions must sum to 1")
-    qa = np.maximum(qa, 0.0)
-    pa = np.maximum(pa, 0.0)
-    if np.any((qa > 1e-15) & (pa == 0.0)):
-        raise ValueError("q is not absolutely continuous w.r.t. p")
-    mask = pa > 0
-    t = qa[mask] / pa[mask]
-    return float(np.sum(pa[mask] * np.asarray(phi(kind, t), dtype=float)))

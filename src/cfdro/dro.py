@@ -480,7 +480,7 @@ def dual_gradient_policy(
     _check_policy_matches(log, policy)
     xb = _with_bias(log.features)
     table = policy._row_table(xb, log.n)
-    z = _weighted_by(log, policy._log_prob_rows(table, None, log.actions), None).values
+    z = _weighted_by(log, policy._log_prob_rows(table, None, log.actions)).values
     g_beta, g_gamma = dual_gradient(z, kind, epsilon, beta, gamma)
     d1 = conjugate_derivative(kind, (z - beta) / gamma)
     g_theta = policy.score_gradient(xb, policy._residual_rows(table, None, log.actions), d1 * z) / log.n

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "WeightedCosts",
     "importance_weights",
     "ips_risk",
-    "empirical_variance",
     "crm_objective",
     "cv_risk",
     "estimate_rho",
@@ -188,28 +186,15 @@ def _check_policy_matches(log: BanditLog, policy: LinearPolicy) -> None:
         raise ValueError("policy and log disagree on the feature dimension")
 
 
-def importance_weights(
-    log: BanditLog, policy: LinearPolicy, weight_clip: Optional[float] = None
-) -> WeightedCosts:
-    """Per-record weights ``w_i = pi(a_i | x_i) / p0_i`` and weighted costs ``z_i = w_i c_i``.
-
-    Parameters
-    ----------
-    weight_clip:
-        Optional cap applied to the weights before forming ``z``; when set
-        it is applied identically by every estimator in this module.
-    """
+def importance_weights(log: BanditLog, policy: LinearPolicy) -> WeightedCosts:
+    """Per-record weights ``w_i = pi(a_i | x_i) / p0_i`` and weighted costs ``z_i = w_i c_i``."""
     _check_policy_matches(log, policy)
-    return _weighted_by(log, policy.log_prob(log.features, log.actions), weight_clip)
+    return _weighted_by(log, policy.log_prob(log.features, log.actions))
 
 
-def _weighted_by(log: BanditLog, logp: np.ndarray, weight_clip: Optional[float]) -> WeightedCosts:
+def _weighted_by(log: BanditLog, logp: np.ndarray) -> WeightedCosts:
     """:func:`importance_weights` from the policy's log-probabilities of the logged actions."""
     weights = np.exp(logp - np.log(log.propensities))
-    if weight_clip is not None:
-        if weight_clip <= 0:
-            raise ValueError("weight_clip must be positive")
-        weights = np.minimum(weights, weight_clip)
     return WeightedCosts(values=weights * log.costs, weights=weights)
 
 
@@ -239,49 +224,33 @@ def _runs(order: np.ndarray, keys):
     return order[new], inverse, np.bincount(inverse)
 
 
-def ips_risk(log: BanditLog, policy: LinearPolicy, weight_clip: Optional[float] = None) -> float:
+def ips_risk(log: BanditLog, policy: LinearPolicy) -> float:
     """Importance-weighted empirical risk: the mean of the weighted costs."""
-    return float(importance_weights(log, policy, weight_clip).values.mean())
+    return float(importance_weights(log, policy).values.mean())
 
 
-def empirical_variance(
-    log: BanditLog, policy: LinearPolicy, weight_clip: Optional[float] = None
-) -> float:
-    """Unbiased sample variance of the weighted costs; requires ``n >= 2``."""
-    if log.n < 2:
-        raise ValueError("variance needs at least 2 records")
-    z = importance_weights(log, policy, weight_clip).values
-    return float(z.var(ddof=1))
+def _penalized(z: np.ndarray, lam: float) -> float:
+    """The CRM objective ``mean(z) + lam sqrt(var(z) / n)`` of ``n >= 2`` weighted costs ``z``."""
+    return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / len(z)))
 
 
-def crm_objective(
-    log: BanditLog,
-    policy: LinearPolicy,
-    lam: float,
-    weight_clip: Optional[float] = None,
-) -> float:
-    """Variance-penalized risk: ``ips + lam * sqrt(var / n)``."""
+def crm_objective(log: BanditLog, policy: LinearPolicy, lam: float) -> float:
+    """The variance-penalized (CRM) risk ``ips + lam * sqrt(var / n)`` that ``train_poem`` minimizes."""
     if lam < 0:
-        raise ValueError("the variance penalty weight must be nonnegative")
-    z = importance_weights(log, policy, weight_clip).values
+        raise ValueError("lam must be nonnegative")
     if log.n < 2:
         raise ValueError("the penalized objective needs at least 2 records")
-    return float(z.mean() + lam * np.sqrt(z.var(ddof=1) / log.n))
+    return _penalized(importance_weights(log, policy).values, lam)
 
 
-def cv_risk(
-    log: BanditLog,
-    policy: LinearPolicy,
-    rho: float,
-    weight_clip: Optional[float] = None,
-) -> float:
+def cv_risk(log: BanditLog, policy: LinearPolicy, rho: float) -> float:
     """Control-variate risk ``mean((c_i - rho) w_i) + rho``.
 
     Unbiased for every ``rho`` because importance weights have unit mean
     under the logging policy; reduces to the plain weighted mean at
     ``rho = 0``.
     """
-    wc = importance_weights(log, policy, weight_clip)
+    wc = importance_weights(log, policy)
     return float(np.mean((log.costs - rho) * wc.weights) + rho)
 
 
@@ -290,12 +259,7 @@ def estimate_rho(log: BanditLog) -> float:
     return float(log.costs.mean())
 
 
-def log_trick_upper_bound(
-    log: BanditLog,
-    policy: LinearPolicy,
-    anchor: LinearPolicy,
-    weight_clip: Optional[float] = None,
-) -> float:
+def log_trick_upper_bound(log: BanditLog, policy: LinearPolicy, anchor: LinearPolicy) -> float:
     """Tangent-majorized risk: convex in the policy parameters and above the weighted mean.
 
     Replaces each weight ratio ``pi / pi_anchor`` with its tangent
@@ -308,7 +272,7 @@ def log_trick_upper_bound(
     if np.any(log.costs > 1e-12):
         raise ValueError("the tangent bound requires nonpositive costs")
     anchor_lp = anchor.log_prob(log.features, log.actions)
-    anchor_wc = _weighted_by(log, anchor_lp, weight_clip)
+    anchor_wc = _weighted_by(log, anchor_lp)
     log_ratio = policy.log_prob(log.features, log.actions) - anchor_lp
     if np.any(np.isneginf(log_ratio)):
         raise ValueError("policy assigns probability 0 to a logged action")

@@ -112,14 +112,10 @@ def calibrated_radius(kind: DivergenceKind, delta: float, n: int) -> float:
 
 
 def dro_interval(
-    log: BanditLog,
-    policy: LinearPolicy,
-    kind: DivergenceKind,
-    delta: float,
-    weight_clip: Optional[float] = None,
+    log: BanditLog, policy: LinearPolicy, kind: DivergenceKind, delta: float
 ) -> RiskInterval:
     """Asymptotic interval ``[optimistic, robust]`` at the calibrated radius."""
-    z = importance_weights(log, policy, weight_clip)
+    z = importance_weights(log, policy)
     return _dro_bounds(*np.unique(z.values, return_counts=True), kind, delta)
 
 
@@ -149,7 +145,6 @@ def hoeffding_interval(
     policy: LinearPolicy,
     delta: float,
     weight_bound: Optional[float] = None,
-    weight_clip: Optional[float] = None,
 ) -> RiskInterval:
     """Finite-time interval ``mean(z) +- W sqrt(log(2/delta) / (2n))``.
 
@@ -157,7 +152,7 @@ def hoeffding_interval(
     observed maximum is used (losing the finite-time guarantee but giving a
     serviceable default).
     """
-    return _hoeffding_bounds(importance_weights(log, policy, weight_clip).values, delta, weight_bound)
+    return _hoeffding_bounds(importance_weights(log, policy).values, delta, weight_bound)
 
 
 def _hoeffding_bounds(z: np.ndarray, delta: float, weight_bound: Optional[float]) -> RiskInterval:
@@ -174,7 +169,6 @@ def bernstein_interval(
     policy: LinearPolicy,
     delta: float,
     weight_bound: Optional[float] = None,
-    weight_clip: Optional[float] = None,
 ) -> RiskInterval:
     """Empirical-Bernstein interval; variance-adaptive but still finite-time.
 
@@ -182,7 +176,7 @@ def bernstein_interval(
     with ``V`` the unbiased sample variance of the weighted costs and ``W``
     their range bound.
     """
-    return _bernstein_bounds(importance_weights(log, policy, weight_clip).values, delta, weight_bound)
+    return _bernstein_bounds(importance_weights(log, policy).values, delta, weight_bound)
 
 
 def _bernstein_bounds(z: np.ndarray, delta: float, weight_bound: Optional[float]) -> RiskInterval:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _mean_under, _robust_value_grads, robust_risk_dual
-from .estimators import BanditLog, _byte_groups, _weighted_by, estimate_rho
+from .estimators import BanditLog, _byte_groups, _penalized, _weighted_by, estimate_rho
 from .intervals import calibrated_radius
 from .policies import LinearPolicy, Multiclass, _with_bias
 
@@ -167,7 +167,7 @@ def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
     """
     if np.any(np.isneginf(anchor_lp)):
         raise ValueError("anchor policy must have positive probability on logged actions")
-    w0c = _weighted_by(log, anchor_lp, None).values
+    w0c = _weighted_by(log, anchor_lp).values
 
     def costs(logp, lp_a, coef):
         log_ratio = np.maximum(logp - lp_a, -1e12)
@@ -448,7 +448,7 @@ def train_poem(
     policy_init: LinearPolicy,
     config: OptimizerConfig = OptimizerConfig(),
 ):
-    """Minimize the variance-penalized weighted risk ``mean(z) + lam sqrt(var(z)/n)``.
+    """Minimize :func:`~cfdro.estimators.crm_objective`, the risk ``mean(z) + lam sqrt(var(z)/n)``.
 
     The objective is not convex in the policy parameters; the returned
     policy is a best-effort local minimum from the given initialization.
@@ -473,9 +473,6 @@ def train_poem(
     def full_costs(theta: np.ndarray) -> np.ndarray:
         return costs(_log_prob(policy_init._with_theta(theta), rows, contexts), *rows[2:])[0]
 
-    def penalized(z: np.ndarray) -> float:
-        return float(z.mean() + lam * math.sqrt(z.var(ddof=1) / n))
-
     if config.mode == "stochastic":
         steps_per_epoch = -(-n // min(config.batch_size, n))
         m0 = scale = offset = 0.0
@@ -499,10 +496,10 @@ def train_poem(
             return value, (grad / len(z)).ravel()
 
         def objective(theta: np.ndarray) -> float:
-            return penalized(full_costs(theta))
+            return _penalized(full_costs(theta), lam)
 
         theta, report = _sgd(
-            rows, theta0, config, step, objective, penalized(z0), duals=False, start=start
+            rows, theta0, config, step, objective, _penalized(z0, lam), duals=False, start=start
         )
         return policy_init._with_theta(theta), report
 
@@ -548,8 +545,11 @@ def train_log_trick(
     anchored at the current policy, then re-anchors.  The surrogate equals
     the true weighted costs at the anchor and dominates them elsewhere
     (costs are nonpositive), so the true robust risk is nonincreasing
-    across outer steps.  The inner problems always run in batch mode.
+    across outer steps.  The inner problems run in batch mode, and a
+    ``config`` in stochastic mode raises ``ValueError``.
     """
+    if config.mode == "stochastic":
+        raise ValueError("the log trick runs in batch mode only, not with mode='stochastic'")
     if outer_iters < 1:
         raise ValueError("outer_iters must be positive")
     if np.any(log.costs > 1e-12):

@@ -435,6 +435,22 @@ class TestOptimize:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_stochastic_log_trick_is_a_validation_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_dataset", lambda path: loads.append(path))
+        code = main([
+            "optimize", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
+            "--algos", "dro-chi2", "--repetitions", "1", "--mode", "stochastic",
+            "--variant", "logtrick",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--mode stochastic" in err and "--variant logtrick" in err
+        assert loads == []
+        assert not (tmp_path / "x").exists()
+
     def test_worker_pool_is_capped_at_the_repetitions(self, tmp_path, monkeypatch):
         sizes = []
 
@@ -610,6 +626,26 @@ def test_seed_falls_back_to_the_environment(tmp_path, monkeypatch):
         "-P", "1", "--seed", "21",
     ]) == 0
     assert (out_env / "bandit_log.jsonl").read_bytes() == (out_flag / "bandit_log.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["convert", "optimize", "coverage"])
+@pytest.mark.parametrize("flag,env,named", [
+    ("-3", None, "--seed must be a non-negative integer, got -3"),
+    (None, "abc", "CF_DRO_SEED must be a non-negative integer, got 'abc'"),
+    (None, "-1", "CF_DRO_SEED must be a non-negative integer, got '-1'"),
+])
+def test_bad_seed_is_a_validation_error_naming_its_source(
+    tmp_path, capsys, monkeypatch, command, flag, env, named
+):
+    if env is None:
+        monkeypatch.delenv("CF_DRO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CF_DRO_SEED", env)
+    seed = [] if flag is None else ["--seed", flag]
+    code = main([command, "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"), *seed])
+    assert code == 1
+    assert f"error: {named}\n" == capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "coverage"])

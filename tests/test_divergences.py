@@ -1,4 +1,4 @@
-"""Generator, conjugate and divergence-value behavior."""
+"""Generator and conjugate behavior."""
 
 import math
 
@@ -11,7 +11,6 @@ from cfdro.divergences import (
     conjugate_derivative,
     conjugate_second_derivative,
     curvature_at_one,
-    divergence_value,
     phi,
     phi_conjugate,
 )
@@ -168,52 +167,6 @@ def test_scaled_conjugate_grad_boundary_errors():
         scaled_conjugate_grad(DivergenceKind.BURG, 1.0, 1.5)
     with pytest.raises(ValueError):
         scaled_conjugate_grad(DivergenceKind.KL, 0.0, 0.5)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_divergence_zero_iff_equal(kind):
-    uniform = np.full(4, 0.25)
-    assert divergence_value(kind, uniform, uniform) == 0.0
-    q = np.array([0.4, 0.3, 0.2, 0.1])
-    assert divergence_value(kind, q, uniform) > 0.0
-
-
-def test_divergence_reference_values():
-    got = divergence_value(DivergenceKind.CHI_SQUARE, np.array([0.7, 0.3]), np.array([0.5, 0.5]))
-    assert got == pytest.approx(0.16, abs=1e-12)
-    got = divergence_value(DivergenceKind.KL, np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    assert got == pytest.approx(math.log(2.0), abs=1e-12)
-
-
-def test_divergence_absolute_continuity():
-    with pytest.raises(ValueError):
-        divergence_value(DivergenceKind.KL, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-
-
-def test_divergence_rejects_non_distributions():
-    with pytest.raises(ValueError):
-        divergence_value(DivergenceKind.KL, np.array([0.5, 0.6]), np.array([0.5, 0.5]))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["q", "p"])
-def test_divergence_rejects_non_finite_vectors_by_name(name, bad):
-    vectors = {"q": np.array([0.5, 0.5]), "p": np.array([0.5, 0.5])}
-    vectors[name][0] = bad
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        divergence_value(DivergenceKind.KL, vectors["q"], vectors["p"])
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_divergence_to_uniform_matches_generator_sum(kind):
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        q = rng.dirichlet(np.ones(5))
-        q = np.maximum(q, 1e-6)
-        q = q / q.sum()
-        n = q.size
-        direct = sum(phi(kind, n * qi) / n for qi in q)
-        assert divergence_value(kind, q, np.full(n, 1.0 / n)) == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -12,7 +12,6 @@ from cfdro.estimators import (
     CostScale,
     crm_objective,
     cv_risk,
-    empirical_variance,
     estimate_rho,
     importance_weights,
     ips_risk,
@@ -58,38 +57,16 @@ def test_ips_risk_values(two_record_log, two_record_policy):
     assert ips_risk(doubled, two_record_policy) == pytest.approx(-1.125, abs=1e-12)
 
 
-def test_empirical_variance(two_record_log, two_record_policy):
-    assert empirical_variance(two_record_log, two_record_policy) == pytest.approx(1.53125, abs=1e-12)
+def test_penalized_objective(two_record_log, two_record_policy):
+    assert crm_objective(two_record_log, two_record_policy, 0.0) == pytest.approx(-1.125, abs=1e-12)
+    assert crm_objective(two_record_log, two_record_policy, 1.0) == pytest.approx(-0.25, abs=1e-12)
+    with pytest.raises(ValueError):
+        crm_objective(two_record_log, two_record_policy, -0.1)
 
 
-def test_variance_of_constant_costs_is_zero(action_dependent_env):
-    env = action_dependent_env
-    log = env.sample_log(50, np.random.default_rng(1))
-    assert empirical_variance(log, env.logging_policy) == pytest.approx(
-        float(log.costs.var(ddof=1)), abs=1e-15
-    )
-    constant = BanditLog(
-        features=log.features,
-        actions=log.actions,
-        propensities=log.propensities,
-        costs_raw=np.full(log.n, -0.5),
-        costs=np.full(log.n, -0.5),
-        action_space=log.action_space,
-        cost_scale=log.cost_scale,
-    )
-    assert empirical_variance(constant, env.logging_policy) == 0.0
-
-
-def test_variance_matches_two_pass_oracle(action_dependent_env):
-    env = action_dependent_env
-    log = env.sample_log(73, np.random.default_rng(2))
-    z = importance_weights(log, env.target_policy).values
-    mean = sum(z) / len(z)
-    textbook = sum((v - mean) ** 2 for v in z) / (len(z) - 1)
-    assert empirical_variance(log, env.target_policy) == pytest.approx(textbook, abs=1e-10)
-
-
-def test_variance_requires_two_records(two_record_log, two_record_policy):
+def test_penalized_objective_checks_its_inputs_before_it_weighs(
+    two_record_log, two_record_policy, monkeypatch
+):
     single = BanditLog(
         features=two_record_log.features[:1],
         actions=two_record_log.actions[:1],
@@ -99,15 +76,13 @@ def test_variance_requires_two_records(two_record_log, two_record_policy):
         action_space=two_record_log.action_space,
         cost_scale=two_record_log.cost_scale,
     )
-    with pytest.raises(ValueError):
-        empirical_variance(single, two_record_policy)
-
-
-def test_penalized_objective(two_record_log, two_record_policy):
-    assert crm_objective(two_record_log, two_record_policy, 0.0) == pytest.approx(-1.125, abs=1e-12)
-    assert crm_objective(two_record_log, two_record_policy, 1.0) == pytest.approx(-0.25, abs=1e-12)
-    with pytest.raises(ValueError):
+    scored = []
+    monkeypatch.setattr(LinearPolicy, "log_prob", lambda *args: scored.append(args))
+    with pytest.raises(ValueError, match="^lam must be nonnegative"):
         crm_objective(two_record_log, two_record_policy, -0.1)
+    with pytest.raises(ValueError, match="at least 2 records"):
+        crm_objective(single, two_record_policy, 0.5)
+    assert scored == []
 
 
 def test_penalized_objective_dominates_the_mean(action_dependent_env):
@@ -219,8 +194,7 @@ class TestLogTrickBound:
         assert all(b >= a - 1e-12 for a, b in zip(gaps[:-1], gaps[1:]))
         assert gaps[0] == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("weight_clip", [None, 1.5])
-    def test_scores_each_policy_once(self, action_dependent_env, monkeypatch, weight_clip):
+    def test_scores_each_policy_once(self, action_dependent_env, monkeypatch):
         # the anchor's log-probabilities give both its weights and the log-ratio
         env = action_dependent_env
         log = env.sample_log(30, np.random.default_rng(17))
@@ -234,24 +208,9 @@ class TestLogTrickBound:
             return log_prob(self, *args)
 
         monkeypatch.setattr(LinearPolicy, "log_prob", counted)
-        log_trick_upper_bound(log, candidate, anchor, weight_clip)
+        log_trick_upper_bound(log, candidate, anchor)
         assert len(scored) == 2
         assert {id(p) for p in scored} == {id(candidate), id(anchor)}
-
-
-def test_weight_clipping_applies_uniformly(action_dependent_env):
-    env = action_dependent_env
-    log = env.sample_log(60, np.random.default_rng(16))
-    pol = env.target_policy
-    wc = importance_weights(log, pol, weight_clip=1.2)
-    assert wc.weights.max() <= 1.2 + 1e-12
-    clipped = wc.values.mean()
-    assert ips_risk(log, pol, weight_clip=1.2) == pytest.approx(clipped, abs=1e-15)
-    # a clip above the largest weight is a no-op everywhere
-    assert ips_risk(log, pol, weight_clip=1e9) == pytest.approx(ips_risk(log, pol), abs=1e-15)
-    assert crm_objective(log, pol, 0.5, weight_clip=1e9) == pytest.approx(
-        crm_objective(log, pol, 0.5), abs=1e-15
-    )
 
 
 class TestControlVariateMonteCarlo:

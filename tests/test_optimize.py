@@ -19,7 +19,14 @@ from cfdro.data import (
 )
 from cfdro.divergences import DivergenceKind
 from cfdro.dro import DualPoint, dual_gradient_policy, dual_objective, robust_risk_dual
-from cfdro.estimators import BanditLog, CostScale, _byte_groups, importance_weights, ips_risk
+from cfdro.estimators import (
+    BanditLog,
+    CostScale,
+    _byte_groups,
+    crm_objective,
+    importance_weights,
+    ips_risk,
+)
 from cfdro.intervals import calibrated_radius
 from cfdro.optimize import (
     OptimizerConfig,
@@ -172,8 +179,19 @@ class TestPoem:
         assert all(b <= a + 1e-9 for a, b in zip(values[:-1], values[1:]))
 
     def test_rejects_negative_penalty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^lam must be nonnegative"):
             train_poem(one_context_log(), -1.0, fresh_policy())
+
+    @pytest.mark.parametrize("mode", ["batch", "stochastic"])
+    def test_reports_the_crm_objective(self, mode):
+        dataset = synthetic_multilabel_dataset(n_rows=60, seed=8)
+        policy0 = train_logging_policy(dataset.subset(range(20)))
+        log = collect_bandit_log(dataset, policy0, 2, seed=9)
+        init = replace(policy0, theta=policy0.theta + 0.3)
+        config = OptimizerConfig(mode=mode, max_iters=20, seed=1)
+        policy, report = train_poem(log, 0.5, init, config)
+        assert report.trajectory[0].objective == pytest.approx(crm_objective(log, init, 0.5), abs=1e-12)
+        assert report.final_value == pytest.approx(crm_objective(log, policy, 0.5), abs=1e-12)
 
     def test_stochastic_variant_approaches_the_batch_value(self):
         log = one_context_log()
@@ -273,6 +291,11 @@ class TestLogTrickTrainer:
             log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy(), outer_iters=25
         )
         assert abs(majorized.final_value - direct.final_value) <= 0.01
+
+    def test_rejects_stochastic_mode(self):
+        config = OptimizerConfig(mode="stochastic")
+        with pytest.raises(ValueError, match="batch mode only"):
+            train_log_trick(one_context_log(), DivergenceKind.KL, 0.05, fresh_policy(), config)
 
     def test_rejects_positive_costs(self):
         log = one_context_log()
