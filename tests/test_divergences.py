@@ -1,4 +1,4 @@
-"""Generator and conjugate behavior."""
+"""Generator and conjugate behavior, and the test oracle's primal divergences."""
 
 import math
 
@@ -17,7 +17,7 @@ from cfdro.divergences import (
 
 from cfdro.dro import _mean
 
-from oracles import scaled_conjugate, scaled_conjugate_grad
+from oracles import _grid_divergences, _simplex_grid, scaled_conjugate, scaled_conjugate_grad
 
 ALL_KINDS = list(DivergenceKind)
 
@@ -167,6 +167,41 @@ def test_scaled_conjugate_grad_boundary_errors():
         scaled_conjugate_grad(DivergenceKind.BURG, 1.0, 1.5)
     with pytest.raises(ValueError):
         scaled_conjugate_grad(DivergenceKind.KL, 0.0, 0.5)
+
+
+# The primal oracle in tests/oracles.py writes each divergence to the uniform
+# distribution with its own formulas; these tests tie those to the library's
+# generator table, so a dual-versus-primal failure points at the solver.
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_divergence_zero_iff_equal(kind):
+    d_sorted, order = _grid_divergences(kind, 4, 0.25)
+    grid = _simplex_grid(4, 0.25)
+    assert d_sorted[0] == 0.0
+    np.testing.assert_array_equal(grid[order[0]], np.full(4, 0.25))
+    assert d_sorted[1] > 0.0
+
+
+def test_divergence_reference_values():
+    grid = _simplex_grid(2, 0.1)
+    for kind, q, expected in [
+        (DivergenceKind.CHI_SQUARE, [0.7, 0.3], 0.16),
+        (DivergenceKind.KL, [1.0, 0.0], math.log(2.0)),
+    ]:
+        d_sorted, order = _grid_divergences(kind, 2, 0.1)
+        at = np.flatnonzero(np.all(np.isclose(grid[order], q, rtol=0.0, atol=1e-12), axis=1))
+        assert at.size == 1
+        assert d_sorted[at[0]] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_divergence_to_uniform_matches_generator_sum(kind):
+    n = 3
+    d_sorted, order = _grid_divergences(kind, n, 0.05)
+    grid = _simplex_grid(n, 0.05)[order]
+    direct = np.asarray(phi(kind, n * grid)).sum(axis=1) / n
+    np.testing.assert_allclose(d_sorted, direct, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -85,6 +85,25 @@ def test_penalized_objective_checks_its_inputs_before_it_weighs(
     assert scored == []
 
 
+def test_penalty_of_constant_costs_is_zero(action_dependent_env):
+    env = action_dependent_env
+    log = env.sample_log(50, np.random.default_rng(1))
+    constant = replace(log, costs_raw=np.full(log.n, -0.5), costs=np.full(log.n, -0.5))
+    for lam in (0.5, 5.0):
+        assert crm_objective(constant, env.logging_policy, lam) == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_penalty_matches_two_pass_variance_oracle(action_dependent_env):
+    env = action_dependent_env
+    log = env.sample_log(73, np.random.default_rng(2))
+    z = importance_weights(log, env.target_policy).values
+    mean = sum(z) / len(z)
+    textbook = sum((v - mean) ** 2 for v in z) / (len(z) - 1)
+    for lam in (0.3, 1.0, 5.0):
+        expected = mean + lam * math.sqrt(textbook / len(z))
+        assert crm_objective(log, env.target_policy, lam) == pytest.approx(expected, abs=1e-10)
+
+
 def test_penalized_objective_dominates_the_mean(action_dependent_env):
     env = action_dependent_env
     log = env.sample_log(80, np.random.default_rng(3))
