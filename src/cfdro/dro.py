@@ -38,14 +38,14 @@ propagate ``+inf`` as a barrier and no NaN ever escapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .divergences import _GENERATORS, DivergenceKind, conjugate_derivative
-from .estimators import BanditLog, WeightedCosts, _check_policy_matches, _weighted_by
-from .policies import LinearPolicy, _with_bias
+from .estimators import BanditLog, WeightedCosts, _scoring, _weighted_by
+from .policies import LinearPolicy, _at
 
 __all__ = [
     "DualPoint",
@@ -369,7 +369,7 @@ def robust_risk_dual(
         t_best, beta, value, width = _bracket_and_golden(h, t0, bracket_tol, floor)
     point = DualPoint(beta=beta, gamma=math.exp(t_best), value=value)
     if math.isfinite(value) and (width <= bracket_tol * 4.0 or t_best <= floor):
-        return point
+        return replace(point, value=min(max(value, mean), h.zmax))  # the floor's error may leave the hull
     raise SolverError("dual solve failed to certify convergence", best=point)
 
 
@@ -477,11 +477,10 @@ def dual_gradient_policy(
     The policy enters through ``z_i = w_i c_i``, so by the chain rule the
     parameter gradient is ``mean_i (phi*)'(u_i) z_i grad log pi(a_i | x_i)``.
     """
-    _check_policy_matches(log, policy)
-    xb = _with_bias(log.features)
+    at, actions, xb = _scoring(log, policy)
     table = policy._row_table(xb, log.n)
-    z = _weighted_by(log, policy._log_prob_rows(table, None, log.actions)).values
+    z = _weighted_by(log, policy._log_prob_rows(table, at, actions)).values
     g_beta, g_gamma = dual_gradient(z, kind, epsilon, beta, gamma)
     d1 = conjugate_derivative(kind, (z - beta) / gamma)
-    g_theta = policy.score_gradient(xb, policy._residual_rows(table, None, log.actions), d1 * z) / log.n
+    g_theta = policy.score_gradient(_at(xb, at), policy._residual_rows(table, at, actions), d1 * z) / log.n
     return g_beta, g_gamma, g_theta

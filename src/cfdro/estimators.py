@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .policies import ActionSpace, LinearPolicy, Multiclass
+from .policies import ActionSpace, LinearPolicy, Multiclass, _with_bias
 
 __all__ = [
     "CostScale",
@@ -95,7 +95,8 @@ class BanditLog:
     attribute is the first record that breaks it.  Each array is kept as a
     read-only view, so writes through the log raise.  An input that already
     has the stored dtype (float64 features, say) is not copied: the caller's
-    array stays writable, and the log sees what is written into it.
+    array stays writable, and the log sees what is written into it, but the
+    grouping of its rows, once made, does not: such a write leaves it stale.
     """
 
     features: np.ndarray
@@ -177,19 +178,31 @@ class WeightedCosts:
         return self.values.shape[0]
 
 
-def _check_policy_matches(log: BanditLog, policy: LinearPolicy) -> None:
-    if type(policy.action_space) is not type(log.action_space):
-        raise ValueError("policy and log use different action space kinds")
-    if policy.action_space != log.action_space:
-        raise ValueError("policy and log disagree on the action space size")
-    if policy.feature_dim != log.feature_dim:
-        raise ValueError("policy and log disagree on the feature dimension")
+def _scoring(log: BanditLog, *policies: LinearPolicy, group: bool = False):
+    """``(at, actions, xb)`` once each policy fits the log: record i reads row ``at[i]`` of the
+    bias-augmented ``xb`` (row i for ``at`` None), the log's m contexts if it holds its grouping
+    (collected, or grouped by a trainer or ``group``), else its n rows, unsorted; both score alike."""
+    for policy in policies:
+        if type(policy.action_space) is not type(log.action_space):
+            raise ValueError("policy and log use different action space kinds")
+        if policy.action_space != log.action_space:
+            raise ValueError("policy and log disagree on the action space size")
+        if policy.feature_dim != log.feature_dim:
+            raise ValueError("policy and log disagree on the feature dimension")
+    if group or "_contexts" in vars(log):
+        first, at, _ = log._contexts
+        return at, log.actions, _with_bias(log.features[first])
+    return None, log.actions, _with_bias(log.features)
+
+
+def _log_probs(policy: LinearPolicy, at, actions, xb) -> np.ndarray:
+    """Each record's log-probability of its action, from one score pass over ``xb`` (see ``_scoring``)."""
+    return policy._log_prob_rows(policy._row_table(xb, len(xb) if at is None else len(at)), at, actions)
 
 
 def importance_weights(log: BanditLog, policy: LinearPolicy) -> WeightedCosts:
     """Per-record weights ``w_i = pi(a_i | x_i) / p0_i`` and weighted costs ``z_i = w_i c_i``."""
-    _check_policy_matches(log, policy)
-    return _weighted_by(log, policy.log_prob(log.features, log.actions))
+    return _weighted_by(log, _log_probs(policy, *_scoring(log, policy)))
 
 
 def _weighted_by(log: BanditLog, logp: np.ndarray) -> WeightedCosts:
@@ -259,23 +272,32 @@ def estimate_rho(log: BanditLog) -> float:
     return float(log.costs.mean())
 
 
+def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
+    """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))`` on the row index and
+    actions of ``rows``; ``anchor_lp`` holds the anchor's log-probabilities of the actions."""
+    if np.any(np.isneginf(anchor_lp)):
+        raise ValueError("anchor policy must have positive probability on logged actions")
+
+    def costs(logp, lp_a, coef):
+        log_ratio = np.maximum(logp - lp_a, -1e12)
+        return coef * (1.0 + log_ratio), coef
+
+    return (rows[0], rows[1], anchor_lp, _weighted_by(log, anchor_lp).values), costs
+
+
 def log_trick_upper_bound(log: BanditLog, policy: LinearPolicy, anchor: LinearPolicy) -> float:
     """Tangent-majorized risk: convex in the policy parameters and above the weighted mean.
 
     Replaces each weight ratio ``pi / pi_anchor`` with its tangent
     ``1 + log(pi / pi_anchor)`` at the anchor, so the bound is exact at
     ``policy == anchor`` and valid whenever costs are nonpositive and the
-    policy is log-concave.
+    policy is log-concave.  It is the surrogate that ``train_log_trick`` minimizes.
     """
-    _check_policy_matches(log, policy)
-    _check_policy_matches(log, anchor)
+    scoring = _scoring(log, policy, anchor)
     if np.any(log.costs > 1e-12):
         raise ValueError("the tangent bound requires nonpositive costs")
-    anchor_lp = anchor.log_prob(log.features, log.actions)
-    anchor_wc = _weighted_by(log, anchor_lp)
-    log_ratio = policy.log_prob(log.features, log.actions) - anchor_lp
-    if np.any(np.isneginf(log_ratio)):
+    logp, anchor_lp = (_log_probs(p, *scoring) for p in (policy, anchor))
+    if np.any(np.isneginf(logp - anchor_lp)):
         raise ValueError("policy assigns probability 0 to a logged action")
-    if np.any(anchor_wc.weights == 0):
-        raise ValueError("anchor policy must have positive probability on logged actions")
-    return float(np.mean(anchor_wc.weights * (1.0 + log_ratio) * log.costs))
+    rows, costs = _log_trick_costs(log, anchor_lp, scoring)
+    return float(np.mean(costs(logp, *rows[2:])[0]))

@@ -30,9 +30,10 @@ import numpy as np
 
 from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _mean_under, _robust_value_grads, robust_risk_dual
-from .estimators import BanditLog, _byte_groups, _penalized, _weighted_by, estimate_rho
+from .estimators import BanditLog, _byte_groups, _log_probs, _log_trick_costs, _penalized, _scoring
+from .estimators import estimate_rho
 from .intervals import calibrated_radius
-from .policies import LinearPolicy, Multiclass, _with_bias
+from .policies import LinearPolicy, Multiclass
 
 __all__ = [
     "OptimizerConfig",
@@ -142,8 +143,9 @@ def write_report(report: TrainReport, path) -> None:
 # indices.  A run's ``contexts`` are the log's, bias-augmented.
 
 
-def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
+def _weighted_costs(log: BanditLog, policy: LinearPolicy, rho: "float | str" = 0.0):
     """Builder of the weighted costs ``(c - rho) w + rho`` with the contexts; ``rho`` may be ``"mean"``."""
+    index, acts, contexts = _scoring(log, policy, group=True)  # a run weighs it hundreds of times
     if isinstance(rho, str):
         if rho != "mean":
             raise ValueError("rho must be a number or 'mean'")
@@ -154,26 +156,8 @@ def _weighted_costs(log: BanditLog, rho: "float | str" = 0.0):
         coef = centered * np.exp(logp - log_p0)
         return coef + rho, coef
 
-    acts = log.actions if isinstance(log.action_space, Multiclass) else log.actions.astype(float)
-    first, index, _ = log._contexts
-    return (index, acts, np.log(log.propensities), log.costs - rho), costs, _with_bias(log.features[first])
-
-
-def _log_trick_costs(log: BanditLog, anchor_lp: np.ndarray, rows):
-    """Builder of the tangent upper bound ``w0 c (1 + log(pi / pi_anchor))``.
-
-    It shares the context index and actions of ``rows``, the run's exact-risk rows;
-    ``anchor_lp`` holds the anchor's log-probabilities of the actions.
-    """
-    if np.any(np.isneginf(anchor_lp)):
-        raise ValueError("anchor policy must have positive probability on logged actions")
-    w0c = _weighted_by(log, anchor_lp).values
-
-    def costs(logp, lp_a, coef):
-        log_ratio = np.maximum(logp - lp_a, -1e12)
-        return coef * (1.0 + log_ratio), coef
-
-    return (rows[0], rows[1], anchor_lp, w0c), costs
+    acts = acts if isinstance(log.action_space, Multiclass) else acts.astype(float)
+    return (index, acts, np.log(log.propensities), log.costs - rho), costs, contexts
 
 
 def _scored(policy: LinearPolicy, rows, costs, xb, at):
@@ -189,14 +173,9 @@ def _distinct(rows):
     return [a[first] for a in rows], counts / len(rows[0])
 
 
-def _log_prob(policy: LinearPolicy, rows, contexts) -> np.ndarray:
-    """The log-probabilities of the actions alone, from one score pass over the ``contexts``."""
-    return policy._log_prob_rows(policy._row_table(contexts, len(rows[0])), rows[0], rows[1])
-
-
 def _exact_dual(policy, rows, costs, kind, epsilon, contexts):
     """The exact dual point of ``policy``'s costs and its log-probabilities, from one score pass."""
-    logp = _log_prob(policy, rows, contexts)
+    logp = _log_probs(policy, rows[0], rows[1], contexts)
     return robust_risk_dual(costs(logp, *rows[2:])[0], kind, epsilon), logp
 
 
@@ -381,7 +360,7 @@ def train_dro(
     if config.mode == "stochastic":
         return train_dro_stochastic(log, kind, delta, policy_init, config, rho)
     eps = calibrated_radius(kind, delta, log.n)
-    return _robust_batch(kind, eps, policy_init, config, *_weighted_costs(log, rho))
+    return _robust_batch(kind, eps, policy_init, config, *_weighted_costs(log, policy_init, rho))
 
 
 def train_dro_stochastic(
@@ -401,7 +380,7 @@ def train_dro_stochastic(
     abort the run.
     """
     start = time.perf_counter()
-    rows, costs, contexts = _weighted_costs(log, rho)
+    rows, costs, contexts = _weighted_costs(log, policy_init, rho)
     eps = calibrated_radius(kind, delta, log.n)
     cap = _GENERATORS[kind].cap
     point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps, contexts)
@@ -435,7 +414,7 @@ def train_dro_stochastic(
         return math.inf if value is None else value
 
     def objective(w: np.ndarray) -> float:
-        return value_at(_log_prob(policy_init._with_theta(w[:-2]), rows, contexts), w)
+        return value_at(_log_probs(policy_init._with_theta(w[:-2]), rows[0], rows[1], contexts), w)
 
     value0 = value_at(logp0, w0)
     theta, report = _sgd(rows, w0, config, step, objective, value0, duals=True, start=start)
@@ -467,11 +446,11 @@ def train_poem(
     if n < 2:
         raise ValueError("the penalized objective needs at least 2 records")
     start = time.perf_counter()
-    rows, costs, contexts = _weighted_costs(log)
+    rows, costs, contexts = _weighted_costs(log, policy_init)
     theta0 = policy_init.theta.ravel().copy()
 
     def full_costs(theta: np.ndarray) -> np.ndarray:
-        return costs(_log_prob(policy_init._with_theta(theta), rows, contexts), *rows[2:])[0]
+        return costs(_log_probs(policy_init._with_theta(theta), rows[0], rows[1], contexts), *rows[2:])[0]
 
     if config.mode == "stochastic":
         steps_per_epoch = -(-n // min(config.batch_size, n))
@@ -558,7 +537,7 @@ def train_log_trick(
     start = time.perf_counter()
     anchor = policy_init
     trajectory: "list[IterationRecord]" = []
-    rows, costs, contexts = _weighted_costs(log)  # every surrogate shares the run's contexts
+    rows, costs, contexts = _weighted_costs(log, policy_init)  # every surrogate shares the run's contexts
 
     def note(outer: int, point: DualPoint) -> None:
         elapsed = time.perf_counter() - start

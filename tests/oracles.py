@@ -12,9 +12,10 @@ the library's parser must reproduce.  ``eager_solve_beta`` is the
 dual solver's inner solve with its lower bracket end expanded up front.
 ``log_by_records`` and ``replication_by_records`` are a collection and a
 coverage replication that weigh every record on its own, and
-``scored_by_records`` and ``log_prob_by_records`` are the trainers' score
-passes over every record; the library weighs each distinct (row, action)
-pair once and scores each distinct context once, and must give these bits.
+``scored_by_records`` is the trainers' score pass and ``log_prob_by_records``
+the shared weighing path's, over every record; the library weighs each
+distinct (row, action) pair once and scores each distinct context once, and
+must give these bits.
 ``log_prob_and_residual_by_records`` and ``sample_by_records`` are the
 per-record log-linear policy formulas, written with scipy's ``logsumexp``,
 ``log_expit`` and ``expit``, that the library's row-table readers must match.
@@ -390,6 +391,7 @@ def scored_by_records(policy, rows, costs, xb, at):
     return (*costs(logp, *rows[2:]), resid)
 
 
-def log_prob_by_records(policy, rows, contexts):
-    """A trainer's full-log log-probabilities, each record gathering its context and scored alone."""
-    return log_prob_and_residual_by_records(policy, contexts[rows[0]], rows[1])[0]
+def log_prob_by_records(policy, at, actions, xb):
+    """Each record's log-probability, the record gathering its row ``at[i]`` of ``xb`` (row ``i`` if
+    ``at`` is None) and scored alone: the shared weighing path's formula, by records."""
+    return log_prob_and_residual_by_records(policy, xb if at is None else xb[at], actions)[0]

@@ -1,4 +1,9 @@
-"""The package's public names: adding or removing one is a deliberate edit of this list."""
+"""The package's public names: adding or removing one is a deliberate edit of this list; and
+the names the benchmark's tracer patches, which must resolve."""
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import cfdro
 
@@ -33,3 +38,20 @@ PUBLIC = {
 def test_public_names_are_the_listed_set():
     assert len(cfdro.__all__) == len(set(cfdro.__all__))
     assert set(cfdro.__all__) == PUBLIC
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer patches these names in traced runs, and fails there on one that
+    # was removed or renamed; resolved here as it resolves them, reading and patching nothing
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for module_name, attr, _ in spans.TARGETS:
+        module = importlib.import_module(f"cfdro.{module_name}")
+        owner_name, _, fn_name = attr.rpartition(".")
+        if owner_name:
+            assert callable(getattr(module, owner_name).__dict__[fn_name]), attr
+        else:
+            assert callable(getattr(module, fn_name)), attr

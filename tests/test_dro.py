@@ -499,3 +499,18 @@ def test_support_solve_allocates_its_masses_and_one_workspace(kind):
 def test_counts_are_checked_at_the_boundary(solve, counts):
     with pytest.raises(ValueError, match="counts"):
         solve(np.array([-0.2, -0.5, -0.9]), DivergenceKind.KL, 0.1, counts=np.array(counts))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_values_stay_inside_the_supports_hull_at_the_gamma_floor(kind):
+    # a spread far below 1 puts gamma at its floor, whose absolute error (up to eps * 1e-12)
+    # once carried the robust value above max z and the optimistic one below min z
+    z = np.array([-5.9e-39] + [0.0] * 14)
+    mean = float(z.mean())
+    robust = robust_risk_dual(z, kind, 0.5)
+    optimistic = optimistic_risk_dual(z, kind, 0.5)
+    assert max(robust.gamma, optimistic.gamma) == pytest.approx(1e-12)
+    assert mean <= robust.value <= z.max()
+    assert z.min() <= optimistic.value <= mean
+    # the negation of the support gives the optimistic side the robust side's bound
+    assert optimistic_risk_dual(-z, kind, 0.5).value == -robust.value

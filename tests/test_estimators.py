@@ -7,6 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfdro import estimators
+from cfdro.data import (
+    LoggingPolicyConfig,
+    collect_bandit_log,
+    read_bandit_log,
+    synthetic_multilabel_dataset,
+    train_logging_policy,
+    write_bandit_log,
+)
+from cfdro.divergences import DivergenceKind, conjugate_derivative
+from cfdro.dro import dual_gradient, dual_gradient_policy, robust_risk_dual
 from cfdro.estimators import (
     BanditLog,
     CostScale,
@@ -17,7 +28,10 @@ from cfdro.estimators import (
     ips_risk,
     log_trick_upper_bound,
 )
-from cfdro.policies import FactorizedLabels, LabeledDataset, LinearPolicy, Multiclass
+from cfdro.intervals import risk_intervals
+from cfdro.policies import FactorizedLabels, LabeledDataset, LinearPolicy, Multiclass, _with_bias
+
+from oracles import log_prob_and_residual_by_records
 
 
 def test_importance_weights_hand_example(two_record_log, two_record_policy):
@@ -77,7 +91,7 @@ def test_penalized_objective_checks_its_inputs_before_it_weighs(
         cost_scale=two_record_log.cost_scale,
     )
     scored = []
-    monkeypatch.setattr(LinearPolicy, "log_prob", lambda *args: scored.append(args))
+    monkeypatch.setattr(LinearPolicy, "_row_table", lambda *args: scored.append(args))
     with pytest.raises(ValueError, match="^lam must be nonnegative"):
         crm_objective(two_record_log, two_record_policy, -0.1)
     with pytest.raises(ValueError, match="at least 2 records"):
@@ -214,19 +228,20 @@ class TestLogTrickBound:
         assert gaps[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_scores_each_policy_once(self, action_dependent_env, monkeypatch):
-        # the anchor's log-probabilities give both its weights and the log-ratio
+        # the anchor's log-probabilities give both its weights and the log-ratio: one score
+        # pass (row table) per policy
         env = action_dependent_env
         log = env.sample_log(30, np.random.default_rng(17))
         anchor = env.target_policy
         candidate = _perturbed(anchor, 0.3, np.random.default_rng(18))
         scored = []
-        log_prob = LinearPolicy.log_prob
+        row_table = LinearPolicy._row_table
 
         def counted(self, *args):
             scored.append(self)
-            return log_prob(self, *args)
+            return row_table(self, *args)
 
-        monkeypatch.setattr(LinearPolicy, "log_prob", counted)
+        monkeypatch.setattr(LinearPolicy, "_row_table", counted)
         log_trick_upper_bound(log, candidate, anchor)
         assert len(scored) == 2
         assert {id(p) for p in scored} == {id(candidate), id(anchor)}
@@ -376,3 +391,109 @@ def test_a_broken_rule_names_the_first_record_that_breaks_it(field, value, messa
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         BanditLog(**fields)
     assert info.value.index == 2
+
+
+# ----------------------------------------------------------------------
+# one weighing path: a log's contexts when it holds its grouping, its records otherwise
+# ----------------------------------------------------------------------
+
+
+def _weighing_env(space, env, tmp_path):
+    """A collected log (grouped from the dataset's rows), the same log read back from JSONL
+    (ungrouped), its logging policy and a target policy near it.  ``twins`` adds rows that differ
+    from others only in the sign of a zero feature; ``no features`` drops every feature."""
+    dataset = synthetic_multilabel_dataset(n_rows=60, seed=3)
+    if env == "twins":
+        zero = dataset.features[:8].copy()
+        zero[:, 0] = 0.0
+        negative = zero.copy()
+        negative[:, 0] = -0.0
+        labels = dataset.labels[:8]
+        dataset = LabeledDataset(
+            np.vstack([dataset.features, zero, negative]), np.vstack([dataset.labels, labels, labels])
+        )
+    elif env == "no features":  # as from a LibSVM file with no feature tokens
+        dataset = LabeledDataset(dataset.features[:, :0], dataset.labels)
+    config = LoggingPolicyConfig(action_space=space)
+    policy0 = train_logging_policy(dataset.subset(range(20)), config)
+    target = _perturbed(policy0, 0.3, np.random.default_rng(7))
+    collected = collect_bandit_log(dataset, policy0, 3, seed=4)
+    write_bandit_log(collected, tmp_path / "log.jsonl")
+    return collected, read_bandit_log(tmp_path / "log.jsonl"), policy0, target
+
+
+def _by_records(log, policy):
+    """Each record's log-probability and score residual, scored on its own row."""
+    return log_prob_and_residual_by_records(policy, _with_bias(log.features), log.actions)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("env", ["replayed", "twins", "no features"])
+def test_weighing_gives_the_per_record_bits_grouped_or_not(space, env, tmp_path):
+    collected, read, policy0, target = _weighing_env(space, env, tmp_path)
+    assert "_contexts" in vars(collected) and "_contexts" not in vars(read)
+    assert len(collected._contexts[0]) < collected.n
+    if env == "twins":
+        signs = np.signbit(collected.features[collected._contexts[0], 0])
+        assert signs.any() and not signs.all()  # -0.0 rows are contexts of their own
+    kind, n = DivergenceKind.CHI_SQUARE, collected.n
+    lp, resid = _by_records(collected, target)
+    lp0, _ = _by_records(collected, policy0)
+    log_p0 = np.log(collected.propensities)
+    w = np.exp(lp - log_p0)
+    z = w * collected.costs
+    w0c = np.exp(lp0 - log_p0) * collected.costs
+    bound = float(np.mean(w0c * (1.0 + np.maximum(lp - lp0, -1e12))))
+    point = robust_risk_dual(z, kind, 0.05)
+    beta, gamma = point.beta + 0.01, 1.1 * point.gamma  # off the optimum
+    d1 = conjugate_derivative(kind, (z - beta) / gamma)
+    xb = _with_bias(collected.features)
+    g_theta = xb.T @ ((d1 * z)[:, None] * resid) / target.temperature / n
+    want = [w.tobytes(), z.tobytes(), bound, *dual_gradient(z, kind, 0.05, beta, gamma), g_theta.tobytes()]
+    for log in (collected, read):
+        wc = importance_weights(log, target)
+        got_bound = log_trick_upper_bound(log, target, policy0)
+        g_beta, g_gamma, g = dual_gradient_policy(log, target, kind, 0.05, beta, gamma)
+        assert [wc.weights.tobytes(), wc.values.tobytes(), got_bound, g_beta, g_gamma, g.tobytes()] == want
+    # the textbook tangent bound, w0 (1 + log-ratio) c, in its own order of operations
+    textbook = np.mean(np.exp(lp0 - log_p0) * (1.0 + (lp - lp0)) * collected.costs)
+    assert bound == pytest.approx(textbook, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_weighing_an_ungrouped_log_sorts_nothing(space, tmp_path, monkeypatch):
+    # a log read from JSONL is weighed per record: no byte grouping of its features, and no
+    # grouping left behind in it
+    _, read, policy0, target = _weighing_env(space, "replayed", tmp_path)
+    grouped = []
+    monkeypatch.setattr(estimators, "_byte_groups", lambda *args: grouped.append(args))
+    importance_weights(read, target)
+    log_trick_upper_bound(read, target, policy0)
+    crm_objective(read, target, 0.3)
+    z = importance_weights(read, target).values
+    point = robust_risk_dual(z, DivergenceKind.KL, 0.05)
+    dual_gradient_policy(read, target, DivergenceKind.KL, 0.05, point.beta, point.gamma)
+    risk_intervals(read, target, list(DivergenceKind), 0.05)
+    assert grouped == [] and "_contexts" not in vars(read)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_weighing_a_grouped_log_scores_its_contexts(space, tmp_path, monkeypatch):
+    # one score pass per policy over the m distinct contexts of a grouped log, for all n
+    # records; over the n rows of an ungrouped one
+    collected, read, policy0, target = _weighing_env(space, "replayed", tmp_path)
+    m, n = len(collected._contexts[0]), collected.n
+    assert m < n
+    passes, row_table = [], LinearPolicy._row_table
+
+    def counted(self, xb, records):
+        passes.append((len(xb), records))
+        return row_table(self, xb, records)
+
+    monkeypatch.setattr(LinearPolicy, "_row_table", counted)
+    for log, rows in ((collected, m), (read, n)):
+        passes.clear()
+        importance_weights(log, target)
+        log_trick_upper_bound(log, target, policy0)
+        dual_gradient_policy(log, target, DivergenceKind.KL, 0.05, -0.5, 0.3)
+        assert passes == [(rows, n)] * 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from cfdro import optimize
+from cfdro import estimators, optimize
 from cfdro.data import (
     LoggingPolicyConfig,
     collect_bandit_log,
@@ -35,7 +35,7 @@ from cfdro.optimize import (
     train_poem,
     write_report,
 )
-from cfdro.policies import LabeledDataset, LinearPolicy, Multiclass, _with_bias
+from cfdro.policies import FactorizedLabels, LabeledDataset, LinearPolicy, Multiclass, _with_bias
 
 from oracles import log_prob_and_residual_by_records, log_prob_by_records, scored_by_records
 
@@ -353,6 +353,51 @@ class TestControlVariateTrainer:
             train_dro(one_context_log(), DivergenceKind.KL, 0.05, fresh_policy(), rho="median")
 
 
+def _mismatched(policy, mismatch):
+    """A policy that does not fit the factorized ``policy``'s logs in one way: one more feature,
+    the multiclass space of the same actions, or one more label."""
+    space = policy.action_space
+    other = {
+        "feature dimension": space,
+        "action space kinds": Multiclass(space.n_actions),
+        "action space size": FactorizedLabels(space.n_labels + 1),
+    }[mismatch]
+    rows = policy.feature_dim + 1 + (mismatch == "feature dimension")
+    return LinearPolicy(np.zeros((rows, other.n_logits)), other)
+
+
+_TRAINERS = {
+    "dro": lambda log, p: train_dro(log, DivergenceKind.KL, 0.05, p, OptimizerConfig(max_iters=3)),
+    "dro-sgd": lambda log, p: train_dro(
+        log, DivergenceKind.KL, 0.05, p, OptimizerConfig(mode="stochastic", max_iters=3)
+    ),
+    "poem": lambda log, p: train_poem(log, 0.3, p, OptimizerConfig(max_iters=3)),
+    "poem-sgd": lambda log, p: train_poem(log, 0.3, p, OptimizerConfig(mode="stochastic", max_iters=3)),
+    "logtrick": lambda log, p: train_log_trick(
+        log, DivergenceKind.KL, 0.05, p, OptimizerConfig(max_iters=3), outer_iters=1
+    ),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["feature dimension", "action space kinds", "action space size"])
+@pytest.mark.parametrize("trainer", sorted(_TRAINERS))
+def test_trainers_reject_a_policy_that_does_not_fit_the_log(monkeypatch, trainer, mismatch):
+    # the check comes before any work: the log is not grouped and no policy is scored
+    collected, policy0 = _stochastic_env("factorized")
+    log = BanditLog(
+        collected.features, collected.actions, collected.propensities, collected.costs_raw,
+        collected.costs, collected.action_space, collected.cost_scale,
+    )
+
+    def no_work(*args):
+        raise AssertionError("worked before the check")
+
+    monkeypatch.setattr(estimators, "_byte_groups", no_work)
+    monkeypatch.setattr(LinearPolicy, "_row_table", no_work)
+    with pytest.raises(ValueError, match=f"^policy and log (use|disagree on) (different|the) {mismatch}$"):
+        _TRAINERS[trainer](log, _mismatched(policy0, mismatch))
+
+
 def test_report_serialization(tmp_path):
     log = one_context_log()
     _, report = train_dro(log, DivergenceKind.CHI_SQUARE, 0.05, fresh_policy())
@@ -484,18 +529,18 @@ def test_one_kernel_call_per_batch_evaluation(monkeypatch, trainer):
 
 def test_log_trick_builds_the_bias_augmented_matrix_once(monkeypatch):
     # every outer step's surrogate reuses the matrix of the run's exact-risk builder,
-    # built from the log's distinct feature rows
+    # built from the log's distinct feature rows by the shared weighing path
     dataset = synthetic_multilabel_dataset(n_rows=120, seed=3)
     policy0 = train_logging_policy(dataset.subset(range(20)))
     log = collect_bandit_log(dataset, policy0, 2, seed=4)
     built = []
-    with_bias, contexts = optimize._with_bias, log.features[log._contexts[0]]
+    with_bias, contexts = estimators._with_bias, log.features[log._contexts[0]]
 
     def counted(features):
         built.append(features.shape == contexts.shape and features.tobytes() == contexts.tobytes())
         return with_bias(features)
 
-    monkeypatch.setattr(optimize, "_with_bias", counted)
+    monkeypatch.setattr(estimators, "_with_bias", counted)
     _, report = train_log_trick(
         log, DivergenceKind.CHI_SQUARE, 0.05, policy0, OptimizerConfig(max_iters=5), outer_iters=4
     )
@@ -745,7 +790,7 @@ def _nearby_thetas(policy0):
 @pytest.mark.parametrize("kind", list(DivergenceKind))
 def test_batch_dual_on_distinct_records_matches_the_per_record_api(monkeypatch, space, kind):
     log, policy0 = _replayed_env(space)
-    assert len(optimize._distinct(optimize._weighted_costs(log)[0])[1]) < log.n
+    assert len(optimize._distinct(optimize._weighted_costs(log, policy0)[0])[1]) < log.n
     fun = _batch_objective(
         monkeypatch, lambda: train_dro(log, kind, 0.05, policy0, OptimizerConfig(max_iters=5))
     )
@@ -790,8 +835,8 @@ def _record_bytes(rows, i):
 
 
 def test_distinct_records_cover_the_log_with_their_counts():
-    log, _ = _replayed_env("factorized")
-    rows = optimize._weighted_costs(log)[0]
+    log, policy0 = _replayed_env("factorized")
+    rows = optimize._weighted_costs(log, policy0)[0]
     distinct, p = optimize._distinct(rows)
     counts = np.rint(p * log.n).astype(int)
     np.testing.assert_array_equal(counts / log.n, p)
@@ -827,7 +872,7 @@ def test_byte_groups_match_np_unique_on_both_callers_tables(space):
     # optimize._distinct, each with repeated rows and rows that differ only
     # in the sign of a zero
     log = _twins_log(space)
-    narrow = np.column_stack(optimize._weighted_costs(_replayed_env(space)[0])[0])
+    narrow = np.column_stack(optimize._weighted_costs(*_replayed_env(space))[0])
     narrow = _with_signed_zero_twins(narrow, narrow.shape[1] - 1)
     for table, got in ((log.features, log._contexts), (narrow, _byte_groups(narrow))):
         keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
@@ -872,12 +917,13 @@ def test_distinct_records_differ_in_any_field_by_bytes():
         action_space=Multiclass(2),
         cost_scale=CostScale.identity(),
     )
-    rows = optimize._weighted_costs(log)[0]
+    builder = optimize._weighted_costs(log, LinearPolicy(np.zeros((3, 2)), Multiclass(2)))
+    rows = builder[0]
     distinct, p = optimize._distinct(rows)
     merged = {_record_bytes(distinct, j): q for j, q in enumerate(p)}
     expected = {(0, 2), (1, 1), (3, 2), (4, 1), (5, 1)}
     assert merged == {_record_bytes(rows, i): count / 7 for i, count in expected}
-    contexts = optimize._weighted_costs(log)[2]
+    contexts = builder[2]
     assert int(np.signbit(contexts[distinct[0], 0]).sum()) == 1
 
 
@@ -934,11 +980,11 @@ def test_trainers_score_each_context_once_with_the_per_record_bits(monkeypatch, 
     # the trajectory are those of scoring every record, also where a lone context is scored
     # as a batch's row (one context) or as a lone row (one distinct record, in evaluations)
     log, policy0 = _contexts_env(space, env)
-    contexts = optimize._weighted_costs(log)[2]
+    contexts = optimize._weighted_costs(log, policy0)[2]
     assert len(contexts) == (60 if env == "replayed" else 1)
     got = _run_bits(*_train(trainer, log, policy0))
     monkeypatch.setattr(optimize, "_scored", scored_by_records)
-    monkeypatch.setattr(optimize, "_log_prob", log_prob_by_records)
+    monkeypatch.setattr(optimize, "_log_probs", log_prob_by_records)
     assert got == _run_bits(*_train(trainer, log, policy0))
 
 
@@ -956,7 +1002,7 @@ def test_one_record_mini_batches_keep_the_per_record_bits(monkeypatch, space, tr
 
     got = _run_bits(*run())
     monkeypatch.setattr(optimize, "_scored", scored_by_records)
-    monkeypatch.setattr(optimize, "_log_prob", log_prob_by_records)
+    monkeypatch.setattr(optimize, "_log_probs", log_prob_by_records)
     assert got == _run_bits(*run())
 
 
