@@ -360,8 +360,9 @@ def _log_from_rows(
     table = _fitted_table(dataset, policy0, len(row_idx))
     actions, (inverse, _), _, pairs = _records(dataset, policy0, table, row_idx, rng)
     space, scale = policy0.action_space, CostScale.for_hamming(dataset.n_labels)
-    records = dataset.features[row_idx], actions, *(a[inverse] for a in pairs)  # each from its pair
-    log = BanditLog(*records, action_space=space, cost_scale=scale)
+    features = dataset.features[row_idx]
+    features.flags.writeable = False  # the log's alone, so its grouping cannot go stale
+    log = BanditLog(features, actions, *(a[inverse] for a in pairs), action_space=space, cost_scale=scale)
     # record i's context is dataset row row_idx[i], byte for byte: so the log's grouping
     # follows from the dataset's m rows, with no sort of its n
     vars(log)["_contexts"] = _picked_groups(dataset.features, row_idx)

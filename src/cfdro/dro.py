@@ -297,9 +297,7 @@ def _bracket_and_golden(h: _ReducedObjective, t0: float, bracket_tol: float, flo
             t_lo, v_lo = t0, v0
             t0, v0 = t_hi, v_hi
             step *= 2.0
-            t_hi = t0 + step
-            if t_hi > _GAMMA_LOG_CAP:  # pragma: no cover - epsilon > 0 makes h coercive upward
-                t_hi = _GAMMA_LOG_CAP
+            t_hi = min(t0 + step, _GAMMA_LOG_CAP)  # never the cap: epsilon > 0 makes h coercive upward
             v_hi, _ = h(t_hi)
     a, b = t_lo, t_hi
     c = b - _GOLDEN * (b - a)
@@ -369,7 +367,8 @@ def robust_risk_dual(
         t_best, beta, value, width = _bracket_and_golden(h, t0, bracket_tol, floor)
     point = DualPoint(beta=beta, gamma=math.exp(t_best), value=value)
     if math.isfinite(value) and (width <= bracket_tol * 4.0 or t_best <= floor):
-        return replace(point, value=min(max(value, mean), h.zmax))  # the floor's error may leave the hull
+        # at the floor the dual value may exceed max z, by at most gamma * epsilon
+        return replace(point, value=min(value, h.zmax)) if t_best <= floor else point
     raise SolverError("dual solve failed to certify convergence", best=point)
 
 

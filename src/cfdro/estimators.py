@@ -95,8 +95,8 @@ class BanditLog:
     attribute is the first record that breaks it.  Each array is kept as a
     read-only view, so writes through the log raise.  An input that already
     has the stored dtype (float64 features, say) is not copied: the caller's
-    array stays writable, and the log sees what is written into it, but the
-    grouping of its rows, once made, does not: such a write leaves it stale.
+    array stays writable, and the log and its estimators see what is written
+    into it; a trainer's grouping of the rows, once made, does not (README).
     """
 
     features: np.ndarray
@@ -180,8 +180,8 @@ class WeightedCosts:
 
 def _scoring(log: BanditLog, *policies: LinearPolicy, group: bool = False):
     """``(at, actions, xb)`` once each policy fits the log: record i reads row ``at[i]`` of the
-    bias-augmented ``xb`` (row i for ``at`` None), the log's m contexts if it holds its grouping
-    (collected, or grouped by a trainer or ``group``), else its n rows, unsorted; both score alike."""
+    bias-augmented ``xb`` (row i for ``at`` None), the log's m contexts if ``group`` or it holds its
+    grouping and no caller can write its features (collected), else its n rows; both score alike."""
     for policy in policies:
         if type(policy.action_space) is not type(log.action_space):
             raise ValueError("policy and log use different action space kinds")
@@ -189,7 +189,7 @@ def _scoring(log: BanditLog, *policies: LinearPolicy, group: bool = False):
             raise ValueError("policy and log disagree on the action space size")
         if policy.feature_dim != log.feature_dim:
             raise ValueError("policy and log disagree on the feature dimension")
-    if group or "_contexts" in vars(log):
+    if group or ("_contexts" in vars(log) and not log.features.base.flags.writeable):
         first, at, _ = log._contexts
         return at, log.actions, _with_bias(log.features[first])
     return None, log.actions, _with_bias(log.features)
@@ -293,9 +293,9 @@ def log_trick_upper_bound(log: BanditLog, policy: LinearPolicy, anchor: LinearPo
     ``policy == anchor`` and valid whenever costs are nonpositive and the
     policy is log-concave.  It is the surrogate that ``train_log_trick`` minimizes.
     """
-    scoring = _scoring(log, policy, anchor)
     if np.any(log.costs > 1e-12):
         raise ValueError("the tangent bound requires nonpositive costs")
+    scoring = _scoring(log, policy, anchor)
     logp, anchor_lp = (_log_probs(p, *scoring) for p in (policy, anchor))
     if np.any(np.isneginf(logp - anchor_lp)):
         raise ValueError("policy assigns probability 0 to a logged action")

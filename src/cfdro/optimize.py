@@ -145,12 +145,12 @@ def write_report(report: TrainReport, path) -> None:
 
 def _weighted_costs(log: BanditLog, policy: LinearPolicy, rho: "float | str" = 0.0):
     """Builder of the weighted costs ``(c - rho) w + rho`` with the contexts; ``rho`` may be ``"mean"``."""
-    index, acts, contexts = _scoring(log, policy, group=True)  # a run weighs it hundreds of times
     if isinstance(rho, str):
         if rho != "mean":
             raise ValueError("rho must be a number or 'mean'")
         rho = estimate_rho(log)
     rho = float(rho)
+    index, acts, contexts = _scoring(log, policy, group=True)  # a run weighs it hundreds of times
 
     def costs(logp, log_p0, centered):
         coef = centered * np.exp(logp - log_p0)

@@ -514,3 +514,7 @@ def test_values_stay_inside_the_supports_hull_at_the_gamma_floor(kind):
     assert z.min() <= optimistic.value <= mean
     # the negation of the support gives the optimistic side the robust side's bound
     assert optimistic_risk_dual(-z, kind, 0.5).value == -robust.value
+    # only the floor's slack is cut: the dual value at the returned point lies above the
+    # returned value by at most gamma * epsilon (and rounding)
+    unclamped = dual_objective(z, kind, 0.5, robust.beta, robust.gamma)
+    assert 0.0 < unclamped - robust.value <= 0.5 * robust.gamma * (1.0 + 1e-9)

@@ -201,6 +201,37 @@ class TestLogTrickBound:
             with pytest.raises(ValueError):
                 log_trick_upper_bound(log, degenerate, env.target_policy)
 
+    def test_an_anchor_weight_that_underflows_still_gives_the_bound(self, two_record_log, two_record_policy):
+        # a finite anchor log-probability of -3000 whose weight exp(-3000) / p0 is 0: the records
+        # add nothing to the bound, which stays above the policy's weighted mean
+        theta = np.array([[-3000.0, 0.0], [-3000.0, 0.0], [0.0, 0.0]])
+        anchor = LinearPolicy(theta=theta, action_space=Multiclass(2))
+        bound = log_trick_upper_bound(two_record_log, two_record_policy, anchor)
+        assert bound == 0.0 and bound >= ips_risk(two_record_log, two_record_policy)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_a_policy_or_anchor_of_probability_0_is_rejected(self, two_record_log, two_record_policy):
+        # scores of -1e308 and 1e308 give the logged action 0 a log-probability of -inf
+        theta = np.array([[-1e308, 1e308], [-1e308, 1e308], [0.0, 0.0]])
+        never = LinearPolicy(theta=theta, action_space=Multiclass(2))
+        with pytest.raises(ValueError, match="^policy assigns probability 0 to a logged action$"):
+            log_trick_upper_bound(two_record_log, never, two_record_policy)
+        with pytest.raises(ValueError, match="^anchor policy must have positive probability on"):
+            log_trick_upper_bound(two_record_log, two_record_policy, never)
+
+    def test_checks_its_costs_before_it_weighs(self, two_record_log, two_record_policy, monkeypatch):
+        # 1e-10 passes the log's [-1, 0] rule (to within 1e-9) but not the bound's
+        costs = np.array([-1.0, 1e-10])
+        log = replace(two_record_log, costs_raw=costs, costs=costs)
+
+        def no_work(*args):
+            raise AssertionError("weighed before the check")
+
+        monkeypatch.setattr(estimators, "_with_bias", no_work)
+        monkeypatch.setattr(LinearPolicy, "_row_table", no_work)
+        with pytest.raises(ValueError, match="^the tangent bound requires nonpositive costs$"):
+            log_trick_upper_bound(log, two_record_policy, two_record_policy)
+
     def test_convex_along_segments(self, action_dependent_env):
         env = action_dependent_env
         log = env.sample_log(30, np.random.default_rng(12))
@@ -497,3 +528,28 @@ def test_weighing_a_grouped_log_scores_its_contexts(space, tmp_path, monkeypatch
         log_trick_upper_bound(log, target, policy0)
         dual_gradient_policy(log, target, DivergenceKind.KL, 0.05, -0.5, 0.3)
         assert passes == [(rows, n)] * 4
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_the_estimators_read_a_callers_write_into_a_grouped_log(space, tmp_path):
+    # a log on the caller's writable float64 array holds the grouping a trainer made, but the
+    # estimators weigh it per record, so they score the rows as they are after a write; the
+    # trainers' contexts are each group's first row as it now is
+    collected, _, policy0, target = _weighing_env(space, "replayed", tmp_path)
+    assert not collected.features.base.flags.writeable  # no caller can write a collected log's rows
+    features = collected.features.copy()
+    fields = collected.actions, collected.propensities, collected.costs_raw, collected.costs
+    log = BanditLog(features, *fields, collected.action_space, collected.cost_scale)
+    first, inverse, _ = log._contexts  # as a trainer groups it
+    later = np.flatnonzero(np.arange(log.n) != first[inverse])[0]  # not its group's first record
+    features[first[0]] += 1.0
+    features[later] -= 1.0
+    fresh = BanditLog(features.copy(), *fields, collected.action_space, collected.cost_scale)
+    weights = (importance_weights(g, target).weights for g in (log, fresh))
+    assert len({w.tobytes() for w in weights}) == 1
+    assert log_trick_upper_bound(log, target, policy0) == log_trick_upper_bound(fresh, target, policy0)
+    got, want = (dual_gradient_policy(g, target, DivergenceKind.KL, 0.05, -0.5, 0.3) for g in (log, fresh))
+    assert got[:2] == want[:2] and got[2].tobytes() == want[2].tobytes()
+    at, _, xb = estimators._scoring(log, target, group=True)
+    np.testing.assert_array_equal(at, inverse)
+    np.testing.assert_array_equal(xb, _with_bias(features[first]))

@@ -382,7 +382,22 @@ _TRAINERS = {
 @pytest.mark.parametrize("mismatch", ["feature dimension", "action space kinds", "action space size"])
 @pytest.mark.parametrize("trainer", sorted(_TRAINERS))
 def test_trainers_reject_a_policy_that_does_not_fit_the_log(monkeypatch, trainer, mismatch):
-    # the check comes before any work: the log is not grouped and no policy is scored
+    log, policy0 = _unworked(monkeypatch)
+    with pytest.raises(ValueError, match=f"^policy and log (use|disagree on) (different|the) {mismatch}$"):
+        _TRAINERS[trainer](log, _mismatched(policy0, mismatch))
+
+
+@pytest.mark.parametrize("mode", ["batch", "stochastic"])
+def test_train_dro_rejects_an_unknown_rho_before_any_work(monkeypatch, mode):
+    log, policy0 = _unworked(monkeypatch)
+    config = OptimizerConfig(mode=mode, max_iters=3)
+    with pytest.raises(ValueError, match="^rho must be a number or 'mean'$"):
+        train_dro(log, DivergenceKind.KL, 0.05, policy0, config, rho="median")
+
+
+def _unworked(monkeypatch):
+    """An ungrouped log and a fitting policy, with grouping and scoring patched to fail, so a
+    check that raises comes before any work."""
     collected, policy0 = _stochastic_env("factorized")
     log = BanditLog(
         collected.features, collected.actions, collected.propensities, collected.costs_raw,
@@ -394,8 +409,7 @@ def test_trainers_reject_a_policy_that_does_not_fit_the_log(monkeypatch, trainer
 
     monkeypatch.setattr(estimators, "_byte_groups", no_work)
     monkeypatch.setattr(LinearPolicy, "_row_table", no_work)
-    with pytest.raises(ValueError, match=f"^policy and log (use|disagree on) (different|the) {mismatch}$"):
-        _TRAINERS[trainer](log, _mismatched(policy0, mismatch))
+    return log, policy0
 
 
 def test_report_serialization(tmp_path):
