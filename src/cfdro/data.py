@@ -44,6 +44,7 @@ from .policies import (
     LabeledDataset,
     LinearPolicy,
     Multiclass,
+    _check_fit,
     _hamming_costs,
     _logsumexp,
     _space_from_dict,
@@ -322,18 +323,6 @@ def train_logging_policy(
     return LinearPolicy(theta=theta, action_space=space, temperature=config.temperature)
 
 
-def _fitted_table(dataset: LabeledDataset, policy: LinearPolicy, n: int):
-    """``policy``'s row table on the dataset for ``n`` records, once the policy fits the dataset."""
-    space, dim, labels = policy.action_space, dataset.feature_dim, dataset.n_labels
-    if policy.feature_dim != dim:
-        raise ValueError(f"feature_dim: the policy has {policy.feature_dim}, the dataset {dim}")
-    if isinstance(space, FactorizedLabels) and space.n_labels != labels:
-        raise ValueError(f"n_labels: the policy has {space.n_labels}, the dataset {labels}")
-    if isinstance(space, Multiclass) and space.n_actions != 1 << labels:
-        raise ValueError(f"n_actions: the policy has {space.n_actions}, {labels} labels need {1 << labels}")
-    return policy._row_table(_with_bias(dataset.features), n)
-
-
 def _records(dataset: LabeledDataset, policy0: LinearPolicy, table, row_idx, rng: np.random.Generator):
     """Actions drawn on rows ``row_idx``; the inverse and counts of their (row, action) pairs; each
     pair's row and action; and each pair's propensity, raw and scaled cost.  The pairs sort by
@@ -357,12 +346,14 @@ def _records(dataset: LabeledDataset, policy0: LinearPolicy, table, row_idx, rng
 def _log_from_rows(
     dataset: LabeledDataset, policy0: LinearPolicy, row_idx: np.ndarray, rng: np.random.Generator
 ) -> BanditLog:
-    table = _fitted_table(dataset, policy0, len(row_idx))
+    _check_fit(policy0, dataset)
+    table = policy0._row_table(_with_bias(dataset.features), len(row_idx))
     actions, (inverse, _), _, pairs = _records(dataset, policy0, table, row_idx, rng)
     space, scale = policy0.action_space, CostScale.for_hamming(dataset.n_labels)
-    features = dataset.features[row_idx]
-    features.flags.writeable = False  # the log's alone, so its grouping cannot go stale
-    log = BanditLog(features, actions, *(a[inverse] for a in pairs), action_space=space, cost_scale=scale)
+    arrays = (dataset.features[row_idx], actions, *(a[inverse] for a in pairs))
+    for array in arrays:
+        array.flags.writeable = False  # no one else holds them, so the log keeps them uncopied
+    log = BanditLog(*arrays, action_space=space, cost_scale=scale)
     # record i's context is dataset row row_idx[i], byte for byte: so the log's grouping
     # follows from the dataset's m rows, with no sort of its n
     vars(log)["_contexts"] = _picked_groups(dataset.features, row_idx)
@@ -566,6 +557,8 @@ def read_bandit_log(path) -> BanditLog:
             count += 1
     if count != n:
         raise ValueError(f"header announces {n} records but file has {count}")
+    for column in columns:
+        column.flags.writeable = False  # no one else holds them, so the log keeps them uncopied
     try:
         # the columns are in BanditLog's field order
         return BanditLog(*columns, action_space=space, cost_scale=scale)

@@ -355,8 +355,8 @@ def robust_risk_dual(
     zv = _as_values(z)
     mean_of = _mean_under(None if counts is None else _masses(counts, zv.size))
     bracket_tol = (options or DualSolverOptions()).bracket_tol
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     mean = mean_of(zv)
     if epsilon == 0.0 or float(np.ptp(zv)) == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .policies import ActionSpace, LinearPolicy, Multiclass, _with_bias
+from .policies import ActionSpace, LinearPolicy, Multiclass, _check_fit, _with_bias
 
 __all__ = [
     "CostScale",
@@ -92,11 +92,11 @@ class BanditLog:
     costs: ``(n,)`` rescaled costs in [-1, 0].
 
     A value that breaks a rule raises a ``ValueError`` whose ``index``
-    attribute is the first record that breaks it.  Each array is kept as a
-    read-only view, so writes through the log raise.  An input that already
-    has the stored dtype (float64 features, say) is not copied: the caller's
-    array stays writable, and the log and its estimators see what is written
-    into it; a trainer's grouping of the rows, once made, does not (README).
+    attribute is the first record that breaks it.  The log owns its arrays:
+    each is read-only and out of every caller's reach.  A read-only input
+    (whose memory's owner is read-only too) is kept as given; any other
+    becomes the log's own copy, made once, which for a list or another
+    dtype is the conversion.  So a grouping of the rows holds for good.
     """
 
     features: np.ndarray
@@ -141,8 +141,10 @@ class BanditLog:
         _check_records(in_range, "rescaled costs must lie in [-1, 0]")
         named = dict(features=feats, actions=acts, propensities=props, costs_raw=raw, costs=scaled)
         for name, arr in named.items():
-            arr = arr.view()
-            arr.flags.writeable = False
+            if arr.flags.writeable or (isinstance(arr.base, np.ndarray) and arr.base.flags.writeable):
+                # a conversion made a new array; any other is memory the caller can still write
+                arr = arr if arr.flags.owndata and arr is not getattr(self, name) else arr.copy()
+                arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
@@ -181,15 +183,10 @@ class WeightedCosts:
 def _scoring(log: BanditLog, *policies: LinearPolicy, group: bool = False):
     """``(at, actions, xb)`` once each policy fits the log: record i reads row ``at[i]`` of the
     bias-augmented ``xb`` (row i for ``at`` None), the log's m contexts if ``group`` or it holds its
-    grouping and no caller can write its features (collected), else its n rows; both score alike."""
+    grouping, else its n rows; both score alike."""
     for policy in policies:
-        if type(policy.action_space) is not type(log.action_space):
-            raise ValueError("policy and log use different action space kinds")
-        if policy.action_space != log.action_space:
-            raise ValueError("policy and log disagree on the action space size")
-        if policy.feature_dim != log.feature_dim:
-            raise ValueError("policy and log disagree on the feature dimension")
-    if group or ("_contexts" in vars(log) and not log.features.base.flags.writeable):
+        _check_fit(policy, log)
+    if group or "_contexts" in vars(log):
         first, at, _ = log._contexts
         return at, log.actions, _with_bias(log.features[first])
     return None, log.actions, _with_bias(log.features)
@@ -249,8 +246,8 @@ def _penalized(z: np.ndarray, lam: float) -> float:
 
 def crm_objective(log: BanditLog, policy: LinearPolicy, lam: float) -> float:
     """The variance-penalized (CRM) risk ``ips + lam * sqrt(var / n)`` that ``train_poem`` minimizes."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
     if log.n < 2:
         raise ValueError("the penalized objective needs at least 2 records")
     return _penalized(importance_weights(log, policy).values, lam)

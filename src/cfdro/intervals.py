@@ -35,7 +35,7 @@ import numpy as np
 from .divergences import DivergenceKind, curvature_at_one
 from .dro import optimistic_risk_dual, robust_risk_dual
 from .estimators import BanditLog, CostScale, importance_weights
-from .policies import LinearPolicy
+from .policies import LinearPolicy, _check_fit, _with_bias
 
 __all__ = [
     "RiskInterval",
@@ -106,6 +106,8 @@ def calibrated_radius(kind: DivergenceKind, delta: float, n: int) -> float:
     generator (curvature 2) is the reference and gets the base radius
     unchanged.
     """
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
     if n < 1:
         raise ValueError("n must be positive")
     return chi2_quantile_1dof(1.0 - delta) / n * (curvature_at_one(kind) / 2.0)
@@ -254,7 +256,7 @@ def coverage_experiment(
     cost units, matching the estimators.
     """
     # imported here: the data module sits above this one in the layering
-    from .data import _check_count, _fitted_table, _records
+    from .data import _check_count, _records
     from .policies import true_risk as exact_risk
 
     if (n_values is None) == (replay_counts is None):
@@ -267,7 +269,9 @@ def coverage_experiment(
     _check_count("replications", replications)
 
     # each policy scores every row once, for all the study's logs
-    logged, target = [(p, _fitted_table(dataset, p, 2)) for p in (logging_policy, policy)]
+    for p in (logging_policy, policy):
+        _check_fit(p, dataset)
+    logged, target = [(p, p._row_table(_with_bias(dataset.features), 2)) for p in (logging_policy, policy)]
     if policy.action_space != logging_policy.action_space:  # both fit: one is multiclass
         raise ValueError("action_space: the policy and the logging policy are of different kinds")
     truth = float(CostScale.for_hamming(dataset.n_labels).apply(exact_risk(policy, dataset)))

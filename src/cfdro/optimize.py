@@ -440,8 +440,8 @@ def train_poem(
     in the trajectory is the batch mean of that bound plus its constant, which
     makes it equal the objective at the point of the last full pass.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
     n = log.n
     if n < 2:
         raise ValueError("the penalized objective needs at least 2 records")

@@ -35,9 +35,6 @@ __all__ = [
     "action_bitvectors",
 ]
 
-_MAX_ENUMERABLE = 4096
-
-
 @dataclass(frozen=True)
 class Multiclass:
     """Action space of ``n_actions`` mutually exclusive choices."""
@@ -220,9 +217,7 @@ class LinearPolicy:
         """
         if isinstance(self.action_space, Multiclass):
             return self.class_probabilities(x)
-        if self.action_space.n_actions > _MAX_ENUMERABLE:
-            raise ValueError("action space too large to enumerate")
-        bits = action_bitvectors(self.action_space.n_labels)
+        bits = action_bitvectors(self.action_space.n_labels)  # raises past 12 labels
         p = self.label_probabilities(x)
         return np.prod(np.where(bits == 1, p[None, :], 1.0 - p[None, :]), axis=1)
 
@@ -339,6 +334,24 @@ class LabeledDataset:
         return LabeledDataset(self.features[idx], self.labels[idx])
 
 
+def _check_fit(policy: LinearPolicy, data) -> None:
+    """Raise a ``ValueError`` that names the field unless ``policy`` fits ``data``: a bandit log's
+    features and action space, or a labeled dataset's features and labels (``2 ** n_labels`` actions)."""
+    space, what = policy.action_space, "dataset" if isinstance(data, LabeledDataset) else "log"
+    if policy.feature_dim != data.feature_dim:
+        raise ValueError(f"feature_dim: the policy has {policy.feature_dim}, the {what} {data.feature_dim}")
+    field = "n_labels" if isinstance(space, FactorizedLabels) else "n_actions"
+    if what == "dataset":
+        size = data.n_labels if field == "n_labels" else 1 << data.n_labels
+    elif type(space) is type(data.action_space):
+        size = getattr(data.action_space, field)
+    else:
+        kinds = (_space_to_dict(s)["kind"] for s in (space, data.action_space))
+        raise ValueError("action_space: the policy is {}, the log {}".format(*kinds))
+    if getattr(space, field) != size:
+        raise ValueError(f"{field}: the policy has {getattr(space, field)}, the {what} {size}")
+
+
 def true_risk(policy: LinearPolicy, dataset: LabeledDataset) -> float:
     """Exact expected Hamming cost of ``policy`` with contexts drawn uniformly from the rows.
 
@@ -346,20 +359,13 @@ def true_risk(policy: LinearPolicy, dataset: LabeledDataset) -> float:
     form ``sum_j [ t_j (1 - p_j) + (1 - t_j) p_j ]`` per row; multiclass
     policies are scored by full enumeration of the action set.
     """
+    _check_fit(policy, dataset)
     t = dataset.labels.astype(float)
     if isinstance(policy.action_space, FactorizedLabels):
-        if policy.action_space.n_labels != dataset.n_labels:
-            raise ValueError("policy and dataset disagree on the number of labels")
         p = policy.label_probabilities(dataset.features)
         per_row = np.sum(t * (1.0 - p) + (1.0 - t) * p, axis=1)
         return float(per_row.mean())
-    space = policy.action_space
-    if space.n_actions > _MAX_ENUMERABLE:
-        raise ValueError("multiclass action space too large for exact enumeration")
-    n_labels = dataset.n_labels
-    if space.n_actions != (1 << n_labels):
-        raise ValueError("multiclass space must enumerate all label bit-vectors")
-    bits = action_bitvectors(n_labels).astype(float)
+    bits = action_bitvectors(dataset.n_labels).astype(float)  # raises past 12 labels
     # Hamming(a, t) = sum(a) + sum(t) - 2 a.t for 0/1 vectors
     hamming = t.sum(axis=1, keepdims=True) + bits.sum(axis=1)[None, :] - 2.0 * t @ bits.T
     probs = policy.class_probabilities(dataset.features)
@@ -372,11 +378,9 @@ def greedy_risk(policy: LinearPolicy, dataset: LabeledDataset) -> float:
     Reported alongside :func:`true_risk`; neither dominates the other in
     general, so both are surfaced rather than asserting an ordering.
     """
-    space = policy.action_space
-    if isinstance(space, Multiclass) and space.n_actions != (1 << dataset.n_labels):
-        raise ValueError("multiclass space must enumerate all label bit-vectors")
+    _check_fit(policy, dataset)
     actions = policy.greedy_actions(dataset.features)
-    return float(_hamming_costs(actions, dataset.labels, space).mean())
+    return float(_hamming_costs(actions, dataset.labels, policy.action_space).mean())
 
 
 def _hamming_costs(actions, labels: np.ndarray, space: ActionSpace) -> np.ndarray:

@@ -31,12 +31,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
 
-from cfdro.data import _LOG_FORMAT, _LOG_VERSION, _fitted_table
+from cfdro.data import _LOG_FORMAT, _LOG_VERSION
 from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
 from cfdro.dro import _ROOT_TOL, _as_values
 from cfdro.estimators import BanditLog, CostScale
 from cfdro.intervals import _intervals_of
-from cfdro.policies import LabeledDataset, Multiclass, _hamming_costs, _space_to_dict
+from cfdro.policies import LabeledDataset, Multiclass, _hamming_costs, _space_to_dict, _with_bias
 
 
 def write_bandit_log_by_records(log: BanditLog, path) -> None:
@@ -339,7 +339,7 @@ def log_by_records(dataset, policy0, row_idx, rng, table_records=None):
     The row table is built for ``table_records`` records (default: the log's), as collection does.
     """
     n = len(row_idx) if table_records is None else table_records
-    table = _fitted_table(dataset, policy0, n)
+    table = policy0._row_table(_with_bias(dataset.features), n)
     actions = policy0._sample_rows(table, row_idx, rng)
     propensities = np.exp(policy0._log_prob_rows(table, row_idx, actions))
     raw = _hamming_costs(actions, dataset.labels.take(row_idx, 0), policy0.action_space)
@@ -353,7 +353,7 @@ def replication_by_records(dataset, policy, logging_policy, row_idx, rng, kinds,
     Returns the log's arrays, the weighted costs ``z``, their support
     ``np.unique(z, return_counts=True)`` and the intervals.
     """
-    table = _fitted_table(dataset, policy, 2)
+    table = policy._row_table(_with_bias(dataset.features), 2)
     log = log_by_records(dataset, logging_policy, row_idx, rng, table_records=2)
     z = np.exp(policy._log_prob_rows(table, row_idx, log[1]) - np.log(log[2])) * log[4]
     support = np.unique(z, return_counts=True)

@@ -1,8 +1,10 @@
-"""The package's public names: adding or removing one is a deliberate edit of this list; and
-the names the benchmark's tracer patches, which must resolve."""
+"""The package's public names: adding or removing one is a deliberate edit of this list; the
+names the benchmark's tracer patches, which must resolve; and README's library quick start."""
 
 import importlib
 import importlib.util
+import math
+import re
 from pathlib import Path
 
 import cfdro
@@ -55,3 +57,12 @@ def test_every_traced_name_resolves():
             assert callable(getattr(module, owner_name).__dict__[fn_name]), attr
         else:
             assert callable(getattr(module, fn_name)), attr
+
+
+def test_the_readmes_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    exec(compile(block, "README.md", "exec"), {})
+    # report.final_value (interval.lower, interval.upper), then the exact risk
+    value, lower, upper, risk = map(float, re.sub(r"[(),]", " ", capsys.readouterr().out).split())
+    assert math.isfinite(value) and lower <= upper and risk >= 0.0

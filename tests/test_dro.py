@@ -142,9 +142,12 @@ class TestRobustSolver:
         assert narrow.mean() == wide.mean()
         assert r_wide > r_narrow + 1e-6
 
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            robust_risk_dual(np.array([-1.0, 0.0]), DivergenceKind.KL, -0.1)
+    @pytest.mark.parametrize("solve", [robust_risk_dual, optimistic_risk_dual])
+    @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+    def test_rejects_a_negative_or_non_finite_radius(self, solve, eps):
+        # NaN raised FloatingPointError inside the solve, +inf a SolverError
+        with pytest.raises(ValueError, match="^epsilon must be nonnegative and finite$"):
+            solve(np.array([-1.0, 0.0]), DivergenceKind.KL, eps)
 
 
 class TestPrimalOracle:

@@ -29,6 +29,7 @@ from cfdro.estimators import (
     log_trick_upper_bound,
 )
 from cfdro.intervals import risk_intervals
+from cfdro.optimize import OptimizerConfig, train_dro, train_poem
 from cfdro.policies import FactorizedLabels, LabeledDataset, LinearPolicy, Multiclass, _with_bias
 
 from oracles import log_prob_and_residual_by_records
@@ -92,8 +93,9 @@ def test_penalized_objective_checks_its_inputs_before_it_weighs(
     )
     scored = []
     monkeypatch.setattr(LinearPolicy, "_row_table", lambda *args: scored.append(args))
-    with pytest.raises(ValueError, match="^lam must be nonnegative"):
-        crm_objective(two_record_log, two_record_policy, -0.1)
+    for lam in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^lam must be nonnegative and finite$"):
+            crm_objective(two_record_log, two_record_policy, lam)
     with pytest.raises(ValueError, match="at least 2 records"):
         crm_objective(single, two_record_policy, 0.5)
     assert scored == []
@@ -304,19 +306,39 @@ class TestControlVariateMonteCarlo:
         assert np.var(cv_est, ddof=1) <= np.var(ips_est, ddof=1)
 
 
-def test_a_logs_arrays_are_read_only_views_of_the_callers():
-    # the log does not copy its float64 or int inputs, and writes through it raise
-    costs = np.array([-1.0, 0.0])
+_FIELDS = ("features", "actions", "propensities", "costs_raw", "costs")
+
+
+@pytest.mark.parametrize("given", ["array", "list", "read-only view"])
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_a_log_owns_its_arrays(space, given):
+    # after construction, a write into any of the caller's arrays (or lists, or the writable
+    # memory under a read-only view) changes nothing the log reports; writes through it raise
+    multiclass = space == "multiclass"
     arrays = dict(
-        features=np.array([[0.0], [3.0]]), actions=np.array([0, 1]),
-        propensities=np.array([0.5, 0.25]), costs_raw=costs, costs=costs.copy(),
+        features=np.array([[0.0, 1.0], [3.0, -1.0]]),
+        actions=np.array([0, 3]) if multiclass else np.array([[0, 1], [1, 1]], dtype=np.int8),
+        propensities=np.array([0.5, 0.25]), costs_raw=np.array([2.0, 0.0]), costs=np.array([-1.0, 0.0]),
     )
-    log = BanditLog(**arrays, action_space=Multiclass(2), cost_scale=CostScale.identity())
-    for name, array in arrays.items():
+    if given == "array":
+        inputs = arrays
+    elif given == "list":
+        inputs = {name: array.tolist() for name, array in arrays.items()}
+    else:
+        inputs = {name: array.view() for name, array in arrays.items()}
+        for view in inputs.values():
+            view.flags.writeable = False
+    action_space = Multiclass(4) if multiclass else FactorizedLabels(2)
+    log = BanditLog(**inputs, action_space=action_space, cost_scale=CostScale.identity())
+    before = {name: getattr(log, name).copy() for name in _FIELDS}
+    for name in _FIELDS:
         with pytest.raises(ValueError, match="read-only"):
             getattr(log, name)[0] = 0
-        array[0] = array[1]  # the caller's array stays writable, and the log sees the write
-        np.testing.assert_array_equal(getattr(log, name)[0], array[1])
+        written = inputs[name] if given == "list" else arrays[name]
+        written[0] = written[1]
+    for name in _FIELDS:
+        got = getattr(log, name)
+        assert got.dtype == before[name].dtype and got.tobytes() == before[name].tobytes()
 
 
 def test_log_rejects_nonpositive_propensities():
@@ -531,25 +553,70 @@ def test_weighing_a_grouped_log_scores_its_contexts(space, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("space", ["factorized", "multiclass"])
-def test_the_estimators_read_a_callers_write_into_a_grouped_log(space, tmp_path):
-    # a log on the caller's writable float64 array holds the grouping a trainer made, but the
-    # estimators weigh it per record, so they score the rows as they are after a write; the
-    # trainers' contexts are each group's first row as it now is
+def test_a_write_into_a_callers_arrays_changes_no_result(space, tmp_path):
+    # once a trainer has grouped a log built on the caller's writable arrays, a write into every
+    # one of them leaves the estimators, the tangent bound, the dual gradient and the trainers
+    # with the bits of a log built from the original rows
     collected, _, policy0, target = _weighing_env(space, "replayed", tmp_path)
-    assert not collected.features.base.flags.writeable  # no caller can write a collected log's rows
-    features = collected.features.copy()
-    fields = collected.actions, collected.propensities, collected.costs_raw, collected.costs
-    log = BanditLog(features, *fields, collected.action_space, collected.cost_scale)
-    first, inverse, _ = log._contexts  # as a trainer groups it
-    later = np.flatnonzero(np.arange(log.n) != first[inverse])[0]  # not its group's first record
-    features[first[0]] += 1.0
-    features[later] -= 1.0
-    fresh = BanditLog(features.copy(), *fields, collected.action_space, collected.cost_scale)
-    weights = (importance_weights(g, target).weights for g in (log, fresh))
-    assert len({w.tobytes() for w in weights}) == 1
-    assert log_trick_upper_bound(log, target, policy0) == log_trick_upper_bound(fresh, target, policy0)
-    got, want = (dual_gradient_policy(g, target, DivergenceKind.KL, 0.05, -0.5, 0.3) for g in (log, fresh))
-    assert got[:2] == want[:2] and got[2].tobytes() == want[2].tobytes()
-    at, _, xb = estimators._scoring(log, target, group=True)
-    np.testing.assert_array_equal(at, inverse)
-    np.testing.assert_array_equal(xb, _with_bias(features[first]))
+    given = [getattr(collected, name).copy() for name in _FIELDS]
+    log = BanditLog(*given, collected.action_space, collected.cost_scale)
+    config = OptimizerConfig(max_iters=20)
+    train_dro(log, DivergenceKind.KL, 0.05, policy0, config)
+    assert "_contexts" in vars(log)
+    for array in given:
+        array[::2] = array[1::2]  # each even record becomes the next one
+    original = (getattr(collected, name).copy() for name in _FIELDS)
+    fresh = BanditLog(*original, collected.action_space, collected.cost_scale)
+
+    def results(g):
+        wc = importance_weights(g, target)
+        g_beta, g_gamma, g_theta = dual_gradient_policy(g, target, DivergenceKind.KL, 0.05, -0.5, 0.3)
+        policy, report = train_dro(g, DivergenceKind.KL, 0.05, policy0, config)
+        return [
+            wc.weights.tobytes(), wc.values.tobytes(), log_trick_upper_bound(g, target, policy0),
+            g_beta, g_gamma, g_theta.tobytes(), policy.theta.tobytes(), report.final_value,
+        ]
+
+    assert results(log) == results(fresh)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_the_collector_and_the_reader_hand_over_their_arrays_uncopied(space, tmp_path, monkeypatch):
+    handed, post_init = [], BanditLog.__post_init__
+
+    def recorded(self):
+        handed.append({name: getattr(self, name) for name in _FIELDS})
+        post_init(self)
+
+    monkeypatch.setattr(BanditLog, "__post_init__", recorded)
+    collected, read, _, _ = _weighing_env(space, "replayed", tmp_path)
+    assert len(handed) == 2
+    for log, given in zip((collected, read), handed):
+        for name in _FIELDS:
+            kept = getattr(log, name)
+            assert not kept.flags.writeable
+            # the reader keeps a factorized log's bits as floats, which the log converts once
+            converted = log is read and space == "factorized" and name == "actions"
+            assert np.shares_memory(kept, given[name]) != converted
+
+
+def test_a_read_log_that_a_trainer_grouped_is_weighed_by_its_contexts(tmp_path, monkeypatch):
+    # a 240-record log of 60 contexts read from JSONL: once train_poem has grouped it, one score
+    # pass over the 60 contexts weighs it, with the bits of the per-record weighing
+    dataset = synthetic_multilabel_dataset(n_rows=60, seed=3)
+    policy0 = train_logging_policy(dataset.subset(range(20)))
+    target = _perturbed(policy0, 0.3, np.random.default_rng(7))
+    write_bandit_log(collect_bandit_log(dataset, policy0, 4, seed=4), tmp_path / "log.jsonl")
+    read, ungrouped = (read_bandit_log(tmp_path / "log.jsonl") for _ in range(2))
+    train_poem(read, 0.3, policy0, OptimizerConfig(max_iters=3))
+    passes, row_table = [], LinearPolicy._row_table
+
+    def counted(self, xb, records):
+        passes.append((len(xb), records))
+        return row_table(self, xb, records)
+
+    monkeypatch.setattr(LinearPolicy, "_row_table", counted)
+    weights = importance_weights(read, target).weights
+    assert passes == [(60, 240)]
+    assert weights.tobytes() == importance_weights(ungrouped, target).weights.tobytes()
+    assert passes[1:] == [(240, 240)]

@@ -73,6 +73,13 @@ class TestChiSquareQuantile:
         assert len(calls) == bisection
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.0, math.nan, math.inf])
+def test_calibrated_radius_names_a_bad_delta(delta):
+    # it reported the quantile's argument instead: "p must lie in (0, 1)"
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\)$"):
+        calibrated_radius(DivergenceKind.KL, delta, 50)
+
+
 def test_calibrated_radius_scales_with_curvature():
     base = chi2_quantile_1dof(0.95) / 100
     assert calibrated_radius(DivergenceKind.CHI_SQUARE, 0.05, 100) == pytest.approx(base)

@@ -308,6 +308,21 @@ class TestTrueRisk:
         stderr = costs.std(ddof=1) / math.sqrt(draws)
         assert abs(costs.mean() - exact) <= 3 * stderr
 
+    @pytest.mark.parametrize("risk", [true_risk, greedy_risk])
+    @pytest.mark.parametrize("space", ["factorized", "multiclass"])
+    def test_a_policy_that_does_not_fit_the_dataset_is_named_by_field(self, risk, space):
+        # they failed inside numpy (a matmul or broadcast mismatch) or named no field
+        ds = make_dataset(np.random.default_rng(13), labels=4)
+        wide = {"factorized": FactorizedLabels(4), "multiclass": Multiclass(16)}[space]
+        with pytest.raises(ValueError, match="^feature_dim: the policy has 4, the dataset 3$"):
+            risk(uniform_policy(wide, dim=4), ds)
+        fewer, want = {
+            "factorized": (FactorizedLabels(3), "^n_labels: the policy has 3, the dataset 4$"),
+            "multiclass": (Multiclass(8), "^n_actions: the policy has 8, the dataset 16$"),
+        }[space]
+        with pytest.raises(ValueError, match=want):
+            risk(uniform_policy(fewer), ds)
+
     def test_greedy_and_stochastic_risks_both_reported(self):
         rng = np.random.default_rng(12)
         ds = make_dataset(rng)
