@@ -226,13 +226,10 @@ def _run_algorithm(algo, args, train_log, val_log, policy0, opt_config):
         return best[1]
     kind = DivergenceKind.from_name(algo.split("-", 1)[1])
     delta = args["delta"]
-    if args["variant"] == "cv":
-        policy, _ = train_dro(train_log, kind, delta, policy0, opt_config, rho="mean")
-    elif args["variant"] == "logtrick":
-        policy, _ = train_log_trick(train_log, kind, delta, policy0, opt_config)
-    else:
-        policy, _ = train_dro(train_log, kind, delta, policy0, opt_config)
-    return policy
+    if args["variant"] == "logtrick":
+        return train_log_trick(train_log, kind, delta, policy0, opt_config)[0]
+    rho = "mean" if args["variant"] == "cv" else 0.0
+    return train_dro(train_log, kind, delta, policy0, opt_config, rho=rho)[0]
 
 
 def _optimize_one_rep(payload):
@@ -265,8 +262,6 @@ def _optimize_one_rep(payload):
 def cmd_optimize(args) -> int:
     if not 0 < args.delta < 1:
         raise _CliError("delta must lie in (0, 1)")
-    if args.mode == "stochastic" and args.variant == "logtrick":
-        raise _CliError("--variant logtrick runs in batch mode only, not with --mode stochastic")
     for algo in args.algos:
         if algo not in _ALGO_CHOICES:
             raise _CliError(f"unknown algorithm {algo!r}; choose from {', '.join(_ALGO_CHOICES)}")

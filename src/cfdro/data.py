@@ -406,6 +406,7 @@ def sample_bandit_log(
 _LOG_FORMAT = "cfdro-banditlog"
 _LOG_VERSION = 1
 _RECORD_KEYS = ("features", "action", "propensity", "cost_raw", "cost_scaled")
+_BITS = {0, 1}
 _WRITE_CHUNK = 4096
 
 
@@ -509,7 +510,7 @@ def read_bandit_log(path) -> BanditLog:
         factorized = isinstance(space, FactorizedLabels)
         columns = (
             np.empty((n, dim)),
-            np.empty((n, space.n_labels)) if factorized else np.empty(n, dtype=np.int64),
+            np.empty((n, space.n_labels), dtype=np.int8) if factorized else np.empty(n, dtype=np.int64),
             np.empty(n),
             np.empty(n),
             np.empty(n),
@@ -551,7 +552,9 @@ def read_bandit_log(path) -> BanditLog:
                     column[count] = value
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValueError(f"line {lineno}: {key}: {exc}") from exc
-            # an id column truncates 1.5 to 1
+            # an integer column truncates 1.5 to 1 and parses "1"
+            if factorized and not _BITS.issuperset(action):
+                raise ValueError(f"line {lineno}: action: {action!r} is not a vector of 0/1 bits")
             if not factorized and columns[1][count] != action:
                 raise ValueError(f"line {lineno}: action: {action!r} is not an integer id")
             count += 1

@@ -107,7 +107,9 @@ _GAMMA_LOG_FLOOR = -40.0
 _GAMMA_LOG_CAP = 45.0
 
 
-def _as_values(z) -> np.ndarray:
+def _as_values(z, epsilon: float = 0.0) -> np.ndarray:
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     if isinstance(z, WeightedCosts):
         z = z.values
     arr = np.asarray(z, dtype=float)
@@ -131,7 +133,7 @@ def dual_objective(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: 
 
     Returns ``+inf`` when the conjugate domain is violated; never NaN.
     """
-    zv = _as_values(z)
+    zv = _as_values(z, epsilon)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     s = zv - beta
@@ -352,11 +354,9 @@ def robust_risk_dual(
         or a bracket wider than ``4 * bracket_tol`` after the iteration cap
         away from the ``gamma`` floor).  The exception carries that point.
     """
-    zv = _as_values(z)
+    zv = _as_values(z, epsilon)
     mean_of = _mean_under(None if counts is None else _masses(counts, zv.size))
     bracket_tol = (options or DualSolverOptions()).bracket_tol
-    if not 0 <= epsilon < math.inf:
-        raise ValueError("epsilon must be nonnegative and finite")
     mean = mean_of(zv)
     if epsilon == 0.0 or float(np.ptp(zv)) == 0.0:
         return DualPoint(beta=mean, gamma=0.0, value=mean)
@@ -404,7 +404,7 @@ def kl_reduced_dual(z, epsilon: float, gamma: float) -> float:
     minimizing this one-dimensional function over ``gamma > 0`` recovers
     the KL robust risk.  Overflow is avoided with a max shift.
     """
-    zv = _as_values(z)
+    zv = _as_values(z, epsilon)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     zmax = float(zv.max())
@@ -451,7 +451,7 @@ def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: f
     their domain; a boundary point raises ``ValueError`` so the caller can
     back off.
     """
-    zv = _as_values(z)
+    zv = _as_values(z, epsilon)
     if gamma <= 0:
         raise ValueError("dual_gradient requires gamma > 0")
     state = _robust_value_grads(kind, epsilon, zv, beta, gamma, _GENERATORS[kind].domain)

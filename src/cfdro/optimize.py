@@ -2,18 +2,18 @@
 
 The robust trainers minimize the joint dual objective ``g(theta, beta,
 gamma)`` over the policy parameters and both dual variables at once, at a
-radius calibrated from the requested confidence level (no tunable radius
-is exposed), on the weighted costs ``(c - rho) w + rho`` (``rho=0`` is
-plain reweighting).  The majorize-minimize trainer replaces the weight
-ratio with its log tangent at an anchor, yielding a fully convex inner
-problem and a monotone outer loop.  Every trainer runs on one of two
-shared solvers: batch mode is one L-BFGS-B scaffold whose trajectory reuses the
-evaluations L-BFGS-B already made, and stochastic mode is one projected,
-clipped mini-batch SGD loop over ``[theta, (beta, gamma)]`` to which each
-trainer supplies its per-step gradient.  A batch evaluation scores each
-distinct context once and sums over the distinct records by their shares
-of the log, equal to the per-record objective up to rounding.  Reports
-carry the iteration trajectory and can be serialized to CSV or JSON lines.
+radius calibrated from the requested confidence level (no tunable radius is
+exposed), on the weighted costs ``(c - rho) w + rho`` (``rho=0`` is plain
+reweighting).  The majorize-minimize trainer replaces the weight ratio with its
+log tangent at an anchor, yielding a fully convex inner problem, solved in
+either mode like the weighted costs, and a monotone outer loop.  Every trainer
+runs on one of two shared solvers: batch mode is one L-BFGS-B scaffold whose
+trajectory reuses the evaluations L-BFGS-B already made, and stochastic mode
+is one projected, clipped mini-batch SGD loop over ``[theta, (beta, gamma)]``
+to which each trainer supplies its per-step gradient.  A batch evaluation scores
+each distinct context once and sums over the distinct records by their shares
+of the log, equal to the per-record objective up to rounding.  Reports carry
+the iteration trajectory and can be serialized to CSV or JSON lines.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import _check_count
 from .divergences import _GENERATORS, DivergenceKind
 from .dro import DualPoint, SolverError, _mean_under, _robust_value_grads, robust_risk_dual
 from .estimators import BanditLog, _byte_groups, _log_probs, _log_trick_costs, _penalized, _scoring
@@ -59,8 +60,8 @@ class OptimizerConfig:
     """Knobs shared by all trainers.
 
     ``max_iters`` counts L-BFGS-B iterations in batch mode and SGD steps in
-    stochastic mode; ``batch_size`` and ``step_size`` apply to the SGD loop,
-    and ``seed`` draws its mini-batches.
+    stochastic mode, per outer step in the log trick; ``batch_size`` and
+    ``step_size`` apply to the SGD loop, and ``seed`` draws its mini-batches.
     """
 
     mode: str = "batch"
@@ -335,6 +336,53 @@ def _robust_batch(kind, epsilon, policy_init: LinearPolicy, config: OptimizerCon
     return policy, report
 
 
+def _robust_sgd(kind, epsilon, policy_init: LinearPolicy, config: OptimizerConfig, rows, costs, contexts):
+    """Joint mini-batch SGD on the dual objective over (theta, beta, gamma), :func:`_robust_batch`'s twin.
+
+    Each record contributes ``beta + gamma eps + (gamma phi)*(z_i - beta)``, so a uniform
+    mini-batch average is an unbiased estimate of the full objective and its gradient.  A batch
+    outside the conjugate domain doubles ``gamma``; one hundred in a row abort the run.
+    """
+    start = time.perf_counter()
+    cap = _GENERATORS[kind].cap
+    point0, logp0 = _exact_dual(policy_init, rows, costs, kind, epsilon, contexts)
+    w0 = np.concatenate(
+        [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, _GAMMA_MIN)]]
+    )
+    inflations = 0
+
+    def step(t: int, w: np.ndarray, batch):
+        nonlocal inflations
+        policy, xb = policy_init._with_theta(w[:-2]), contexts.take(batch[0], 0)
+        z, coef, resid = _scored(policy, batch, costs, xb, None)  # a table row per record
+        state = _robust_value_grads(kind, epsilon, z, float(w[-2]), float(w[-1]), cap)
+        if state is None:
+            w[-1] *= 2.0
+            inflations += 1
+            if inflations > 100:
+                raise SolverError(
+                    "mini-batch objective stayed outside the conjugate domain",
+                    best=DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=math.inf),
+                )
+            return None
+        inflations = 0
+        value, d1, g_beta, g_gamma = state
+        g_theta = policy.score_gradient(xb, resid, d1 * coef) / len(z)
+        return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
+
+    def value_at(logp: np.ndarray, w: np.ndarray) -> float:
+        z = costs(logp, *rows[2:])[0]
+        value = _robust_value_grads(kind, epsilon, z, float(w[-2]), float(w[-1]), cap, grads=False)
+        return math.inf if value is None else value
+
+    def objective(w: np.ndarray) -> float:
+        return value_at(_log_probs(policy_init._with_theta(w[:-2]), rows[0], rows[1], contexts), w)
+
+    value0 = value_at(logp0, w0)
+    theta, report = _sgd(rows, w0, config, step, objective, value0, duals=True, start=start)
+    return policy_init._with_theta(theta), report
+
+
 # ----------------------------------------------------------------------
 # public trainers
 # ----------------------------------------------------------------------
@@ -371,54 +419,9 @@ def train_dro_stochastic(
     config: OptimizerConfig = OptimizerConfig(),
     rho: "float | str" = 0.0,
 ):
-    """Stochastic counterpart of :func:`train_dro` (same ``rho``): SGD on per-sample dual terms.
-
-    Each record contributes ``beta + gamma eps + (gamma phi)*(z_i - beta)``,
-    so a uniform mini-batch average is an unbiased estimate of the full
-    objective and its gradient.  A batch that violates the conjugate domain
-    triggers a doubling of ``gamma``; one hundred consecutive violations
-    abort the run.
-    """
-    start = time.perf_counter()
-    rows, costs, contexts = _weighted_costs(log, policy_init, rho)
+    """Stochastic counterpart of :func:`train_dro` (same ``rho``): SGD on per-sample dual terms."""
     eps = calibrated_radius(kind, delta, log.n)
-    cap = _GENERATORS[kind].cap
-    point0, logp0 = _exact_dual(policy_init, rows, costs, kind, eps, contexts)
-    w0 = np.concatenate(
-        [policy_init.theta.ravel(), [point0.beta, max(point0.gamma, _GAMMA_MIN)]]
-    )
-    inflations = 0
-
-    def step(t: int, w: np.ndarray, batch):
-        nonlocal inflations
-        policy, xb = policy_init._with_theta(w[:-2]), contexts.take(batch[0], 0)
-        z, coef, resid = _scored(policy, batch, costs, xb, None)  # a table row per record
-        state = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap)
-        if state is None:
-            w[-1] *= 2.0
-            inflations += 1
-            if inflations > 100:
-                raise SolverError(
-                    "mini-batch objective stayed outside the conjugate domain",
-                    best=DualPoint(beta=float(w[-2]), gamma=float(w[-1]), value=math.inf),
-                )
-            return None
-        inflations = 0
-        value, d1, g_beta, g_gamma = state
-        g_theta = policy.score_gradient(xb, resid, d1 * coef) / len(z)
-        return value, np.concatenate([g_theta.ravel(), [g_beta, g_gamma]])
-
-    def value_at(logp: np.ndarray, w: np.ndarray) -> float:
-        z = costs(logp, *rows[2:])[0]
-        value = _robust_value_grads(kind, eps, z, float(w[-2]), float(w[-1]), cap, grads=False)
-        return math.inf if value is None else value
-
-    def objective(w: np.ndarray) -> float:
-        return value_at(_log_probs(policy_init._with_theta(w[:-2]), rows[0], rows[1], contexts), w)
-
-    value0 = value_at(logp0, w0)
-    theta, report = _sgd(rows, w0, config, step, objective, value0, duals=True, start=start)
-    return policy_init._with_theta(theta), report
+    return _robust_sgd(kind, eps, policy_init, config, *_weighted_costs(log, policy_init, rho))
 
 
 def train_poem(
@@ -524,13 +527,12 @@ def train_log_trick(
     anchored at the current policy, then re-anchors.  The surrogate equals
     the true weighted costs at the anchor and dominates them elsewhere
     (costs are nonpositive), so the true robust risk is nonincreasing
-    across outer steps.  The inner problems run in batch mode, and a
-    ``config`` in stochastic mode raises ``ValueError``.
+    across outer steps.  ``config.mode`` picks the inner runs' solver, each
+    run draws its batches from ``config.seed``, and ``max_iters`` counts per
+    run.  ``converged`` means the loop stalled: its last candidate moved the
+    exact risk by at most ``_TOLERANCE``.
     """
-    if config.mode == "stochastic":
-        raise ValueError("the log trick runs in batch mode only, not with mode='stochastic'")
-    if outer_iters < 1:
-        raise ValueError("outer_iters must be positive")
+    _check_count("outer_iters", outer_iters)
     if np.any(log.costs > 1e-12):
         raise ValueError("the tangent surrogate requires nonpositive costs")
     eps = calibrated_radius(kind, delta, log.n)
@@ -547,10 +549,10 @@ def train_log_trick(
     # each exact risk's score pass gives the log-probabilities the next surrogate is anchored on
     current, anchor_lp = _exact_dual(anchor, rows, costs, kind, eps, contexts)
     note(0, current)
-    total_inner = 0
-    reached_fixed_point = False
+    total_inner, stalled = 0, False
+    inner = _robust_sgd if config.mode == "stochastic" else _robust_batch
     for outer in range(1, outer_iters + 1):
-        candidate, inner_report = _robust_batch(
+        candidate, inner_report = inner(
             kind, eps, anchor, config, *_log_trick_costs(log, anchor_lp, rows), contexts
         )
         total_inner += inner_report.iterations
@@ -562,10 +564,9 @@ def train_log_trick(
         stalled = abs(current.value - cand_point.value) <= _TOLERANCE
         current = cand_point if improved else current
         if stalled or not improved:
-            reached_fixed_point = True
             break
     report = TrainReport(
         final_value=current.value, iterations=total_inner, wall_time=time.perf_counter() - start,
-        trajectory=trajectory, dual=current, converged=reached_fixed_point,
+        trajectory=trajectory, dual=current, converged=stalled,
     )
     return anchor, report

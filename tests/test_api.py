@@ -1,13 +1,16 @@
 """The package's public names: adding or removing one is a deliberate edit of this list; the
-names the benchmark's tracer patches, which must resolve; and README's library quick start."""
+names the benchmark's tracer patches, which must resolve; and README's library quick start and
+command-line examples."""
 
 import importlib
 import importlib.util
 import math
 import re
+import shlex
 from pathlib import Path
 
 import cfdro
+from cfdro.cli import build_parser
 
 PUBLIC = {
     # submodules
@@ -66,3 +69,14 @@ def test_the_readmes_library_quick_start_runs(capsys):
     # report.final_value (interval.lower, interval.upper), then the exact risk
     value, lower, upper, risk = map(float, re.sub(r"[(),]", " ", capsys.readouterr().out).split())
     assert math.isfinite(value) and lower <= upper and risk >= 0.0
+
+
+def test_the_readmes_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```$", readme, flags=re.S | re.M)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("cfdro ")]
+    assert {argv[1] for argv in commands} == {"convert", "evaluate", "optimize", "coverage"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a flag README misspells raises here

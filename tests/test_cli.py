@@ -180,6 +180,11 @@ class TestEvaluate:
         ("action", "x", "action: invalid literal", "multiclass"),
         ("action", 1e400, "action: ", "multiclass"),
         ("action", 1.5, "action: 1.5 is not an integer id", "multiclass"),
+        # the reader keeps bits as int8, which would truncate 1.5 and parse "1"
+        ("action", [0, 1.5, 0, 0], "action: [0, 1.5, 0, 0] is not a vector of 0/1 bits", "factorized"),
+        ("action", [0, "1", 0, 0], "action: [0, '1', 0, 0] is not a vector of 0/1 bits", "factorized"),
+        ("action", [0, None, 0, 0], "action: int() argument", "factorized"),
+        ("action", [0, 1e10, 0, 0], "action: Python integer 10000000000 out of bounds", "factorized"),
     ])
     def test_malformed_record_is_a_validation_error_with_its_line(
         self, tmp_path, capsys, key, value, named, space
@@ -307,12 +312,14 @@ class TestEvaluate:
         ("cost_scaled", -1.5, "rescaled costs must lie in [-1, 0]", "multiclass"),
         ("action", 99, "action id out of range", "multiclass"),
         ("action", -1, "action id out of range", "multiclass"),
+        ("action", [0, 2, 0, 0], "action: [0, 2, 0, 0] is not a vector of 0/1 bits", "factorized"),
+        ("action", [0, -1, 0, 0], "action: [0, -1, 0, 0] is not a vector of 0/1 bits", "factorized"),
     ])
     @pytest.mark.parametrize("blank_lines", [0, 2])
     def test_out_of_range_record_value_is_a_validation_error_with_its_line(
         self, tmp_path, capsys, key, value, named, space, blank_lines
     ):
-        # BanditLog's rules find the record; blank lines before it shift its line
+        # BanditLog's rules, or the reader's for bits, find the record; blank lines before it shift its line
         out = tmp_path / "run"
         assert main([
             "convert", "--data", "bundled:synthetic", "--output-dir", str(out), "-P", "1",
@@ -435,21 +442,19 @@ class TestOptimize:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    def test_stochastic_log_trick_is_a_validation_error_before_any_work(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        loads = []
-        monkeypatch.setattr(cli, "_load_dataset", lambda path: loads.append(path))
-        code = main([
-            "optimize", "--data", "bundled:synthetic", "--output-dir", str(tmp_path / "x"),
-            "--algos", "dro-chi2", "--repetitions", "1", "--mode", "stochastic",
-            "--variant", "logtrick",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--mode stochastic" in err and "--variant logtrick" in err
-        assert loads == []
-        assert not (tmp_path / "x").exists()
+    def test_the_log_trick_runs_in_either_mode(self, tmp_path):
+        details = []
+        for mode in ("batch", "stochastic"):
+            out = tmp_path / mode
+            assert main([
+                "optimize", "--data", "bundled:synthetic", "--output-dir", str(out),
+                "--algos", "dro-chi2", "--repetitions", "1", "--seed", "4", "--max-iters", "40",
+                "--mode", mode, "--variant", "logtrick",
+            ]) == 0
+            row = read_csv(out / "summary.csv")[0]
+            assert (row["mode"], row["variant"]) == (mode, "logtrick")
+            details.append((out / "details.csv").read_bytes())
+        assert details[0] != details[1]
 
     def test_worker_pool_is_capped_at_the_repetitions(self, tmp_path, monkeypatch):
         sizes = []

@@ -142,12 +142,19 @@ class TestRobustSolver:
         assert narrow.mean() == wide.mean()
         assert r_wide > r_narrow + 1e-6
 
-    @pytest.mark.parametrize("solve", [robust_risk_dual, optimistic_risk_dual])
+    @pytest.mark.parametrize("solve", [
+        robust_risk_dual,
+        optimistic_risk_dual,
+        lambda z, kind, eps: dual_objective(z, kind, eps, 0.0, 1.0),
+        lambda z, kind, eps: kl_reduced_dual(z, eps, 1.0),
+        lambda z, kind, eps: dual_gradient(z, kind, eps, 0.0, 1.0),
+    ], ids=["robust_risk_dual", "optimistic_risk_dual", "dual_objective", "kl_reduced_dual", "dual_gradient"])
     @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
     def test_rejects_a_negative_or_non_finite_radius(self, solve, eps):
-        # NaN raised FloatingPointError inside the solve, +inf a SolverError
+        # in the solves NaN raised FloatingPointError and +inf a SolverError; at beta 0 and
+        # gamma 1 the other three returned a value for -0.1, and NaN, +inf or an error for the rest
         with pytest.raises(ValueError, match="^epsilon must be nonnegative and finite$"):
-            solve(np.array([-1.0, 0.0]), DivergenceKind.KL, eps)
+            solve(np.array([-1.0, -0.5, 0.0]), DivergenceKind.KL, eps)
 
 
 class TestPrimalOracle:

@@ -595,9 +595,7 @@ def test_the_collector_and_the_reader_hand_over_their_arrays_uncopied(space, tmp
         for name in _FIELDS:
             kept = getattr(log, name)
             assert not kept.flags.writeable
-            # the reader keeps a factorized log's bits as floats, which the log converts once
-            converted = log is read and space == "factorized" and name == "actions"
-            assert np.shares_memory(kept, given[name]) != converted
+            assert np.shares_memory(kept, given[name])
 
 
 def test_a_read_log_that_a_trainer_grouped_is_weighed_by_its_contexts(tmp_path, monkeypatch):
