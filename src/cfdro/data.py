@@ -16,11 +16,17 @@ File formats (documented bit-exactly):
 
   Labels are 0-based positions into the label bit-vector; feature indices
   are 1-based.  Missing indices are zero.  An empty label field yields the
-  all-zero label vector.
+  all-zero label vector.  The writer skips zero features, so a row with no
+  label and no nonzero feature is written as ``1:0.0``, not as a blank line
+  (which the parser skips); a dataset with no features cannot write one.
 
 * Bandit logs as JSON lines: a header object with metadata followed by one
   record object per line with keys ``features``, ``action``, ``propensity``,
-  ``cost_raw`` and ``cost_scaled``.
+  ``cost_raw`` and ``cost_scaled``.  The reader takes any JSON layout, and
+  reads a line in the writer's layout by its features text: each distinct
+  text is parsed once, and a repeat copies the earlier record's row.  A JSON
+  true, false or string is not a number, as a feature, a propensity, a cost,
+  a multiclass action or a bit.
 """
 
 from __future__ import annotations
@@ -207,13 +213,20 @@ def _token_fault(lineno: int, tokens: list[str]) -> None:
 
 
 def write_libsvm_multilabel(dataset: LabeledDataset, path) -> None:
-    """Write a dataset in the multilabel LibSVM text format (nonzero features only)."""
+    """Write a dataset in the multilabel LibSVM text format (nonzero features only).
+
+    A row with no label and no nonzero feature is written as ``1:0.0``, since
+    its line would be blank and the parser skips blank lines; a dataset with
+    no features cannot write such a row, and raises naming it.
+    """
+    if not dataset.feature_dim and (empty := np.flatnonzero(~dataset.labels.any(axis=1))).size:
+        raise ValueError(f"row {empty[0]}: no label and no feature to write, so its line would be blank")
     with Path(path).open("w", encoding="utf-8") as fh:
         for labels, row in zip(dataset.labels.tolist(), dataset.features.tolist()):
             labs = ",".join(str(j) for j, bit in enumerate(labels) if bit)
             # v != 0.0 skips -0.0 too, the rule np.flatnonzero follows
             feats = " ".join(f"{j}:{v!r}" for j, v in enumerate(row, start=1) if v != 0.0)
-            fh.write((labs + " " + feats).strip() + "\n")
+            fh.write(((labs + " " + feats).strip() or "1:0.0") + "\n")
 
 
 def split_dataset(dataset: LabeledDataset, spec: SplitSpec) -> DatasetSplits:
@@ -405,9 +418,10 @@ def sample_bandit_log(
 
 _LOG_FORMAT = "cfdro-banditlog"
 _LOG_VERSION = 1
+_RECORD_HEAD = '{"features": ['
 _RECORD_KEYS = ("features", "action", "propensity", "cost_raw", "cost_scaled")
 _BITS = {0, 1}
-_WRITE_CHUNK = 4096
+_CHUNK = 4096
 
 
 def write_bandit_log(log: BanditLog, path) -> None:
@@ -417,7 +431,8 @@ def write_bandit_log(log: BanditLog, path) -> None:
     holds because every value is finite: ``repr`` of a finite float and
     ``str`` of an int or an int list are what ``json.dumps`` writes.  A
     feature row that recurs in the log, as in a replayed conversion, is
-    formatted once; only the texts of such rows are kept.
+    formatted once; only the texts of such rows are kept.  Each distinct
+    action and cost is formatted once too.
     """
     header = {
         "format": _LOG_FORMAT,
@@ -428,32 +443,40 @@ def write_bandit_log(log: BanditLog, path) -> None:
         "cost_scale": {"scale": log.cost_scale.scale, "offset": log.cost_scale.offset},
     }
     first, inverse, counts = log._contexts
-    columns = (
-        np.where(counts[inverse] > 1, inverse, -1),
-        log.actions,
-        log.propensities,
-        log.costs_raw,
-        log.costs,
-    )
+    groups = np.where(counts[inverse] > 1, inverse, -1)
+    valued = [_value_texts(column) for column in (log.actions, log.costs_raw, log.costs)]
     texts: dict[int, str] = {}
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         # a chunk at a time, so the Python copies of the columns stay small
-        for start in range(0, log.n, _WRITE_CHUNK):
-            end = min(start + _WRITE_CHUNK, log.n)
-            chunk = (column[start:end].tolist() for column in columns)
+        for start in range(0, log.n, _CHUNK):
+            end = min(start + _CHUNK, log.n)
+            actions, raws, scaleds = (values[at[start:end]].tolist() for values, at in valued)
+            props = log.propensities[start:end].tolist()
             # only the rows formatted, in record order: each context's first record
             fresh = first[inverse[start:end]] == np.arange(start, end)
             rows = iter(log.features[start:end][fresh].tolist())
-            for group, action, prop, raw, scaled in zip(*chunk):
+            for group, action, prop, raw, scaled in zip(
+                groups[start:end].tolist(), actions, props, raws, scaleds
+            ):
                 if group < 0:
                     text = str(next(rows))
                 elif (text := texts.get(group)) is None:
                     text = texts[group] = str(next(rows))
                 fh.write(
                     f'{{"features": {text}, "action": {action}, "propensity": {prop!r}, '
-                    f'"cost_raw": {raw!r}, "cost_scaled": {scaled!r}}}\n'
+                    f'"cost_raw": {raw}, "cost_scaled": {scaled}}}\n'
                 )
+
+
+def _value_texts(column: np.ndarray):
+    """Each distinct value of ``column`` (row of bits, if 2-D) as its ``repr``, in an object array,
+    and each record's index into them.  Values compare by bytes, so ``-0.0`` keeps its own text."""
+    keys = list(np.packbits(column, axis=1).T) if column.ndim == 2 else [column.view(np.uint64)]
+    first, inverse, _ = _runs(np.lexsort(keys), keys)
+    values = np.empty(len(first), dtype=object)
+    values[:] = list(map(repr, column[first].tolist()))
+    return values, inverse
 
 
 def _parse_header(header: dict, file_bytes: Optional[int]):
@@ -487,10 +510,14 @@ def _parse_header(header: dict, file_bytes: Optional[int]):
 
 
 def read_bandit_log(path) -> BanditLog:
-    """Read a log written by :func:`write_bandit_log`, validating every record.
+    """Read a bandit log, validating every record.
 
-    The header's counts size the arrays, which are filled one record at a
-    time; a fault in a record names its line and field.
+    The header's counts size the arrays.  A record line may take any JSON
+    layout; a fault in a record names its line and field.  A line in the
+    writer's layout whose features text an earlier line had, as in a
+    replayed conversion, gives the record ``json.loads`` would without
+    parsing that text again: its features row is copied from the earlier
+    record's.
     """
     with Path(path).open("r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -515,10 +542,15 @@ def read_bandit_log(path) -> BanditLog:
             np.empty(n),
             np.empty(n),
         )
+        features, actions, props, raws, scaleds = columns
         count = 0
         blanks = []  # the record count at each blank line, to map a record to its line
         # exact types, so a JSON true or false is not a number
         numeric = (int, float)
+        seen: dict[str, int] = {}  # a features text in the writer's layout -> its first record
+        budget = features.nbytes  # the characters of text that ``seen`` may hold
+        to, source = [], []  # the chunk's records whose features are copied, and their sources
+        decode = json.JSONDecoder().raw_decode
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 blanks.append(count)
@@ -527,37 +559,87 @@ def read_bandit_log(path) -> BanditLog:
                 # count the rest, so the mismatch error reports the file's true count
                 count += 1 + sum(1 for rest in fh if rest.strip())
                 break
+            text = src = record = None
+            if line.startswith(_RECORD_HEAD) and line.startswith("], ", close := line.find("]")):
+                text = line[13 : close + 1]  # from the head's "["
+                # an escaped or a second features key could give the record other features
+                if "\\" in line or line.find('"features"', close) >= 0:
+                    text = None
+                elif (src := seen.get(text)) is not None:
+                    # a text in ``seen`` has no string and no inner list, so it is the whole
+                    # features value, and the rest of the line holds the record's other members
+                    record = _object(decode, "{" + line[close + 3 :])
+                    if not record:  # ``{}``: the features member ends in a trailing comma
+                        src = record = None
+            if record is None:
+                record = _object(decode, line)
+            if record is None:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
+                if not isinstance(record, dict):
+                    raise ValueError(f"line {lineno}: the record is not a JSON object")
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"line {lineno}: the record is not a JSON object")
-            try:
-                values = [record[key] for key in _RECORD_KEYS]
+                vec = None if src is not None else record["features"]
+                action, prop, raw = record["action"], record["propensity"], record["cost_raw"]
+                scaled = record["cost_scaled"]
             except KeyError as exc:
                 raise ValueError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
-            vec, action, prop, raw, scaled = values
-            if not isinstance(vec, list) or len(vec) != dim:
+            if src is None and (not isinstance(vec, list) or len(vec) != dim):
                 raise ValueError(f"line {lineno}: feature dimension mismatch")
-            if not (type(prop) in numeric and type(raw) in numeric and type(scaled) in numeric):
+            floats = type(prop) is type(raw) is type(scaled) is float
+            if not (floats or type(prop) in numeric and type(raw) in numeric and type(scaled) in numeric):
                 key = next(k for k in _RECORD_KEYS[2:] if type(record[k]) not in numeric)
                 raise ValueError(f"line {lineno}: {key} is not a number")
             if prop <= 0:
                 raise ValueError(f"line {lineno}: nonpositive propensity")
-            if factorized and (not isinstance(action, list) or len(action) != space.n_labels):
-                raise ValueError(f"line {lineno}: action length mismatch")
-            for key, column, value in zip(_RECORD_KEYS, columns, values):
+            if factorized:
+                if not isinstance(action, list) or len(action) != space.n_labels:
+                    raise ValueError(f"line {lineno}: action length mismatch")
                 try:
-                    column[count] = value
+                    plain = _BITS.issuperset(action) and bool not in map(type, action)
+                except TypeError:  # an unhashable bit, which the store below names
+                    plain = False
+            else:
+                plain = type(action) is int and 0 <= action < space.n_actions
+            if src is None:
+                try:
+                    features[count] = vec
                 except (ValueError, TypeError, OverflowError) as exc:
-                    raise ValueError(f"line {lineno}: {key}: {exc}") from exc
-            # an integer column truncates 1.5 to 1 and parses "1"
-            if factorized and not _BITS.issuperset(action):
-                raise ValueError(f"line {lineno}: action: {action!r} is not a vector of 0/1 bits")
-            if not factorized and columns[1][count] != action:
-                raise ValueError(f"line {lineno}: action: {action!r} is not an integer id")
+                    raise ValueError(f"line {lineno}: features: {exc}") from exc
+                # only a string, true or false (or null) puts a quote, a u or an s in a features text
+                if text is None or '"' in text or "u" in text or "s" in text:
+                    if bad := [v for v in vec if type(v) is str or type(v) is bool]:
+                        raise ValueError(f"line {lineno}: features: {bad[0]!r} is not a number")
+                elif text.find("[", 1) < 0 and len(text) <= budget:
+                    seen[text] = count
+                    budget -= len(text)
+            else:
+                to.append(count)
+                source.append(src)
+            if plain and floats:  # stores that cannot fail, of values the checks below accept
+                actions[count] = action
+                props[count] = prop
+                raws[count] = raw
+                scaleds[count] = scaled
+            else:
+                for key, column, value in zip(_RECORD_KEYS[1:], columns[1:], (action, prop, raw, scaled)):
+                    try:
+                        column[count] = value
+                    except (ValueError, TypeError, OverflowError) as exc:
+                        raise ValueError(f"line {lineno}: {key}: {exc}") from exc
+                # an integer column truncates 1.5 to 1, parses "1" and takes true as 1
+                if factorized and not plain:
+                    raise ValueError(f"line {lineno}: action: {action!r} is not a vector of 0/1 bits")
+                if not factorized and (type(action) is bool or actions[count] != action):
+                    raise ValueError(f"line {lineno}: action: {action!r} is not an integer id")
             count += 1
+            if len(to) == _CHUNK:
+                features[to] = features[source]
+                to.clear()
+                source.clear()
+        features[to] = features[source]
     if count != n:
         raise ValueError(f"header announces {n} records but file has {count}")
     for column in columns:
@@ -568,6 +650,15 @@ def read_bandit_log(path) -> BanditLog:
     except _RecordFault as exc:
         lineno = exc.index + 2 + bisect.bisect_right(blanks, exc.index)
         raise ValueError(f"line {lineno}: {exc}") from exc
+
+
+def _object(decode, text: str) -> Optional[dict]:
+    """``json.loads(text)`` if that is an object, else None: then ``json.loads`` names the fault."""
+    try:
+        value, end = decode(text)
+    except json.JSONDecodeError:
+        return None
+    return value if isinstance(value, dict) and not text[end:].strip(" \t\n\r") else None
 
 
 def synthetic_multilabel_dataset(

@@ -120,6 +120,13 @@ def _as_values(z, epsilon: float = 0.0) -> np.ndarray:
     return arr
 
 
+def _check_finite(**point: float) -> None:
+    """Reject a NaN or infinite dual variable, naming it."""
+    for name, value in point.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def _masses(counts, size: int) -> np.ndarray:
     """The masses ``counts / sum(counts)`` of a support of ``size`` values."""
     c = np.asarray(counts)
@@ -134,6 +141,7 @@ def dual_objective(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: 
     Returns ``+inf`` when the conjugate domain is violated; never NaN.
     """
     zv = _as_values(z, epsilon)
+    _check_finite(beta=beta, gamma=gamma)
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     s = zv - beta
@@ -405,6 +413,7 @@ def kl_reduced_dual(z, epsilon: float, gamma: float) -> float:
     the KL robust risk.  Overflow is avoided with a max shift.
     """
     zv = _as_values(z, epsilon)
+    _check_finite(gamma=gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     zmax = float(zv.max())
@@ -452,6 +461,7 @@ def dual_gradient(z, kind: DivergenceKind, epsilon: float, beta: float, gamma: f
     back off.
     """
     zv = _as_values(z, epsilon)
+    _check_finite(beta=beta, gamma=gamma)
     if gamma <= 0:
         raise ValueError("dual_gradient requires gamma > 0")
     state = _robust_value_grads(kind, epsilon, zv, beta, gamma, _GENERATORS[kind].domain)

@@ -72,11 +72,20 @@ class _RecordFault(ValueError):
         self.index = index
 
 
-def _check_records(ok: np.ndarray, message: str) -> None:
-    """Raise :class:`_RecordFault` at the first record (row of ``ok``) with a False entry."""
-    if not np.all(ok):
-        first = int(np.argmin(ok))  # the flat position of the first False
-        raise _RecordFault(message, first // (ok.size // ok.shape[0]) if ok.ndim else 0)
+_CHECK_ITEMS = 1 << 20  # a rule's boolean temporaries stay near 1 MB
+
+
+def _check_records(values: np.ndarray, rule, message: str) -> None:
+    """Raise :class:`_RecordFault` at the first record (row of ``values``) with an entry that
+    ``rule`` maps to False, a chunk of rows at a time (a scalar is one record)."""
+    values = np.atleast_1d(values)
+    rows = max(1, _CHECK_ITEMS // max(1, values[:1].size))
+    for start in range(0, len(values), rows):
+        ok = rule(values[start : start + rows])
+        if not np.all(ok):
+            first = int(np.argmin(ok))  # the flat position of the first False
+            raise _RecordFault(message, start + first // (ok.size // ok.shape[0]))
+        del ok  # so that two chunks' masks are never held at once
 
 
 @dataclass(frozen=True)
@@ -114,31 +123,31 @@ class BanditLog:
         scaled = np.asarray(self.costs, dtype=float)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
-        _check_records(np.isfinite(feats), "features must be finite")
+        _check_records(feats, np.isfinite, "features must be finite")
         n = feats.shape[0]
         if isinstance(self.action_space, Multiclass):
             ids = np.asarray(self.actions)
             if ids.dtype.kind == "f":
-                integral = np.isfinite(ids) & (ids == np.round(ids))
-                _check_records(integral, "actions must be integer ids")
+                integral = lambda v: np.isfinite(v) & (v == np.round(v))  # noqa: E731
+                _check_records(ids, integral, "actions must be integer ids")
             acts = np.asarray(ids, dtype=int)
             if acts.shape != (n,):
                 raise ValueError("multiclass actions must be a length-n id vector")
-            in_range = (acts >= 0) & (acts < self.action_space.n_actions)
-            _check_records(in_range, "action id out of range")
+            in_range = lambda v: (v >= 0) & (v < self.action_space.n_actions)  # noqa: E731
+            _check_records(acts, in_range, "action id out of range")
         else:
             bits = np.asarray(self.actions)
             if bits.shape != (n, self.action_space.n_labels):
                 raise ValueError("factorized actions must be an (n, L) bit matrix")
-            _check_records((bits == 0) | (bits == 1), "factorized actions must be 0/1 bits")
+            _check_records(bits, lambda v: (v == 0) | (v == 1), "factorized actions must be 0/1 bits")
             acts = np.asarray(bits, dtype=np.int8)
         for name, arr in (("propensities", props), ("costs_raw", raw), ("costs", scaled)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape (n,)")
-            _check_records(np.isfinite(arr), f"{name} must be finite")
-        _check_records((props > 0) & (props <= 1.0 + 1e-9), "propensities must lie in (0, 1]")
-        in_range = (scaled >= -1.0 - 1e-9) & (scaled <= 1e-9)
-        _check_records(in_range, "rescaled costs must lie in [-1, 0]")
+            _check_records(arr, np.isfinite, f"{name} must be finite")
+        _check_records(props, lambda v: (v > 0) & (v <= 1.0 + 1e-9), "propensities must lie in (0, 1]")
+        in_range = lambda v: (v >= -1.0 - 1e-9) & (v <= 1e-9)  # noqa: E731
+        _check_records(scaled, in_range, "rescaled costs must lie in [-1, 0]")
         named = dict(features=feats, actions=acts, propensities=props, costs_raw=raw, costs=scaled)
         for name, arr in named.items():
             if arr.flags.writeable or (isinstance(arr.base, np.ndarray) and arr.base.flags.writeable):

@@ -6,7 +6,9 @@ generator formulas, independent of the library's generator table;
 scaled conjugate and its analytic partials check the dual's building block.
 ``write_bandit_log_by_records`` and ``write_libsvm_by_index`` are the plain
 writers, one ``json.dumps`` per record and one numpy index per value, whose
-bytes the library's writers must reproduce.  ``parse_libsvm_by_token`` is
+bytes the library's writers must reproduce.  ``read_bandit_log_by_records``
+is the plain reader, one ``json.loads`` and one store per record, whose
+arrays and errors the library's reader must reproduce.  ``parse_libsvm_by_token`` is
 the plain LibSVM parser, a dict of floats per row, whose arrays and errors
 the library's parser must reproduce.  ``eager_solve_beta`` is the
 dual solver's inner solve with its lower bracket end expanded up front.
@@ -23,20 +25,30 @@ per-record log-linear policy formulas, written with scipy's ``logsumexp``,
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import os
+import stat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from scipy.special import expit, log_expit, logsumexp
 
-from cfdro.data import _LOG_FORMAT, _LOG_VERSION
+from cfdro.data import _BITS, _LOG_FORMAT, _LOG_VERSION, _RECORD_KEYS, _parse_header
 from cfdro.divergences import DivergenceKind, conjugate_derivative, phi_conjugate
 from cfdro.dro import _ROOT_TOL, _as_values
-from cfdro.estimators import BanditLog, CostScale
+from cfdro.estimators import BanditLog, CostScale, _RecordFault
 from cfdro.intervals import _intervals_of
-from cfdro.policies import LabeledDataset, Multiclass, _hamming_costs, _space_to_dict, _with_bias
+from cfdro.policies import (
+    FactorizedLabels,
+    LabeledDataset,
+    Multiclass,
+    _hamming_costs,
+    _space_to_dict,
+    _with_bias,
+)
 
 
 def write_bandit_log_by_records(log: BanditLog, path) -> None:
@@ -64,6 +76,88 @@ def write_bandit_log_by_records(log: BanditLog, path) -> None:
                 "cost_scaled": float(log.costs[i]),
             }
             fh.write(json.dumps(record) + "\n")
+
+
+def read_bandit_log_by_records(path) -> BanditLog:
+    """Read a bandit log with one ``json.loads`` and one store per column and record."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        header_line = fh.readline()
+        try:
+            header = json.loads(header_line)
+        except json.JSONDecodeError as exc:
+            raise ValueError("missing or malformed log header") from exc
+        if not isinstance(header, dict):
+            raise ValueError("line 1: the header is not a JSON object")
+        if header.get("format") != _LOG_FORMAT or header.get("version") != _LOG_VERSION:
+            raise ValueError("not a recognized bandit-log file")
+        info = os.fstat(fh.fileno())
+        file_bytes = None
+        if stat.S_ISREG(info.st_mode):
+            file_bytes = info.st_size - len(header_line.encode())
+        space, scale, n, dim = _parse_header(header, file_bytes)
+        factorized = isinstance(space, FactorizedLabels)
+        columns = (
+            np.empty((n, dim)),
+            np.empty((n, space.n_labels), dtype=np.int8) if factorized else np.empty(n, dtype=np.int64),
+            np.empty(n),
+            np.empty(n),
+            np.empty(n),
+        )
+        count = 0
+        blanks = []
+        numeric = (int, float)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                blanks.append(count)
+                continue
+            if count == n:
+                count += 1 + sum(1 for rest in fh if rest.strip())
+                break
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc.msg} (column {exc.colno})") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"line {lineno}: the record is not a JSON object")
+            try:
+                values = [record[key] for key in _RECORD_KEYS]
+            except KeyError as exc:
+                raise ValueError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
+            vec, action, prop, raw, scaled = values
+            if not isinstance(vec, list) or len(vec) != dim:
+                raise ValueError(f"line {lineno}: feature dimension mismatch")
+            if not (type(prop) in numeric and type(raw) in numeric and type(scaled) in numeric):
+                key = next(k for k in _RECORD_KEYS[2:] if type(record[k]) not in numeric)
+                raise ValueError(f"line {lineno}: {key} is not a number")
+            if prop <= 0:
+                raise ValueError(f"line {lineno}: nonpositive propensity")
+            if factorized and (not isinstance(action, list) or len(action) != space.n_labels):
+                raise ValueError(f"line {lineno}: action length mismatch")
+            for key, column, value in zip(_RECORD_KEYS, columns, values):
+                try:
+                    column[count] = value
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ValueError(f"line {lineno}: {key}: {exc}") from exc
+                if key == "features":
+                    # numpy parses a string and takes a boolean as a number; the reader takes neither
+                    for v in vec:
+                        if isinstance(v, (str, bool)):
+                            raise ValueError(f"line {lineno}: features: {v!r} is not a number")
+            bools = isinstance(action, bool) or factorized and any(isinstance(b, bool) for b in action)
+            if factorized and (bools or not _BITS.issuperset(action)):
+                raise ValueError(f"line {lineno}: action: {action!r} is not a vector of 0/1 bits")
+            if not factorized and (bools or columns[1][count] != action):
+                raise ValueError(f"line {lineno}: action: {action!r} is not an integer id")
+            count += 1
+    if count != n:
+        raise ValueError(f"header announces {n} records but file has {count}")
+    for column in columns:
+        column.flags.writeable = False
+    try:
+        return BanditLog(*columns, action_space=space, cost_scale=scale)
+    except _RecordFault as exc:
+        lineno = exc.index + 2 + bisect.bisect_right(blanks, exc.index)
+        raise ValueError(f"line {lineno}: {exc}") from exc
 
 
 def parse_libsvm_by_token(
@@ -145,7 +239,8 @@ def write_libsvm_by_index(dataset: LabeledDataset, path) -> None:
                 f"{j + 1}:{float(dataset.features[i, j])!r}"
                 for j in np.flatnonzero(dataset.features[i])
             )
-            fh.write((labs + " " + feats).strip() + "\n")
+            # a row with no label and no nonzero feature would be a blank line, which parsers skip
+            fh.write(((labs + " " + feats).strip() or "1:0.0") + "\n")
 
 
 def scaled_conjugate(kind: DivergenceKind, gamma: float, s) -> "float | np.ndarray":

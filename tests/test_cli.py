@@ -185,6 +185,10 @@ class TestEvaluate:
         ("action", [0, "1", 0, 0], "action: [0, '1', 0, 0] is not a vector of 0/1 bits", "factorized"),
         ("action", [0, None, 0, 0], "action: int() argument", "factorized"),
         ("action", [0, 1e10, 0, 0], "action: Python integer 10000000000 out of bounds", "factorized"),
+        # numpy parses a string and takes true as 1; the reader takes neither as a number
+        ("features", [0.0, "0.5", 0.0, 0.0, 0.0], "features: '0.5' is not a number", "factorized"),
+        ("features", [True, 0.0, 0.0, 0.0, 0.0], "features: True is not a number", "multiclass"),
+        ("action", True, "action: True is not an integer id", "multiclass"),
     ])
     def test_malformed_record_is_a_validation_error_with_its_line(
         self, tmp_path, capsys, key, value, named, space
@@ -314,6 +318,8 @@ class TestEvaluate:
         ("action", -1, "action id out of range", "multiclass"),
         ("action", [0, 2, 0, 0], "action: [0, 2, 0, 0] is not a vector of 0/1 bits", "factorized"),
         ("action", [0, -1, 0, 0], "action: [0, -1, 0, 0] is not a vector of 0/1 bits", "factorized"),
+        ("action", [True, False, 0, 0], "action: [True, False, 0, 0] is not a vector of 0/1 bits",
+         "factorized"),
     ])
     @pytest.mark.parametrize("blank_lines", [0, 2])
     def test_out_of_range_record_value_is_a_validation_error_with_its_line(

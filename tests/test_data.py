@@ -40,6 +40,7 @@ from cfdro.policies import (
 from oracles import (
     log_by_records,
     parse_libsvm_by_token,
+    read_bandit_log_by_records,
     write_bandit_log_by_records,
     write_libsvm_by_index,
 )
@@ -100,6 +101,37 @@ class TestLibsvmParsing:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_a_row_with_no_label_and_no_feature_round_trips(self, tmp_path):
+        # its line would be blank, and the parser skips blank lines: it is written as 1:0.0
+        ds = LabeledDataset(
+            np.array([[0.5, 0.0], [0.0, 0.0], [0.0, -0.0], [1.0, 2.0]]),
+            np.array([[1, 0], [0, 0], [0, 1], [0, 0]], dtype=np.int8),
+        )
+        path = tmp_path / "zero.svm"
+        write_libsvm_multilabel(ds, path)
+        assert path.read_text() == "0 1:0.5\n1:0.0\n1\n1:1.0 2:2.0\n"
+        back = parse_libsvm_multilabel(path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_an_all_zero_dataset_round_trips_row_for_row(self, tmp_path):
+        ds = LabeledDataset(np.zeros((3, 4)), np.zeros((3, 2), dtype=np.int8))
+        write_libsvm_multilabel(ds, tmp_path / "zero.svm")
+        back = parse_libsvm_multilabel(tmp_path / "zero.svm", n_features=4, n_labels=2)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+
+    def test_a_dataset_with_no_features_cannot_write_a_row_with_no_label(self, tmp_path):
+        ds = LabeledDataset(np.zeros((3, 0)), np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int8))
+        with pytest.raises(ValueError, match="^row 2: no label and no feature"):
+            write_libsvm_multilabel(ds, tmp_path / "empty.svm")
+        assert not (tmp_path / "empty.svm").exists()
+        ds = LabeledDataset(np.zeros((2, 0)), np.array([[1, 0], [0, 1]], dtype=np.int8))
+        write_libsvm_multilabel(ds, tmp_path / "labels.svm")
+        back = parse_libsvm_multilabel(tmp_path / "labels.svm")
+        assert back.features.shape == (2, 0)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
     def test_writes_the_bytes_of_the_per_index_writer(self, tmp_path):
         rng = np.random.default_rng(1)
         feats = np.where(rng.random((40, 8)) < 0.4, rng.normal(size=(40, 8)), 0.0)
@@ -108,6 +140,7 @@ class TestLibsvmParsing:
         labels = (rng.random((40, 5)) < 0.4).astype(np.int8)
         labels[2] = 0  # a row with an empty label field
         feats[3] = 0.0  # and one with no features
+        labels[4], feats[4] = 0, 0.0  # and one with neither
         ds = LabeledDataset(feats, labels)
         write_libsvm_multilabel(ds, tmp_path / "new.svm")
         write_libsvm_by_index(ds, tmp_path / "old.svm")
@@ -708,6 +741,192 @@ def test_round_trip_keeps_every_bit(tmp_path_factory, rows, data):
         cost_scale=CostScale(data.draw(st.floats(0.0, 1e300, exclude_min=True)), data.draw(finite)),
     )
     assert_same_bytes_and_round_trip(log, tmp_path_factory.mktemp("log"))
+
+
+def _read_outcome(read, path):
+    """A read's arrays with their dtypes and shapes, space and scale, or its error's message."""
+    try:
+        log = read(path)
+    except ValueError as exc:
+        return str(exc)
+    arrays = (log.features, log.actions, log.propensities, log.costs_raw, log.costs)
+    assert all(not a.flags.writeable for a in arrays) and "_contexts" not in vars(log)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], log.action_space, log.cost_scale
+
+
+def _same_read(path):
+    got = _read_outcome(read_bandit_log, path)
+    assert got == _read_outcome(read_bandit_log_by_records, path)
+    return got
+
+
+def _acting(record, id_or_bit):
+    """The record with its action id, or its first bit, replaced."""
+    action = record["action"]
+    return {**record, "action": id_or_bit if type(action) is int else [id_or_bit, *action[1:]]}
+
+
+def _featuring(record, value):
+    """The record with its first feature replaced."""
+    return {**record, "features": [value, *record["features"][1:]]}
+
+
+def _shifted(record):
+    return [v + 1.0 for v in record["features"]]
+
+
+# each takes a record line in the writer's layout and its record, and gives another line: the
+# reader must read the result as json.loads does, or fail with the per-record reader's message
+LINE_EDITS = {
+    "compact": lambda line, r: json.dumps(r, separators=(",", ":")),
+    "spaced": lambda line, r: json.dumps(r, separators=(" ,  ", " : ")),
+    "features last": lambda line, r: json.dumps({k: r[k] for k in reversed(list(r))}),
+    "escaped features key": lambda line, r: line[:-1] + f', "\\u0066eatures": {_shifted(r)}}}',
+    "second features key": lambda line, r: line[:-1] + f', "features": {_shifted(r)}}}',
+    "escaped other key": lambda line, r: line.replace('"action"', '"\\u0061ction"'),
+    "bracket in a string": lambda line, r: line[:-1] + ', "note": "x], \\"features\\": [1]"}',
+    "bracket in a key": lambda line, r: line[:-1] + ', "], ": 0}',
+    "string in features": lambda line, r: json.dumps(_featuring(r, "], ")),
+    "number as a string": lambda line, r: json.dumps(_featuring(r, "0.5")),
+    "trailing comma": lambda line, r: line[:-1] + ", }",
+    "features then a trailing comma": lambda line, r: line[: line.index("]") + 1] + ", }",
+    "features then a brace": lambda line, r: line.replace("], ", "]}, ", 1),
+    "misspelled features key": lambda line, r: line.replace('"features"', '"featurez"', 1),
+    "missing key": lambda line, r: json.dumps({k: v for k, v in r.items() if k != "cost_raw"}),
+    "extra data": lambda line, r: line + " 0",
+    "trailing spaces": lambda line, r: line + " \t ",
+    "leading space": lambda line, r: " " + line,
+    "nan propensity": lambda line, r: json.dumps({**r, "propensity": math.nan}),
+    "nan feature": lambda line, r: json.dumps(_featuring(r, math.nan)),
+    "infinite cost": lambda line, r: json.dumps({**r, "cost_raw": math.inf}),
+    "null feature": lambda line, r: json.dumps(_featuring(r, None)),
+    "true feature": lambda line, r: json.dumps(_featuring(r, True)),
+    "nested features": lambda line, r: json.dumps(_featuring(r, [1.0])),
+    "integer costs": lambda line, r: json.dumps({**r, "cost_raw": 1, "propensity": 1}),
+    "true action": lambda line, r: json.dumps(_acting(r, True)),
+    "float action": lambda line, r: json.dumps(_acting(r, 1.0)),
+    "nested action": lambda line, r: json.dumps(_acting(r, [1])),
+    "object in action": lambda line, r: json.dumps(_acting(r, {})),
+    "string action": lambda line, r: json.dumps(_acting(r, "1")),
+    "action out of range": lambda line, r: json.dumps(_acting(r, 7 if type(r["action"]) is int else 2)),
+    "not an object": lambda line, r: json.dumps(list(r.values())),
+}
+
+
+@st.composite
+def log_files(draw):
+    """A log whose contexts are drawn from a few rows, so that texts repeat, with each record
+    line's edit (a key of ``LINE_EDITS``, or None) and the blank lines before it, and the amount
+    by which the header miscounts the records."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 10))
+    value = st.sampled_from(EXTREME_FLOATS + [-1.5, 2.0])
+    rows = draw(st.lists(st.lists(value, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))  # noqa: E731
+    if draw(st.booleans()):
+        space, actions = Multiclass(3), column(st.integers(0, 2))
+    else:
+        space, actions = FactorizedLabels(2), column(st.lists(st.integers(0, 1), min_size=2, max_size=2))
+    log = BanditLog(
+        features=np.array(rows)[column(st.integers(0, len(rows) - 1))],
+        actions=np.array(actions),
+        propensities=np.array(column(st.sampled_from([0.25, 1.0, 5e-324]))),
+        costs_raw=np.zeros(n),
+        costs=np.array(column(st.sampled_from([-1.0, -0.0, -0.5]))),
+        action_space=space,
+        cost_scale=CostScale.identity(),
+    )
+    edits = column(st.tuples(st.sampled_from([None, *sorted(LINE_EDITS)]),
+                             st.sampled_from(["", "", "", "\n", "  \n"])))
+    return log, edits, draw(st.sampled_from([0, 0, 0, 1, -1]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(file=log_files())
+def test_the_reader_reads_any_layout_as_the_per_record_reader(tmp_path_factory, file):
+    log, edits, miscount = file
+    path = tmp_path_factory.mktemp("log") / "log.jsonl"
+    write_bandit_log(log, path)
+    header, *lines = path.read_text().splitlines()
+    if miscount:
+        header = json.dumps({**json.loads(header), "n": log.n + miscount})
+    for i, (edit, blanks) in enumerate(edits):
+        lines[i] = blanks + (LINE_EDITS[edit](lines[i], json.loads(lines[i])) if edit else lines[i])
+    path.write_text("\n".join([header, *lines]) + "\n")
+    got = _same_read(path)
+    if not miscount and not any(edit for edit, _ in edits):
+        arrays = (log.features, log.actions, log.propensities, log.costs_raw, log.costs)
+        assert got[0] == [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _replayed_log(space, rows, replay, seed):
+    ds = synthetic_multilabel_dataset(rows, 3, 4, seed=seed)
+    policy = train_logging_policy(ds, LoggingPolicyConfig(action_space=space))
+    return collect_bandit_log(ds, policy, replay, seed=seed + 1)
+
+
+@pytest.mark.parametrize("edit", sorted(LINE_EDITS))
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_each_line_edit_on_a_repeated_context_reads_as_the_per_record_reader(tmp_path, edit, space):
+    # the edited line repeats the first line's context, so its features text is a known one
+    path = tmp_path / "log.jsonl"
+    write_bandit_log(_replayed_log(space, 4, 3, seed=50), path)
+    lines = path.read_text().splitlines()
+    first = lines[1][: lines[1].index("]") + 1]
+    at = next(i for i in range(2, len(lines)) if lines[i].startswith(first))
+    lines[at] = LINE_EDITS[edit](lines[at], json.loads(lines[at]))
+    path.write_text("\n".join(lines) + "\n")
+    _same_read(path)
+
+
+def _counting_parses(monkeypatch):
+    """Every string that a JSON decoder parses, ``json.loads`` included, in order."""
+    parsed = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counted(self, s, idx=0):
+        parsed.append(s)
+        return raw_decode(self, s, idx)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    return parsed
+
+
+def _features_texts(path):
+    return [line[13 : line.index("]") + 1] for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+@pytest.mark.parametrize("replay", [1, 4])
+def test_each_distinct_features_text_is_parsed_once(monkeypatch, tmp_path, space, replay):
+    log = _replayed_log(space, 30, replay, seed=52)
+    path = tmp_path / "log.jsonl"
+    write_bandit_log(log, path)
+    texts = set(_features_texts(path))
+    parsed = _counting_parses(monkeypatch)
+    back = read_bandit_log(path)
+    assert len(parsed) == 1 + log.n  # the header, then one parse a record
+    assert sum(text in s for s in parsed for text in texts) == len(texts) == 30
+    for name in ("features", "actions", "propensities", "costs_raw", "costs"):
+        got, want = getattr(back, name), getattr(log, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert "_contexts" not in vars(back)
+
+
+@pytest.mark.parametrize("space", ["factorized", "multiclass"])
+def test_texts_past_the_budget_are_parsed_but_not_kept(monkeypatch, tmp_path, space):
+    # each text is longer than its row's 8 bytes a feature, so the budget keeps only the first few
+    log = _replayed_log(space, 20, 2, seed=54)
+    path = tmp_path / "log.jsonl"
+    write_bandit_log(log, path)
+    texts = _features_texts(path)
+    parsed = _counting_parses(monkeypatch)
+    assert read_bandit_log(path).features.tobytes() == log.features.tobytes()
+    room, kept = log.features.nbytes, 0
+    for text in texts[:20]:  # the first replay: every text is new
+        if len(text) <= room:
+            room, kept = room - len(text), kept + 1
+    whole = [s for s in parsed if s.startswith('{"features"')]
+    assert 0 < kept < 20 and len(whole) == 2 * 20 - kept
 
 
 def test_cost_scale_round_trip():

@@ -156,6 +156,31 @@ class TestRobustSolver:
         with pytest.raises(ValueError, match="^epsilon must be nonnegative and finite$"):
             solve(np.array([-1.0, -0.5, 0.0]), DivergenceKind.KL, eps)
 
+    @pytest.mark.parametrize("solve,name", [
+        (lambda z, beta, gamma: dual_objective(z, DivergenceKind.KL, 0.1, beta, gamma), "beta"),
+        (lambda z, beta, gamma: dual_objective(z, DivergenceKind.KL, 0.1, beta, gamma), "gamma"),
+        (lambda z, beta, gamma: kl_reduced_dual(z, 0.1, gamma), "gamma"),
+        (lambda z, beta, gamma: dual_gradient(z, DivergenceKind.KL, 0.1, beta, gamma), "beta"),
+        (lambda z, beta, gamma: dual_gradient(z, DivergenceKind.KL, 0.1, beta, gamma), "gamma"),
+    ], ids=["dual_objective-beta", "dual_objective-gamma", "kl_reduced_dual", "dual_gradient-beta",
+            "dual_gradient-gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_dual_variable_by_name(self, solve, name, value):
+        # dual_objective raised FloatingPointError for NaN and returned inf for beta inf;
+        # kl_reduced_dual returned NaN; dual_gradient said the gradient was not finite
+        point = {"beta": 0.0, "gamma": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            solve(np.array([-1.0, -0.5, 0.0]), **point)
+
+    def test_a_finite_negative_gamma_keeps_its_sign_message(self):
+        z = np.array([-1.0, -0.5, 0.0])
+        with pytest.raises(ValueError, match="^gamma must be nonnegative$"):
+            dual_objective(z, DivergenceKind.KL, 0.1, 0.0, -1.0)
+        with pytest.raises(ValueError, match="^gamma must be positive$"):
+            kl_reduced_dual(z, 0.1, -1.0)
+        with pytest.raises(ValueError, match="^dual_gradient requires gamma > 0$"):
+            dual_gradient(z, DivergenceKind.KL, 0.1, 0.0, -1.0)
+
 
 class TestPrimalOracle:
     def test_single_atom(self):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -444,6 +445,48 @@ def test_a_broken_rule_names_the_first_record_that_breaks_it(field, value, messa
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         BanditLog(**fields)
     assert info.value.index == 2
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("features", [0.0, np.inf], "features must be finite"),
+    ("actions", [1, -1], "factorized actions must be 0/1 bits"),
+    ("propensities", 0.0, "propensities must lie in (0, 1]"),
+])
+def test_a_rule_checked_by_chunks_names_the_first_record(monkeypatch, field, value, message):
+    # four items a chunk: two rows of features or bits, four records of a column
+    monkeypatch.setattr(estimators, "_CHECK_ITEMS", 4)
+    n = 9
+    fields = dict(
+        features=np.zeros((n, 2)),
+        actions=np.zeros((n, 2), dtype=np.int8),
+        propensities=np.full(n, 0.25),
+        costs_raw=np.full(n, -1.0),
+        costs=np.full(n, -1.0),
+        action_space=FactorizedLabels(2),
+        cost_scale=CostScale.identity(),
+    )
+    for index in (5, 8):
+        fields[field][index] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        BanditLog(**fields)
+    assert info.value.index == 5
+
+
+def test_the_rules_temporaries_stay_below_a_full_mask():
+    # a full np.isfinite mask of the features is n * d bytes; a chunk's is about 1 MB
+    n, d = 200_000, 20
+    bits = np.zeros((n, 2), dtype=np.int8)
+    arrays = [np.zeros((n, d)), bits, np.full(n, 0.5), np.zeros(n), np.full(n, -1.0)]
+    for array in arrays:
+        array.flags.writeable = False
+    tracemalloc.start()
+    try:
+        log = BanditLog(*arrays, action_space=FactorizedLabels(2), cost_scale=CostScale.identity())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.features is arrays[0]
+    assert peak < n * d // 2
 
 
 # ----------------------------------------------------------------------
